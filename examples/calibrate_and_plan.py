@@ -12,9 +12,9 @@ suite against a phone the program pretends not to know:
 3. infer the actual listen interval from TIM-to-fetch distances,
 4. derive a valid (dpre, db) plan from the calibrated values,
 5. run AcuteMon with the derived plan and verify the overhead,
-6. sweep the phone across emulated RTTs with the parallel campaign
-   runner (``workers=2``) — results are bit-identical to a serial
-   sweep, just faster on multi-core machines (see
+6. sweep the phone across emulated RTTs on a pool of two worker
+   processes (``workers=2``) — results are bit-identical to an
+   in-process sweep, just faster on multi-core machines (see
    docs/PERFORMANCE.md).
 
 Run:  python examples/calibrate_and_plan.py [phone_key]
@@ -97,7 +97,7 @@ def main():
 
     print()
     print("Sweeping the calibrated phone across emulated RTTs "
-          "(parallel campaign, workers=2)...")
+          "(pooled campaign, workers=2)...")
     campaign = Campaign(phones=(phone_key,), rtts=(0.020, 0.085),
                         tools=("acutemon",), count=10, base_seed=13)
     campaign.run(workers=2)

@@ -2,7 +2,7 @@
 """Scenario sweep: one campaign grid spanning WiFi and cellular LTE.
 
 Declares a mixed-environment grid with the declarative scenario layer,
-runs it through the parallel-capable campaign runner, and shows that
+runs it in-process through the campaign runner, and shows that
 the same tool on the same emulated path answers differently depending
 on the radio access network in front of it (802.11 PSM/bus-sleep vs
 LTE RRC promotions).  The sweep is journaled to a checkpoint file and

@@ -116,10 +116,6 @@ def cmd_campaign(args):
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint PATH")
         return 2
-    if args.shards is not None and args.workers != 1:
-        print("error: --shards and --workers are mutually exclusive "
-              "(the shard transport sizes its own pool)")
-        return 2
     campaign = Campaign(
         envs=tuple(args.env),
         phones=tuple(args.phones), rtts=tuple(r * 1e-3 for r in args.rtts),
@@ -145,22 +141,21 @@ def cmd_campaign(args):
                       result.tool, f"{stats.median * 1e3:.2f}",
                       f"{result.error() * 1e3:.2f}", stats.n)
     print(table)
-    if campaign.run_metrics is not None:
-        counters = {metric["name"]: metric["value"]
-                    for metric in campaign.run_metrics["metrics"]}
-        resumed = counters.get("campaign.cells_resumed", 0)
-        retries = counters.get("campaign.retries", 0)
-        if resumed or retries:
-            print(f"resumed {resumed} cell(s) from checkpoint, "
-                  f"{retries} retr{'y' if retries == 1 else 'ies'}")
-        hits = counters.get("campaign.cache_hits", 0)
-        misses = counters.get("campaign.cache_misses", 0)
-        stolen = counters.get("campaign.shards_stolen", 0)
-        if args.store:
-            print(f"store cache: {hits} hit(s), {misses} miss(es)")
-        if args.shards is not None:
-            planned = counters.get("campaign.shards_planned", 0)
-            print(f"shards: {planned} dispatched, {stolen} stolen")
+    counters = {metric["name"]: metric["value"]
+                for metric in campaign.run_metrics["metrics"]}
+    resumed = counters.get("campaign.cells_resumed", 0)
+    retries = counters.get("campaign.retries", 0)
+    if resumed or retries:
+        print(f"resumed {resumed} cell(s) from checkpoint, "
+              f"{retries} retr{'y' if retries == 1 else 'ies'}")
+    hits = counters.get("campaign.cache_hits", 0)
+    misses = counters.get("campaign.cache_misses", 0)
+    stolen = counters.get("campaign.shards_stolen", 0)
+    if args.store:
+        print(f"store cache: {hits} hit(s), {misses} miss(es)")
+    if args.shards is not None:
+        planned = counters.get("campaign.shards_planned", 0)
+        print(f"shards: {planned} dispatched, {stolen} stolen")
     if campaign.quarantine:
         bad = Table(["Env", "Phone", "RTT", "Tool", "kind", "attempts",
                      "error"],
@@ -585,8 +580,8 @@ def build_parser():
                              metavar="N",
                              help="partition the grid into N fingerprint-"
                                   "keyed shards with work stealing "
-                                  "(docs/FABRIC.md; mutually exclusive "
-                                  "with --workers)")
+                                  "(docs/FABRIC.md); --workers caps the "
+                                  "pool")
             cmd.add_argument("--store", default=None, metavar="DIR",
                              help="persistent cross-campaign result "
                                   "store: cells cached there are re-"

@@ -74,7 +74,6 @@ CAMPAIGN_CELLS_QUARANTINED = "campaign.cells_quarantined"
 CAMPAIGN_RETRIES = "campaign.retries"
 CAMPAIGN_CELL_TIMEOUTS = "campaign.cell_timeouts"
 CAMPAIGN_CHECKPOINT_WRITES = "campaign.checkpoint_writes"
-CAMPAIGN_POOL_FAILURES = "campaign.pool_failures"
 CAMPAIGN_CACHE_HITS = "campaign.cache_hits"
 CAMPAIGN_CACHE_MISSES = "campaign.cache_misses"
 CAMPAIGN_STORE_WRITES = "campaign.store_writes"
@@ -136,7 +135,6 @@ METRIC_NAMES = frozenset({
     CAMPAIGN_RETRIES,
     CAMPAIGN_CELL_TIMEOUTS,
     CAMPAIGN_CHECKPOINT_WRITES,
-    CAMPAIGN_POOL_FAILURES,
     CAMPAIGN_CACHE_HITS,
     CAMPAIGN_CACHE_MISSES,
     CAMPAIGN_STORE_WRITES,

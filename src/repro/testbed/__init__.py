@@ -31,10 +31,8 @@ from repro.testbed.fabric import (
     ShardPlan,
     ShardTransport,
     plan_shards,
-    replan,
     shard_index,
 )
-from repro.testbed.parallel import ParallelCampaignRunner
 from repro.testbed.resilience import (
     CellFailure,
     CellTimeout,
@@ -64,7 +62,6 @@ __all__ = [
     "FaultPolicy",
     "InProcessTransport",
     "MultiprocessTransport",
-    "ParallelCampaignRunner",
     "ResultStore",
     "ScenarioError",
     "ScenarioSpec",
@@ -79,7 +76,6 @@ __all__ = [
     "plan_shards",
     "register_environment",
     "register_tool",
-    "replan",
     "run_scenario",
     "shard_index",
     "tool_comparison",

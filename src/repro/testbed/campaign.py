@@ -8,8 +8,8 @@ Table 5 sweep nightly" workflows.  The grid enumerates
 can sweep WiFi and cellular cells side by side.  Results round-trip
 through JSON so separate processes (or machines) can split the grid and
 merge; per-cell seeds make every cell independent, which is what lets
-:class:`~repro.testbed.parallel.ParallelCampaignRunner` shard the grid
-across worker processes with bit-identical output.
+:class:`~repro.testbed.fabric.FabricRunner` run the grid in-process or
+shard it across worker processes with bit-identical output.
 """
 
 import itertools
@@ -120,7 +120,7 @@ class Campaign:
         self.quarantine = []
         #: Runner-level counter snapshot (``campaign.cells_run``,
         #: ``campaign.cells_resumed``, ``campaign.retries``, ...) from
-        #: the most recent resilient run; ``None`` for plain runs.
+        #: the most recent run; ``None`` before the first.
         self.run_metrics = None
 
     @property
@@ -159,80 +159,61 @@ class Campaign:
                 seed=self.base_seed + index * 7919,
             )
 
-    def run(self, progress=None, workers=1, chunk_size=None,
-            collect_metrics=False, checkpoint=None, resume=False,
-            fault_policy=None, cell_timeout=None, retries=0,
-            retry_backoff=0.0, shards=None, store=None, transport=None):
+    def run(self, progress=None, workers=1, collect_metrics=False,
+            checkpoint=None, resume=False, fault_policy=None,
+            cell_timeout=None, retries=0, retry_backoff=0.0, shards=None,
+            store=None, transport=None):
         """Execute every cell; returns the result list.
 
+        Every run goes through one
+        :class:`~repro.testbed.fabric.FabricRunner`.  ``workers=1`` (the
+        default) with ``shards=None`` runs the cells in-process, in grid
+        order.  Any other combination plans the pending cells into
+        fingerprint-keyed shards — ``shards`` of them, or ``workers * 4``
+        capped at the number of pending cells — and executes them over
+        ``transport`` (default: a process pool of ``workers`` processes;
+        ``None``, or ``1`` alongside ``shards``, means one per CPU).  A
+        shard whose worker dies is stolen back and re-run in-process.
+        ``workers`` and ``shards`` must each be ``None`` or an int
+        >= 1; anything else raises ``ValueError``.
+
         ``progress`` (if given) is called exactly once per cell with its
-        :class:`ScenarioSpec` — just before the cell runs in serial
-        mode, as each cell's result merges in parallel mode.
-        ``workers=1`` (the default) runs in-process and serially.  Any
-        other value delegates to
-        :class:`~repro.testbed.parallel.ParallelCampaignRunner`, which
-        shards the grid across a process pool (``workers=None`` means
-        one worker per CPU) and produces bit-identical results in the
-        same deterministic order.  ``chunk_size`` tunes how many cells
-        each pool task carries.  ``collect_metrics`` runs every cell
+        :class:`ScenarioSpec`: just before the cell runs in-process, as
+        its result merges from a pool, and immediately for cells
+        restored from a cache.  ``collect_metrics`` runs every cell
         with observability enabled and attaches a metrics snapshot to
-        each :class:`CellResult` (see :meth:`merged_metrics`); snapshots
-        are deterministic, so serial and parallel runs agree exactly.
+        each :class:`CellResult` (see :meth:`merged_metrics`).
 
         Resilience (see ``docs/RESILIENCE.md``): ``checkpoint`` names a
         :class:`~repro.testbed.resilience.CheckpointJournal` JSONL file
         that records each completed cell as it finishes; with
         ``resume=True`` cells already journaled are skipped and their
-        cached results re-emitted, bit-identical to an uninterrupted
-        run.  ``cell_timeout`` / ``retries`` / ``retry_backoff`` build a
-        per-cell :class:`~repro.testbed.resilience.FaultPolicy` (or pass
+        cached results re-emitted.  ``cell_timeout`` / ``retries`` /
+        ``retry_backoff`` build a per-cell
+        :class:`~repro.testbed.resilience.FaultPolicy` (or pass
         ``fault_policy`` directly); cells that exhaust the policy land
         in :attr:`quarantine` as ``CellFailure`` objects instead of
-        failing the sweep, and :attr:`run_metrics` carries the runner's
-        counters (``campaign.retries``, ``campaign.cells_resumed``, ...).
+        failing the sweep.  :attr:`run_metrics` carries the runner's
+        counters (``campaign.cells_run``, ``campaign.retries``, ...).
 
         Fabric (see ``docs/FABRIC.md``): ``store`` names a persistent
         :class:`~repro.testbed.store.ResultStore` directory (or passes
         an instance) consulted before any cell executes — cells any
         earlier campaign already computed are re-emitted from the cache
-        and fresh cells are recorded for the next run.  ``shards=N``
-        partitions the remaining cells into N fingerprint-keyed shards
-        through :class:`~repro.testbed.fabric.FabricRunner` and
-        executes them over ``transport`` (default: one process-pool
-        future per shard), stealing failed shards back in-process.
-        Every mode — serial, parallel, sharded, resumed, cache-warm —
-        produces bit-identical results, merged metrics, and reports.
+        and fresh cells are recorded for the next run.  Every path —
+        serial, pooled, sharded, resumed, cache-warm — produces
+        bit-identical results, merged metrics, and reports.
         """
+        from repro.testbed.fabric import FabricRunner
+
+        runner = FabricRunner(self, shard_count=shards, transport=transport,
+                              workers=workers)
         if fault_policy is None and (cell_timeout is not None or retries
                                      or retry_backoff):
             from repro.testbed.resilience import FaultPolicy
             fault_policy = FaultPolicy(cell_timeout=cell_timeout,
                                        retries=retries,
                                        backoff=retry_backoff)
-        if shards is not None:
-            from repro.testbed.fabric import FabricRunner
-            runner = FabricRunner(self, shard_count=shards,
-                                  transport=transport,
-                                  workers=None if workers == 1 else workers)
-            return runner.run(progress=progress,
-                              collect_metrics=collect_metrics,
-                              checkpoint=checkpoint, resume=resume,
-                              fault_policy=fault_policy, store=store)
-        resilient = (checkpoint is not None or resume
-                     or fault_policy is not None or store is not None)
-        if workers == 1 and not resilient:
-            self.results = []
-            self.quarantine = []
-            self.run_metrics = None
-            for spec in self.cells():
-                if progress is not None:
-                    progress(spec)
-                self._append_result(
-                    run_cell(spec, collect_metrics=collect_metrics))
-            return self._results
-        from repro.testbed.parallel import ParallelCampaignRunner
-        runner = ParallelCampaignRunner(self, workers=workers,
-                                        chunk_size=chunk_size)
         return runner.run(progress=progress, collect_metrics=collect_metrics,
                           checkpoint=checkpoint, resume=resume,
                           fault_policy=fault_policy, store=store)

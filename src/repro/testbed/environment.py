@@ -15,7 +15,7 @@ cellular environment" (§4).  This module makes that claim structural:
   ``metrics_snapshot()``) the campaign layer relies on.
 * a registry maps environment *keys* (``wifi``, ``cellular-3g``,
   ``cellular-lte``) to builders, so scenarios, campaign grids, the
-  parallel runner, and the CLI can all sweep environments by name.
+  campaign runner, and the CLI can all sweep environments by name.
 
 Capabilities declare which scenario knobs an environment honours —
 requesting cross traffic on a cellular cell is a validation error, not a

@@ -1,52 +1,57 @@
-"""Sharded campaign fabric: deterministic planning plus work stealing.
+"""Campaign execution: one runner, in-process or sharded over a transport.
 
-:class:`~repro.testbed.parallel.ParallelCampaignRunner` shards a grid
-into *contiguous* chunks — fine inside one process pool, but fleet-scale
-sweeps (ROADMAP item 5) need shard membership that is stable across
-machines, restarts, and grid growth.  This module keys sharding on the
-cell's content address instead:
+:class:`FabricRunner` is the only campaign runner;
+:meth:`~repro.testbed.campaign.Campaign.run` always builds one.  A run
+has three steps:
 
-* **Planner** — :func:`plan_shards` assigns every cell to
-  ``shard_index(spec.fingerprint(), n)``; the assignment is a pure
-  function of (spec, shard count), so two hosts planning the same grid
-  agree without talking to each other.  :func:`replan` handles dead
-  workers: cells on surviving shards never move, and a dead shard's
-  cells re-hash deterministically over the survivors.
-* **Transport seam** — a shard travels as one JSON-ready task payload
-  (``{"shard": n, "collect_metrics": ..., "policy": ..., "specs":
-  [...]}``) and comes back as a list of JSON-ready cell records, the
-  same wire shape the process-pool protocol uses.
-  :class:`InProcessTransport` and :class:`MultiprocessTransport`
-  implement the seam today; a socket transport for remote hosts only
-  has to move the same two payloads.
-* **Work stealing** — :class:`FabricRunner` dispatches the planned
-  shards through the transport and *steals* any shard that comes back
-  failed (worker killed, pool broken), re-running its cells in-process
-  under the same fault policy.  A stolen shard's cells produce the
-  same results they would have produced remotely, so stealing never
-  perturbs the output.
+* **Cache pre-pass** — cells already in the checkpoint journal (on
+  resume), then cells in the persistent
+  :class:`~repro.testbed.store.ResultStore`, are installed without
+  executing; only the remaining *pending* cells run.
+* **Execution** — with ``workers=1`` and no shard count, pending cells
+  run in-process in grid order, and ``progress(spec)`` fires just
+  before each one.  Otherwise :func:`plan_shards` partitions them by
+  content address (``shard_index(spec.fingerprint(), n)``, a pure
+  function of spec and shard count, so two hosts planning the same grid
+  agree without talking), a :class:`ShardTransport` executes the
+  shards, and ``progress`` fires as each cell merges.
+* **Work stealing** — a shard the transport reports failed (worker
+  killed, pool broken) re-runs in-process under the same fault policy.
+  A cell's outcome depends only on its spec, so a stolen shard produces
+  exactly what its worker would have.
 
-The runner composes with the rest of the resilience stack unchanged:
-checkpoint journal resume first, then the persistent
-:class:`~repro.testbed.store.ResultStore` cache, and only the remaining
-cells are planned into shards.  The campaign invariant stays absolute —
-serial == parallel == sharded == resumed == cache-warm runs emit
+A shard travels as one JSON-ready task payload (``{"shard": n,
+"collect_metrics": ..., "policy": ..., "specs": [...]}``) and comes
+back as a JSON-ready list of cell records; :func:`run_shard_payload` is
+the executable half of that protocol.  :class:`InProcessTransport` and
+:class:`MultiprocessTransport` implement the seam; a socket transport
+for remote hosts only has to move the same two payloads.
+
+Every path — serial, pooled, sharded, resumed, cache-warm — emits
 bit-identical results, merged metrics, and reports (pinned by
 ``tests/test_fabric.py``).  See ``docs/FABRIC.md``.
 """
 
 import concurrent.futures
-from concurrent.futures.process import BrokenProcessPool
+import multiprocessing
+import os
 
 from repro.obs import names as _names
 from repro.obs.metrics import MetricsRegistry
-from repro.testbed import parallel as _parallel
+from repro.testbed import campaign as _campaign
 from repro.testbed import resilience as _resilience
+from repro.testbed.scenario import ScenarioSpec
+from repro.testbed.store import ResultStore
 
 #: Hex digits of the fingerprint used as the shard key.  64 bits of a
 #: SHA-256 is plenty for balance and keeps the arithmetic exact in
 #: every JSON-adjacent runtime a future socket transport might talk to.
 _KEY_HEX_DIGITS = 16
+
+#: Shards per worker when no shard count is given: small enough to
+#: amortise task dispatch, large enough that a slow cell does not
+#: serialise the tail of the run.
+_CHUNKS_PER_WORKER = 4
 
 
 def shard_index(fingerprint, shard_count):
@@ -102,54 +107,74 @@ def plan_shards(cells, shard_count, fingerprints=None):
     return ShardPlan(shard_count, shards, assignments)
 
 
-def replan(plan, dead, fingerprints=None):
-    """Reassign the cells of ``dead`` shard ids over the survivors.
+# -- running cells ------------------------------------------------------------
 
-    Cells on surviving shards keep their assignment untouched; each
-    dead shard's cells re-hash over the sorted list of surviving shard
-    ids (``alive[shard_index(fp, len(alive))]``), so any two hosts that
-    agree on who died agree on the new plan without coordination.
-    ``fingerprints`` optionally maps grid index -> fingerprint to skip
-    re-hashing specs.
+
+def default_worker_count():
+    """One worker per CPU (at least one)."""
+    return os.cpu_count() or 1
+
+
+def pool_context(start_method=None):
+    """The preferred multiprocessing context, or ``None`` if unusable.
+
+    ``fork`` when the platform offers it (cheapest, and fork workers
+    inherit chaos-test monkeypatching), otherwise the platform default;
+    an explicitly requested method that the platform lacks yields
+    ``None`` so callers fall back to in-process execution.
     """
-    dead = set(dead)
-    alive = [sid for sid in range(plan.shard_count) if sid not in dead]
-    if not alive:
-        raise ValueError("replan requires at least one surviving shard")
-    shards = [[] for _ in range(plan.shard_count)]
-    assignments = {}
-    by_fingerprint = {}
-    for sid, shard in enumerate(plan.shards):
-        for index, spec in shard:
-            if fingerprints is not None and index in fingerprints:
-                fingerprint = fingerprints[index]
-            else:
-                fingerprint = spec.fingerprint()
-            by_fingerprint[fingerprint] = (sid, index, spec)
-    for fingerprint, (sid, index, spec) in by_fingerprint.items():
-        if sid in dead:
-            sid = alive[shard_index(fingerprint, len(alive))]
-        shards[sid].append((index, spec))
-        assignments[fingerprint] = sid
-    # Keep grid order inside each shard regardless of donor shard.
-    shards = [sorted(shard) for shard in shards]
-    return ShardPlan(plan.shard_count, shards, assignments)
+    try:
+        methods = multiprocessing.get_all_start_methods()
+        if start_method is not None:
+            if start_method not in methods:
+                return None
+            return multiprocessing.get_context(start_method)
+        if "fork" in methods:
+            return multiprocessing.get_context("fork")
+        return multiprocessing.get_context()
+    except (ValueError, OSError):  # pragma: no cover - exotic platforms
+        return None
 
 
-# -- the transport seam -------------------------------------------------------
+def _run_cell(spec, policy, collect_metrics):
+    """One cell under the optional fault policy: ``(result, stats)``.
+
+    Without a policy a raising cell fails the run (the historical
+    contract); under one, failures become quarantined ``CellFailure``
+    results.  ``run_cell`` is resolved through the campaign module at
+    call time so fork-started workers observe chaos-test monkeypatching.
+    """
+    if policy is None:
+        result = _campaign.run_cell(spec, collect_metrics=collect_metrics)
+        return result, {"attempts": 1, "timeouts": 0}
+    return _resilience.run_cell_with_policy(
+        spec, policy, collect_metrics=collect_metrics)
 
 
 def run_shard_payload(task):
     """Execute one shard task payload; returns its cell record list.
 
-    The executable half of the wire protocol: ``task`` is the JSON-ready
-    dict a transport moves to a worker, the return value the JSON-ready
-    record list it moves back.  Delegates to the process-pool shard
-    body so every transport shares one execution path (including the
-    chaos choke point on ``campaign.run_cell``).
+    ``task`` is the JSON-ready dict a transport moves to a worker.  Each
+    returned record pairs a cell payload with its attempt stats::
+
+        {"cell": {...}, "attempts": 1, "timeouts": 0}
+
+    Module-level so it pickles under every start method (fork or spawn).
     """
-    return _parallel._run_shard((task["collect_metrics"], task["policy"],
-                                 task["specs"]))
+    policy = task["policy"]
+    if policy is not None:
+        policy = _resilience.FaultPolicy.from_dict(policy)
+    records = []
+    for payload in task["specs"]:
+        result, stats = _run_cell(ScenarioSpec.from_dict(payload), policy,
+                                  task["collect_metrics"])
+        records.append({"cell": result.to_dict(),
+                        "attempts": stats["attempts"],
+                        "timeouts": stats["timeouts"]})
+    return records
+
+
+# -- the transport seam -------------------------------------------------------
 
 
 class ShardTransport:
@@ -186,11 +211,12 @@ class InProcessTransport(ShardTransport):
 class MultiprocessTransport(ShardTransport):
     """One process-pool future per shard; a broken pool fails per-shard.
 
-    Worker processes are long-lived and reused across shards.  A shard
-    whose worker dies (or whose pool cannot deliver) is reported as a
-    per-shard failure rather than failing the dispatch, so the runner
-    can steal exactly the affected shards; if the pool cannot be
-    created at all, every task falls back to in-process execution.
+    Worker processes are long-lived and reused across shards; the pool
+    has ``workers`` processes (``None``: one per CPU), capped at the
+    number of shards.  A shard whose worker dies (or whose pool cannot
+    deliver) is reported as a per-shard failure rather than failing the
+    dispatch, so the runner can steal exactly the affected shards; if
+    the pool cannot be created at all, every task runs in-process.
     """
 
     def __init__(self, workers=None, start_method=None):
@@ -200,8 +226,8 @@ class MultiprocessTransport(ShardTransport):
     def dispatch(self, tasks):
         if not tasks:
             return
-        context = _parallel.pool_context(self.start_method)
-        workers = self.workers or _parallel.default_worker_count()
+        context = pool_context(self.start_method)
+        workers = self.workers or default_worker_count()
         workers = max(1, min(workers, len(tasks)))
         if context is None:
             yield from InProcessTransport().dispatch(tasks)
@@ -218,126 +244,210 @@ class MultiprocessTransport(ShardTransport):
             for task, future in zip(tasks, futures):
                 try:
                     yield task["shard"], future.result(), None
-                except (BrokenProcessPool, OSError) as exc:
-                    yield task["shard"], None, exc
-                except Exception as exc:
+                except Exception as exc:  # BrokenProcessPool, OSError, ...
                     yield task["shard"], None, exc
 
 
-# -- the sharded runner -------------------------------------------------------
+# -- the runner ---------------------------------------------------------------
 
 
-class FabricRunner(_parallel.ParallelCampaignRunner):
-    """Execute a campaign as fingerprint-keyed shards over a transport.
+def _check_count(name, value):
+    """Return ``value`` if it is ``None`` or an int >= 1 (not a bool);
+    raise ``ValueError`` otherwise."""
+    if value is None or (isinstance(value, int)
+                         and not isinstance(value, bool) and value >= 1):
+        return value
+    raise ValueError(f"{name} must be None or an int >= 1, got {value!r}")
 
-    Extends the parallel runner with content-addressed shard planning
-    and work stealing; the cache pre-pass (journal resume, then result
-    store), per-cell fault policy, counters, and finalisation are all
-    inherited, so every execution mode shares one merge path.
+
+class FabricRunner:
+    """Execute a campaign's grid, in-process or as shards over a transport.
 
     Parameters
     ----------
     campaign:
-        The campaign whose grid should be executed.
+        The campaign whose grid should be executed.  :meth:`run`
+        replaces its ``results``, ``quarantine`` and ``run_metrics``.
     shard_count:
-        How many shards to plan.  Balance follows the fingerprint hash,
-        so shards are near-equal for any real grid.
+        How many shards to plan.  ``None`` derives it from ``workers``
+        (``workers * 4``, capped at the number of pending cells).
     transport:
-        A :class:`ShardTransport`; default
-        :class:`MultiprocessTransport` (one future per shard).
+        A :class:`ShardTransport`; default :class:`MultiprocessTransport`.
     workers:
-        Worker hint forwarded to the default transport.
+        ``1`` (the default) with no ``shard_count`` runs every cell
+        in-process.  Otherwise the default transport's pool size:
+        ``None`` — or ``1`` with an explicit ``shard_count`` — means one
+        worker per CPU.
     """
 
-    def __init__(self, campaign, shard_count, transport=None, workers=None):
-        super().__init__(campaign, workers=workers)
-        if shard_count < 1:
-            raise ValueError(
-                f"shard_count must be >= 1, got {shard_count!r}")
-        self.shard_count = shard_count
-        self.transport = (MultiprocessTransport(workers=workers)
-                          if transport is None else transport)
-        #: The :class:`ShardPlan` of the most recent run (pending cells
-        #: only — cached cells are never planned).
+    def __init__(self, campaign, shard_count=None, transport=None,
+                 workers=1):
+        self.campaign = campaign
+        self.shard_count = _check_count("shard_count", shard_count)
+        self.workers = _check_count("workers", workers)
+        self.transport = transport
+        #: The :class:`ShardPlan` of the most recent sharded run (pending
+        #: cells only — cached cells are never planned).
         self.plan = None
-
-    def _steal_shard(self, state, shard, progress, policy,
-                     collect_metrics):
-        """Re-run a failed shard's cells in-process (work stealing).
-
-        A stolen cell is deterministic, so the steal reproduces exactly
-        what the lost worker would have returned; without a fault
-        policy a genuinely raising cell still fails the sweep, the
-        historical contract.
-        """
-        for index, spec in shard:
-            result, stats = self._run_cell(spec, policy, collect_metrics)
-            self._merge_cell(state, index, spec, result, stats,
-                             progress=progress)
+        #: Runner counters for the most recent run (``campaign.*``).
+        self.metrics = MetricsRegistry(enabled=True)
 
     def run(self, progress=None, collect_metrics=False, checkpoint=None,
             resume=False, fault_policy=None, store=None):
-        """Plan, dispatch, steal, merge; returns the result list.
+        """Execute the grid and install the merged results.
 
-        Same contract as the parallel runner (``progress`` exactly once
-        per cell; bit-identical results, merged metrics, and reports),
-        except that ``progress`` fires in shard order rather than grid
-        order while the grid is in flight — the installed results are
-        in grid order regardless.  ``self.mode`` ends as ``"sharded"``,
-        and ``campaign.shards_stolen`` counts shards whose transport
-        execution failed and were re-run in-process.
+        ``progress(spec)`` fires exactly once per cell: immediately for
+        cells restored from a cache, just before each cell that runs
+        in-process (stolen shards included), and as each cell merges
+        from a pool.  ``collect_metrics`` makes every cell run observed
+        and carry its metrics snapshot home through the same JSON
+        round-trip as the rest of the result.
+
+        ``checkpoint`` (a path) journals every completed cell through a
+        :class:`~repro.testbed.resilience.CheckpointJournal`;
+        ``resume=True`` re-emits journaled cells instead of running
+        them.  ``store`` (a path or
+        :class:`~repro.testbed.store.ResultStore`) is consulted before
+        any cell executes and records every fresh successful cell.
+        ``fault_policy`` applies a per-cell timeout/retry budget; cells
+        that exhaust it become quarantined
+        :class:`~repro.testbed.resilience.CellFailure` entries on
+        ``campaign.quarantine`` instead of failing the sweep.
+
+        Returns the successful result list (also assigned to
+        ``campaign.results``, in grid order); ``campaign.run_metrics``
+        receives this run's counter snapshot.
         """
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint path")
-        campaign = self.campaign
-        cells = list(campaign.cells())
+        cells = list(self.campaign.cells())
         self.metrics = MetricsRegistry(enabled=True)
-        state = {
-            "slots": [None] * len(cells),
-            # Sharding keys on content addresses, so pay for the
-            # fingerprints up front even without checkpoint or store.
-            "fingerprints": [spec.fingerprint() for spec in cells],
-            "journal": None,
-            "store": None,
-            "merged": 0,
-        }
-        journal, store, pending = self._prepare(
-            cells, state, checkpoint, resume, store, progress)
-        plan = plan_shards(
-            pending, self.shard_count,
-            fingerprints=[state["fingerprints"][index]
-                          for index, _ in pending])
-        self.plan = plan
+        self.plan = None
+        self._slots = [None] * len(cells)
+        self._store = ResultStore.ensure(store)
+        self._journal = (None if checkpoint is None
+                         else _resilience.CheckpointJournal(checkpoint))
+        self._fingerprints = None
+        if self._journal is not None or self._store is not None:
+            self._fingerprints = [spec.fingerprint() for spec in cells]
+        pending = self._prepare(cells, resume, progress)
+        try:
+            if self._journal is not None:
+                self._journal.open()
+            # The store opens its writer segment lazily on first put,
+            # so a fully warm run leaves no empty segment behind.
+            if self.shard_count is None and self.workers == 1:
+                self._run_local(pending, progress, fault_policy,
+                                collect_metrics)
+            else:
+                self._run_sharded(pending, progress, fault_policy,
+                                  collect_metrics)
+        finally:
+            if self._journal is not None:
+                self._journal.close()
+            if self._store is not None:
+                self._store.close()
+        campaign = self.campaign
+        campaign.results = [cell for cell in self._slots if not cell.failure]
+        campaign.quarantine = [cell for cell in self._slots if cell.failure]
+        campaign.run_metrics = self.metrics.snapshot()
+        return campaign.results
+
+    def _count(self, name, amount=1):
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.inc(name, amount)
+
+    def _prepare(self, cells, resume, progress):
+        """The cache pre-pass: returns the pending ``(index, spec)`` cells.
+
+        Consults the checkpoint journal first (this run's own past),
+        then the persistent result store (any past run's cells): a
+        cached cell is installed into its slot immediately — counted as
+        ``campaign.cells_resumed`` or ``campaign.cache_hits``, with
+        ``progress`` fired — and only the remainder is pending.
+        """
+        store = self._store
+        cache = self._journal.load() if resume else {}
+        pending = []
+        for index, spec in enumerate(cells):
+            fingerprint = (None if self._fingerprints is None
+                           else self._fingerprints[index])
+            payload = cache.get(fingerprint) if cache else None
+            if payload is not None:
+                self._count(_names.CAMPAIGN_CELLS_RESUMED)
+            elif store is not None:
+                payload = store.get(fingerprint)
+                if payload is not None:
+                    self._count(_names.CAMPAIGN_CACHE_HITS)
+            if payload is not None:
+                self._slots[index] = _resilience.result_from_dict(payload)
+                if progress is not None:
+                    progress(spec)
+            else:
+                pending.append((index, spec))
+        if store is not None:
+            self._count(_names.CAMPAIGN_CACHE_MISSES, len(pending))
+        return pending
+
+    def _merge_cell(self, index, result, stats):
+        """Install one finished cell: slot, counters, journal, store."""
+        self._slots[index] = result
+        self._count(_names.CAMPAIGN_RETRIES, stats["attempts"] - 1)
+        self._count(_names.CAMPAIGN_CELL_TIMEOUTS, stats["timeouts"])
+        if result.failure:
+            self._count(_names.CAMPAIGN_CELLS_QUARANTINED)
+            return
+        self._count(_names.CAMPAIGN_CELLS_RUN)
+        if self._journal is not None:
+            self._journal.append(self._fingerprints[index], result)
+            self._count(_names.CAMPAIGN_CHECKPOINT_WRITES)
+        if self._store is not None:
+            self._store.put(self._fingerprints[index], result)
+            self._count(_names.CAMPAIGN_STORE_WRITES)
+
+    def _run_local(self, cells, progress, policy, collect_metrics):
+        """Run ``(index, spec)`` cells in-process, in order, firing
+        ``progress`` just before each cell runs."""
+        for index, spec in cells:
+            if progress is not None:
+                progress(spec)
+            result, stats = _run_cell(spec, policy, collect_metrics)
+            self._merge_cell(index, result, stats)
+
+    def _run_sharded(self, pending, progress, policy, collect_metrics):
+        """Plan ``pending`` into shards, dispatch them, steal failures."""
+        shard_count = self.shard_count
+        if shard_count is None:
+            workers = self.workers or default_worker_count()
+            shard_count = max(1, min(len(pending),
+                                     workers * _CHUNKS_PER_WORKER))
+        fingerprints = (None if self._fingerprints is None
+                        else [self._fingerprints[index]
+                              for index, _ in pending])
+        self.plan = plan = plan_shards(pending, shard_count, fingerprints)
         shards = [(sid, shard) for sid, shard in enumerate(plan.shards)
                   if shard]
         self._count(_names.CAMPAIGN_SHARDS_PLANNED, len(shards))
-        policy_payload = (None if fault_policy is None
-                          else fault_policy.to_dict())
+        policy_payload = None if policy is None else policy.to_dict()
         tasks = [{"shard": sid,
                   "collect_metrics": collect_metrics,
                   "policy": policy_payload,
                   "specs": [spec.to_dict() for _, spec in shard]}
                  for sid, shard in shards]
-        try:
-            if journal is not None:
-                state["journal"] = journal.open()
-            # Lazily opened on first put; a warm run writes nothing.
-            state["store"] = store
-            self.mode = "sharded"
-            for sid, records, error in self.transport.dispatch(tasks):
-                shard = plan.shards[sid]
-                if error is not None:
-                    self._count(_names.CAMPAIGN_SHARDS_STOLEN)
-                    self._steal_shard(state, shard, progress,
-                                      fault_policy, collect_metrics)
-                    continue
-                for (index, spec), record in zip(shard, records):
-                    result = _resilience.result_from_dict(record["cell"])
-                    self._merge_cell(state, index, spec, result, record,
-                                     progress=progress)
-        finally:
-            if journal is not None:
-                journal.close()
-            if store is not None:
-                store.close()
-        return self._finalize(state)
+        transport = self.transport
+        if transport is None:
+            transport = MultiprocessTransport(
+                workers=None if self.workers == 1 else self.workers)
+        for sid, records, error in transport.dispatch(tasks):
+            shard = plan.shards[sid]
+            if error is not None:
+                self._count(_names.CAMPAIGN_SHARDS_STOLEN)
+                self._run_local(shard, progress, policy, collect_metrics)
+                continue
+            for (index, spec), record in zip(shard, records):
+                self._merge_cell(
+                    index, _resilience.result_from_dict(record["cell"]),
+                    record)
+                if progress is not None:
+                    progress(spec)

@@ -8,8 +8,8 @@ JSON round-trip.  Everything above the testbeds runs on specs:
 * :func:`run_scenario` executes one spec and returns an
   :class:`~repro.testbed.experiments.ExperimentResult`,
 * :class:`~repro.testbed.campaign.Campaign` grids *are* spec streams,
-* :class:`~repro.testbed.parallel.ParallelCampaignRunner` workers
-  receive serialized specs instead of closures,
+* :class:`~repro.testbed.fabric.FabricRunner` runs them in-process or
+  ships them to pool workers as serialized specs instead of closures,
 * the CLI's ``repro scenario run/list`` maps flags onto a spec.
 
 The module also hosts the unified tool registry: every measurement tool

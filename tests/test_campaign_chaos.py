@@ -12,9 +12,8 @@ pinned here are the resilience layer's whole contract:
   run stays bit-identical;
 * a hung cell trips the per-cell timeout and quarantines as
   ``kind="timeout"``;
-* a worker killed mid-shard degrades the pool to the serial path,
-  which finishes the unmerged remainder — nothing lost, nothing run
-  twice;
+* a worker killed mid-shard turns its unfinished shards into stolen
+  shards, re-run in-process — nothing lost, nothing run twice;
 * a truncated journal (any byte boundary) never duplicates or
   corrupts results on resume;
 * a shard whose worker dies mid-grid is stolen back in-process and the
@@ -36,7 +35,6 @@ from tests.chaos import (
 )
 from repro.testbed.campaign import Campaign, CellResult
 from repro.testbed.fabric import FabricRunner, MultiprocessTransport
-from repro.testbed.parallel import ParallelCampaignRunner
 from repro.testbed.store import ResultStore
 
 #: The ISSUE's acceptance grid: 2 envs x 1 phone x 3 RTTs x 2 tools.
@@ -227,18 +225,18 @@ class TestWorkerDeath:
         # Run under a fault policy so the in-parent rerun of the victim
         # cell quarantines instead of failing the sweep.
         from repro.testbed.resilience import FaultPolicy
-        runner = ParallelCampaignRunner(campaign, workers=2,
-                                        start_method="fork")
+        runner = FabricRunner(
+            campaign, workers=2,
+            transport=MultiprocessTransport(workers=2, start_method="fork"))
         runner.run(fault_policy=FaultPolicy(retries=0),
                    collect_metrics=True)
-        assert runner.mode == "parallel-degraded"
         assert len(campaign.results) + len(campaign.quarantine) == 12
         assert len(campaign.quarantine) == 1
         failure = campaign.quarantine[0]
         assert failure.seed == victim_seed
         assert "ran in-parent" in failure.error
         stats = counters(campaign)
-        assert stats["campaign.pool_failures"] == 1
+        assert stats["campaign.shards_stolen"] >= 1
         # Surviving cells are bit-identical to the reference run.
         by_key = {key: None for key in reference["keys"]}
         reference_results = json.loads(reference["results"])
@@ -253,8 +251,9 @@ class TestWorkerDeath:
         ChaosInjector(kill_worker={victim_seed}).install(monkeypatch)
         from repro.testbed.resilience import FaultPolicy
         campaign = make_campaign()
-        runner = ParallelCampaignRunner(campaign, workers=2,
-                                        start_method="fork")
+        runner = FabricRunner(
+            campaign, workers=2,
+            transport=MultiprocessTransport(workers=2, start_method="fork"))
         seen = []
         runner.run(progress=lambda spec: seen.append(spec.seed),
                    fault_policy=FaultPolicy())
@@ -324,7 +323,7 @@ class TestShardDeath:
             transport=MultiprocessTransport(workers=2,
                                             start_method="fork"))
         runner.run(collect_metrics=True)
-        assert runner.mode == "sharded"
+        assert runner.plan.shard_count == 4
         assert campaign.quarantine == []
         assert serialized(campaign) == reference["results"]
         assert json.dumps(campaign.merged_metrics(), sort_keys=True) \

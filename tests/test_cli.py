@@ -205,9 +205,14 @@ class TestCommands:
         assert "--resume requires --checkpoint" \
             in capsys.readouterr().out
 
-    def test_campaign_shards_and_workers_conflict(self, capsys):
-        assert main(["campaign", "--shards", "2", "--workers", "4"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().out
+    def test_campaign_shards_with_workers(self, capsys):
+        # Two shards on a pool capped at two of the four workers.
+        assert main(["--count", "3", "campaign", "--rtts", "20", "50",
+                     "--tools", "ping", "--shards", "2",
+                     "--workers", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "shards: 2 dispatched, 0 stolen" in out
+        assert "finished" in out
 
     def test_campaign_store_cold_then_warm(self, capsys, tmp_path):
         store = tmp_path / "cache"

@@ -5,8 +5,7 @@ Two layers of guarantees are pinned here:
 * **Planner algebra** — Hypothesis properties: for every grid and every
   shard count 1..8, the planned shards are an *exact partition* of the
   grid (each cell in exactly one shard), assignment is the pure
-  function ``shard_index(fingerprint, n)``, and replanning around a
-  dead shard is deterministic and never moves a surviving cell.
+  function ``shard_index(fingerprint, n)``.
 * **The ISSUE acceptance matrix** — a 200-cell mixed WiFi+cellular
   campaign produces byte-identical results, merged metrics, and all
   three decomposition report formats across serial, 4-worker parallel,
@@ -25,7 +24,7 @@ from repro.analysis.decompose import decompose_campaign, render_report
 from repro.testbed.campaign import Campaign
 from repro.testbed.fabric import (
     FabricRunner, InProcessTransport, MultiprocessTransport, ShardPlan,
-    plan_shards, replan, shard_index,
+    plan_shards, shard_index,
 )
 from repro.testbed.store import ResultStore
 
@@ -101,42 +100,6 @@ class TestPlanShards:
         assert "ShardPlan" in repr(plan)
 
 
-class TestReplan:
-    GRID = dict(envs=("wifi",), phones=("nexus5", "nexus4"),
-                rtts=(0.02, 0.05, 0.08), tools=("acutemon",), count=2)
-
-    def test_survivors_keep_their_cells(self):
-        cells = grid_cells(**self.GRID)
-        plan = plan_shards(cells, 4)
-        moved = replan(plan, {1})
-        for fingerprint, home in plan.assignments.items():
-            if home != 1:
-                assert moved.assignments[fingerprint] == home
-            else:
-                assert moved.assignments[fingerprint] != 1
-
-    def test_dead_cells_rehash_over_sorted_survivors(self):
-        cells = grid_cells(**self.GRID)
-        plan = plan_shards(cells, 4)
-        moved = replan(plan, {2})
-        alive = [0, 1, 3]
-        for fingerprint, home in plan.assignments.items():
-            if home == 2:
-                expected = alive[shard_index(fingerprint, len(alive))]
-                assert moved.assignments[fingerprint] == expected
-
-    def test_replan_is_still_an_exact_partition(self):
-        cells = grid_cells(**self.GRID)
-        moved = replan(plan_shards(cells, 4), {0, 3})
-        assert sorted(moved.cells()) == cells
-        assert moved.shards[0] == () and moved.shards[3] == ()
-
-    def test_replan_needs_a_survivor(self):
-        plan = plan_shards(grid_cells(**self.GRID), 2)
-        with pytest.raises(ValueError, match="surviving"):
-            replan(plan, {0, 1})
-
-
 # -- planner properties -------------------------------------------------------
 
 grids = st.fixed_dictionaries({
@@ -172,27 +135,6 @@ class TestPlannerProperties:
             for _, spec in shard:
                 assert shard_index(spec.fingerprint(), shard_count) \
                     == sid
-
-    @given(grid=grids, shard_count=st.integers(2, 8), data=st.data())
-    @settings(max_examples=50,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_replan_is_deterministic_and_sticky(self, grid, shard_count,
-                                                data):
-        cells = grid_cells(**grid)
-        plan = plan_shards(cells, shard_count)
-        dead = data.draw(st.integers(0, shard_count - 1), label="dead")
-        once = replan(plan, {dead})
-        twice = replan(plan, {dead})
-        # Deterministic: same inputs, same plan, independently derived.
-        assert once.shards == twice.shards
-        assert once.assignments == twice.assignments
-        # Still an exact partition, with the dead shard drained.
-        assert sorted(once.cells()) == cells
-        assert once.shards[dead] == ()
-        # Sticky: no surviving cell moved.
-        for fingerprint, home in plan.assignments.items():
-            if home != dead:
-                assert once.assignments[fingerprint] == home
 
 
 # -- transports ---------------------------------------------------------------
@@ -285,7 +227,7 @@ class TestAcceptanceMatrix:
         runner = FabricRunner(campaign, shard_count=4,
                               transport=InProcessTransport())
         runner.run(collect_metrics=True)
-        assert runner.mode == "sharded"
+        assert runner.plan.shard_count == 4
         assert_matches_reference(campaign, accept)
 
     def test_crash_then_resume(self, accept, tmp_path):

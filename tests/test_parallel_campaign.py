@@ -1,16 +1,19 @@
-"""Tests for the parallel campaign runner.
+"""Tests for campaign execution through ``Campaign.run``.
 
-The load-bearing property is *bit-identical determinism*: a sharded
-multi-process run must produce exactly the results of the serial path,
-cell for cell, byte for byte, for any worker count.
+The load-bearing property is *bit-identical determinism*: a pooled
+multi-process run must produce exactly the results of the in-process
+path, cell for cell, byte for byte, for any worker count.
 """
 
 import json
 
 import pytest
 
+from repro.testbed import campaign as campaign_module
 from repro.testbed.campaign import Campaign, CellResult, run_cell
-from repro.testbed.parallel import ParallelCampaignRunner, _run_shard
+from repro.testbed.fabric import (
+    FabricRunner, MultiprocessTransport, run_shard_payload,
+)
 
 
 def small_grid(**overrides):
@@ -53,26 +56,12 @@ class TestDeterminism:
 
 
 class TestSharding:
-    def test_shards_cover_grid_in_order(self):
-        campaign = small_grid()
-        runner = ParallelCampaignRunner(campaign, workers=2)
-        cells = list(campaign.cells())
-        shards = runner.shards()
-        flattened = [cell for shard in shards for cell in shard]
-        assert flattened == cells
-        assert all(shard for shard in shards)
-
-    def test_explicit_chunk_size(self):
-        campaign = small_grid()
-        runner = ParallelCampaignRunner(campaign, workers=2, chunk_size=3)
-        assert [len(shard) for shard in runner.shards()] == [3, 3, 2]
-
     def test_empty_grid(self):
         campaign = small_grid(phones=())
-        runner = ParallelCampaignRunner(campaign, workers=4)
-        assert runner.shards() == []
+        runner = FabricRunner(campaign, workers=4)
         assert runner.run() == []
         assert campaign.results == []
+        assert list(runner.plan.cells()) == []
 
     def test_single_cell(self):
         campaign = small_grid(phones=("nexus5",), rtts=(0.02,),
@@ -94,8 +83,9 @@ class TestSharding:
         campaign = small_grid(phones=("nexus5",), rtts=(0.02,),
                               tools=("ping",))
         cells = list(campaign.cells())
-        records = _run_shard(
-            (False, None, [spec.to_dict() for spec in cells]))
+        records = run_shard_payload(
+            {"shard": 0, "collect_metrics": False, "policy": None,
+             "specs": [spec.to_dict() for spec in cells]})
         assert len(records) == 1
         assert records[0]["attempts"] == 1
         assert records[0]["timeouts"] == 0
@@ -108,8 +98,9 @@ class TestSharding:
         campaign = small_grid(phones=("nexus5",), rtts=(0.02,),
                               tools=("ping",))
         cells = list(campaign.cells())
-        records = _run_shard(
-            (True, None, [spec.to_dict() for spec in cells]))
+        records = run_shard_payload(
+            {"shard": 0, "collect_metrics": True, "policy": None,
+             "specs": [spec.to_dict() for spec in cells]})
         restored = CellResult.from_dict(records[0]["cell"])
         assert restored.metrics is not None
         names = {entry["name"] for entry in restored.metrics["metrics"]}
@@ -120,18 +111,26 @@ class TestFallbacksAndProgress:
     def test_unavailable_start_method_falls_back_to_serial(self):
         campaign = small_grid(phones=("nexus5",), rtts=(0.02,),
                               tools=("ping",))
-        runner = ParallelCampaignRunner(campaign, workers=4,
-                                        start_method="not-a-start-method")
+        reference = small_grid(phones=("nexus5",), rtts=(0.02,),
+                               tools=("ping",))
+        reference.run()
+        transport = MultiprocessTransport(
+            workers=4, start_method="not-a-start-method")
+        runner = FabricRunner(campaign, workers=4, transport=transport)
         results = runner.run()
-        assert runner.mode == "serial"
         assert len(results) == 1
+        assert serialized(campaign) == serialized(reference)
+        counters = {metric["name"]: metric["value"]
+                    for metric in campaign.run_metrics["metrics"]}
+        assert counters.get("campaign.shards_stolen", 0) == 0
 
     def test_workers_one_runs_in_process(self):
         campaign = small_grid(phones=("nexus5",), rtts=(0.02,),
                               tools=("ping",))
-        runner = ParallelCampaignRunner(campaign, workers=1)
+        runner = FabricRunner(campaign, workers=1)
         runner.run()
-        assert runner.mode == "serial"
+        assert runner.plan is None
+        assert len(campaign.results) == 1
 
     def test_progress_called_once_per_cell_parallel(self):
         campaign = small_grid(tools=("ping",))
@@ -176,7 +175,7 @@ class TestCheckpointResume:
 
     def test_resume_without_checkpoint_raises(self):
         campaign = small_grid(tools=("ping",))
-        runner = ParallelCampaignRunner(campaign, workers=2)
+        runner = FabricRunner(campaign, workers=2)
         with pytest.raises(ValueError, match="checkpoint"):
             runner.run(resume=True)
 
@@ -216,6 +215,63 @@ class TestProgressExactlyOnce:
             small_grid(tools=("ping",)), workers=1,
             checkpoint=checkpoint, resume=True)
         assert seen == expected
+
+
+class TestProgressTiming:
+    """In-process runs fire ``progress(spec)`` immediately before
+    ``campaign.run_cell(spec)``, for every cell, in grid order."""
+
+    def events(self, campaign, monkeypatch, **run_kwargs):
+        real = campaign_module.run_cell
+        events = []
+
+        def recording_run_cell(spec, collect_metrics=False):
+            events.append(("run", spec.key()))
+            return real(spec, collect_metrics=collect_metrics)
+
+        monkeypatch.setattr(campaign_module, "run_cell", recording_run_cell)
+        campaign.run(progress=lambda spec: events.append(("progress",
+                                                          spec.key())),
+                     **run_kwargs)
+        expected = []
+        for spec in campaign.cells():
+            expected += [("progress", spec.key()), ("run", spec.key())]
+        return events, expected
+
+    def test_plain_run(self, monkeypatch):
+        events, expected = self.events(small_grid(tools=("ping",)),
+                                       monkeypatch)
+        assert events == expected
+
+    def test_checkpointed_run(self, monkeypatch, tmp_path):
+        events, expected = self.events(
+            small_grid(tools=("ping",)), monkeypatch,
+            checkpoint=tmp_path / "sweep.jsonl")
+        assert events == expected
+
+    def test_store_run(self, monkeypatch, tmp_path):
+        events, expected = self.events(
+            small_grid(tools=("ping",)), monkeypatch,
+            store=tmp_path / "store")
+        assert events == expected
+
+
+class TestRunArguments:
+    """``workers`` and ``shards`` are each ``None`` or an int >= 1."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(workers=0), dict(workers=-3), dict(workers=True),
+        dict(workers=2.0), dict(workers=0, shards=4), dict(shards=0),
+        dict(shards=-1), dict(shards=False), dict(shards="2"),
+    ])
+    def test_invalid_counts_raise(self, kwargs, monkeypatch):
+        def must_not_run(spec, collect_metrics=False):
+            raise AssertionError("a cell ran despite invalid arguments")
+
+        monkeypatch.setattr(campaign_module, "run_cell", must_not_run)
+        campaign = small_grid(tools=("ping",))
+        with pytest.raises(ValueError, match="must be None or an int"):
+            campaign.run(**kwargs)
 
 
 class TestResultIndex:

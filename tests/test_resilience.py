@@ -281,7 +281,9 @@ class TestCampaignIntegration:
         assert campaign.run_metrics is not None
         campaign.run(workers=1)
         assert campaign.quarantine == []
-        assert campaign.run_metrics is None
+        counters = {metric["name"]: metric["value"]
+                    for metric in campaign.run_metrics["metrics"]}
+        assert counters.get("campaign.cells_quarantined", 0) == 0
 
     def test_resumed_save_is_byte_identical(self, tmp_path):
         checkpoint = tmp_path / "ck.jsonl"
