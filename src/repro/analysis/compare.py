@@ -5,16 +5,12 @@ small", "outperforms ... significantly"); these helpers put numbers on
 such statements:
 
 * :func:`ks_statistic` / :func:`ks_test` — the two-sample
-  Kolmogorov-Smirnov distance (and p-value, via scipy when available),
+  Kolmogorov-Smirnov distance (and p-value, via scipy when available;
+  imported at call time, so importing this module never loads scipy),
 * :func:`median_shift` — the horizontal gap at the median,
 * :func:`dominates` — stochastic dominance check (one CDF entirely left
   of another).
 """
-
-try:
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover
-    _scipy_stats = None
 
 
 def ks_statistic(sample_a, sample_b):
@@ -41,9 +37,11 @@ def ks_statistic(sample_a, sample_b):
 def ks_test(sample_a, sample_b):
     """(statistic, p_value).  p_value needs scipy; ``None`` without it."""
     statistic = ks_statistic(sample_a, sample_b)
-    if _scipy_stats is None:
+    try:
+        from scipy import stats
+    except ImportError:
         return statistic, None
-    result = _scipy_stats.ks_2samp(sample_a, sample_b)
+    result = stats.ks_2samp(sample_a, sample_b)
     return float(result.statistic), float(result.pvalue)
 
 

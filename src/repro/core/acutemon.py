@@ -26,6 +26,7 @@ from repro.obs.names import (
     ACUTEMON_WARMUP_PACKETS_TOTAL,
     SPAN_MEASUREMENT_PROBE,
 )
+from repro.tools.base import run_until_complete
 
 PROBE_METHODS = ("tcp_syn", "http", "icmp", "udp")
 
@@ -117,15 +118,7 @@ class AcuteMon:
         compatibility but the probe count always comes from the config
         (:class:`AcuteMonConfig.probe_count`).  Returns the results.
         """
-        done = []
-        self.start(on_complete=lambda results: done.append(results))
-        while not done:
-            if deadline is not None and self.sim.now > deadline:
-                raise RuntimeError(
-                    f"{self.name} did not finish by {deadline}s")
-            if not self.sim.step():
-                raise RuntimeError(
-                    f"{self.name} stalled: event heap empty")
+        run_until_complete(self.sim, self.start, self.name, deadline)
         return self.results
 
     def start(self, on_complete=None):

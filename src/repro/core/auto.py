@@ -16,6 +16,7 @@ from repro.core.acutemon import AcuteMon, AcuteMonConfig
 from repro.core.calibrated import OverheadCalibrator
 from repro.core.calibration import TimerCalibrator
 from repro.core.warmup import WarmupPolicy
+from repro.tools.base import run_until_complete
 
 
 class AutoMeasurementResult:
@@ -122,11 +123,7 @@ class AutoAcuteMon:
         )
         monitor = AcuteMon(self.phone, self.collector, self.server_ip,
                            config=config)
-        done = []
-        monitor.start(on_complete=lambda results: done.append(results))
-        while not done:
-            if not self.sim.step():
-                raise RuntimeError("AutoAcuteMon stalled: event heap empty")
+        run_until_complete(self.sim, monitor.start, "AutoAcuteMon")
         raw = monitor.rtts()
         records = [self.collector.get(outcome.probe_id)
                    for outcome in monitor.results]

@@ -9,16 +9,17 @@ sum is byte-order independent, so we sum native 16-bit words in C speed
 and byte-swap the folded result once on little-endian hosts.  This is
 the hottest pure function on the wire-encoding path (three checksums per
 encoded TCP/UDP packet).
+
+:func:`internet_checksum_batch` vectorizes the fold with numpy, which
+it imports at call time: no per-cell path uses the batch codec, so
+importing this module (and everything that imports the wire codec)
+never loads numpy.  Without numpy the batch falls back to the scalar
+fold.
 """
 
 import struct
 import sys
 from array import array
-
-try:  # numpy is a declared dependency; degrade gracefully without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
 
 _SWAP_RESULT = sys.byteorder == "little"
 
@@ -58,7 +59,9 @@ def internet_checksum_batch(blobs):
     (:func:`repro.net.wire.encode_ipv4_batch`) pay off — the checksum
     is the only part of encoding that touches every payload byte.
     """
-    if _np is None:  # stripped install: keep the semantics, lose the speed
+    try:
+        import numpy as np
+    except ImportError:  # stripped install: keep the semantics, lose the speed
         return [internet_checksum(blob) for blob in blobs]
     if not blobs:
         return []
@@ -86,14 +89,14 @@ def internet_checksum_batch(blobs):
         # Machine-order words, like the array('H') scalar fold; the
         # one's-complement sum is byte-order independent (RFC 1071
         # §2(B)) so only the folded result is swapped.
-        words = _np.frombuffer(buf, dtype=_np.uint16)
-        sums = words.reshape(len(members), -1).sum(axis=1, dtype=_np.uint64)
-        while (sums >> _np.uint64(16)).any():
-            sums = (sums & _np.uint64(0xFFFF)) + (sums >> _np.uint64(16))
+        words = np.frombuffer(buf, dtype=np.uint16)
+        sums = words.reshape(len(members), -1).sum(axis=1, dtype=np.uint64)
+        while (sums >> np.uint64(16)).any():
+            sums = (sums & np.uint64(0xFFFF)) + (sums >> np.uint64(16))
         if _SWAP_RESULT:
-            sums = (((sums & _np.uint64(0xFF)) << _np.uint64(8))
-                    | (sums >> _np.uint64(8)))
-        for i, value in zip(indices, ((~sums) & _np.uint64(0xFFFF)).tolist()):
+            sums = (((sums & np.uint64(0xFF)) << np.uint64(8))
+                    | (sums >> np.uint64(8)))
+        for i, value in zip(indices, ((~sums) & np.uint64(0xFFFF)).tolist()):
             results[i] = value
     return results
 

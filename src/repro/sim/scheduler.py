@@ -507,9 +507,10 @@ class Simulator:
         ``until``, and any same-instant events they go on to schedule —
         while events strictly beyond ``until`` are left pending.  After the
         loop the clock is advanced to exactly ``until`` if it isn't there
-        already, so ``run(until=t)`` always returns with ``now == t`` (or
-        later, if a fired event was already at ``t``).  Returns the final
-        clock value.
+        already, so ``run(until=t)`` returns with ``now == t`` (or later,
+        if a fired event was already at ``t``) — unless :meth:`stop` ended
+        the run, which leaves the clock at the stopping event.  Returns
+        the final clock value.
         """
         if self._running:
             raise SchedulerError("Simulator.run() is not re-entrant")
@@ -524,7 +525,7 @@ class Simulator:
                 self._run_fast(until)
         finally:
             self._running = False
-        if until is not None and self._now < until:
+        if until is not None and self._now < until and not self._stopped:
             self._now = until
         return self._now
 

@@ -25,6 +25,37 @@ class RttSample:
         return f"<RttSample {self.probe_id} {rtt}>"
 
 
+def run_until_complete(sim, start, name, deadline=None):
+    """Start a tool and run ``sim`` until the tool reports completion.
+
+    ``start(on_complete)`` kicks the tool off; its ``on_complete``
+    stops the simulator, so the whole measurement runs inside one
+    :meth:`~repro.sim.scheduler.Simulator.run` (batched train ticks
+    included) and the clock stays at the completing event.  When
+    completion already happened inside ``start`` the simulator is not
+    run at all.  Raises ``RuntimeError`` when the event heap empties
+    first ("stalled") or when the next event lies beyond ``deadline``.
+    Returns whatever the tool passed to ``on_complete``.
+    """
+    done = []
+
+    def on_complete(result):
+        done.append(result)
+        sim.stop()
+
+    start(on_complete)
+    while not done:
+        sim.run(until=deadline)
+        if done:
+            break
+        next_time = sim.peek()
+        if next_time is None:
+            raise RuntimeError(f"{name} stalled: event heap empty")
+        if deadline is not None and next_time > deadline:
+            raise RuntimeError(f"{name} did not finish by {deadline}s")
+    return done[0]
+
+
 class MeasurementTool:
     """Base class: lifecycle, runtime override, and synchronous driving."""
 
@@ -60,13 +91,10 @@ class MeasurementTool:
 
         Convenience for experiments and benchmarks; returns the samples.
         """
-        done = []
-        self.start(count, on_complete=lambda samples: done.append(samples))
-        while not done:
-            if deadline is not None and self.sim.now > deadline:
-                raise RuntimeError(f"{self.name} did not finish by {deadline}s")
-            if not self.sim.step():
-                raise RuntimeError(f"{self.name} stalled: event heap empty")
+        run_until_complete(
+            self.sim,
+            lambda on_complete: self.start(count, on_complete=on_complete),
+            self.name, deadline)
         return self.samples
 
     def _begin(self, count):

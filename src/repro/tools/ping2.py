@@ -13,7 +13,7 @@ ablation benchmark sweeps the emulated RTT to show exactly that
 crossover against AcuteMon.
 """
 
-from repro.tools.base import RttSample
+from repro.tools.base import RttSample, run_until_complete
 
 
 class Ping2Tool:
@@ -51,13 +51,10 @@ class Ping2Tool:
         self._start_round()
 
     def run_sync(self, count, deadline=None):
-        done = []
-        self.start(count, on_complete=lambda samples: done.append(samples))
-        while not done:
-            if deadline is not None and self.sim.now > deadline:
-                raise RuntimeError("ping2 did not finish in time")
-            if not self.sim.step():
-                raise RuntimeError("ping2 stalled: event heap empty")
+        run_until_complete(
+            self.sim,
+            lambda on_complete: self.start(count, on_complete=on_complete),
+            "ping2", deadline)
         return self.samples
 
     # -- rounds ------------------------------------------------------------

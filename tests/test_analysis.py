@@ -1,6 +1,7 @@
 """Tests for the statistics and rendering helpers."""
 
 import math
+import sys
 
 import pytest
 
@@ -9,7 +10,10 @@ from repro.analysis.cdf import Cdf
 from repro.analysis.render import (
     Table, fmt_mean_ci, fmt_ms, render_boxplot_row, render_cdf,
 )
-from repro.analysis.stats import SummaryStats, mean_ci, percentile
+from repro.analysis import stats as stats_module
+from repro.analysis.stats import (
+    _T95, SummaryStats, _t_quantile, mean_ci, percentile,
+)
 
 
 class TestMeanCi:
@@ -38,6 +42,61 @@ class TestMeanCi:
 
     def test_constant_series_zero_ci(self):
         assert mean_ci([2.0] * 50) == (2.0, 0.0)
+
+
+def _hide_scipy(monkeypatch):
+    """Make ``from scipy import stats`` raise ImportError."""
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.stats", None)
+
+
+class TestStudentTTable:
+    """The built-in 95% table is scipy's own values, so reports are
+    byte-identical with or without scipy for up to 101 samples."""
+
+    def test_table_is_scipy_exact(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        assert len(_T95) == 100
+        for df in range(1, len(_T95) + 1):
+            assert _T95[df - 1] == float(scipy_stats.t.ppf(0.975, df)), df
+
+    def test_mean_ci_identical_without_scipy(self, monkeypatch):
+        import random
+
+        rng = random.Random(7)
+        samples = [[rng.gauss(0.03, 0.004) for _ in range(n)]
+                   for n in range(1, 102)]
+        with_scipy = [mean_ci(values) for values in samples]
+        _hide_scipy(monkeypatch)
+        without_scipy = [mean_ci(values) for values in samples]
+        assert without_scipy == with_scipy
+
+    def test_beyond_table_uses_scipy(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for df in (101, 150, 1000):
+            assert _t_quantile(df) == float(scipy_stats.t.ppf(0.975, df))
+            assert stats_module._t95_beyond_table[df] == _t_quantile(df)
+
+    def test_beyond_table_without_scipy_is_close(self, monkeypatch):
+        monkeypatch.setattr(stats_module, "_t95_beyond_table", {})
+        _hide_scipy(monkeypatch)
+        # Exact quantiles from scipy; the Cornish-Fisher fallback is
+        # within 3e-6 of them past the table.
+        for df, exact in ((101, 1.983731002955606),
+                          (150, 1.9759053308966201),
+                          (1000, 1.9623390808264083)):
+            assert _t_quantile(df) == pytest.approx(exact, abs=3e-6)
+        assert stats_module._t95_beyond_table == {}
+
+    def test_other_confidence_levels(self, monkeypatch):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        values = [1.0, 2.0, 3.0, 4.0, 5.0]
+        _mean, half = mean_ci(values, confidence=0.99)
+        expected = float(scipy_stats.t.ppf(0.995, 4)) * math.sqrt(2.5 / 5)
+        assert half == pytest.approx(expected, rel=1e-12)
+        _hide_scipy(monkeypatch)
+        with pytest.raises(ValueError, match="require scipy"):
+            mean_ci(values, confidence=0.99)
 
 
 class TestPercentile:

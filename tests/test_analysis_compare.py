@@ -1,6 +1,7 @@
 """Tests for distribution comparison helpers."""
 
 import random
+import sys
 
 import pytest
 
@@ -24,6 +25,12 @@ class TestKs:
         assert ours == pytest.approx(statistic, abs=1e-9)
         if p_value is not None:
             assert 0 <= p_value <= 1
+
+    def test_p_value_is_none_without_scipy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        a, b = [1.0, 2.0, 3.0], [2.5, 3.5, 4.5]
+        assert ks_test(a, b) == (ks_statistic(a, b), None)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

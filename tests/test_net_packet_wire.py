@@ -1,9 +1,13 @@
 """Unit tests for packet models, checksums, and wire encoding."""
 
+import sys
+
 import pytest
 
 from repro.net.addresses import MacAddress, ip
-from repro.net.checksum import internet_checksum, pseudo_header, verify_checksum
+from repro.net.checksum import (
+    internet_checksum, internet_checksum_batch, pseudo_header, verify_checksum,
+)
 from repro.net.packet import (
     ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST,
@@ -63,6 +67,19 @@ class TestChecksum:
 
     def test_zero_data(self):
         assert internet_checksum(b"\x00\x00") == 0xFFFF
+
+    @pytest.mark.parametrize("numpy_present", [True, False])
+    def test_batch_matches_scalar(self, numpy_present, monkeypatch):
+        if numpy_present:
+            pytest.importorskip("numpy")
+        else:
+            # A stripped install: the batch falls back to the scalar fold.
+            monkeypatch.setitem(sys.modules, "numpy", None)
+        blobs = [b"", b"\x01", bytes(range(7)), bytearray(range(40)),
+                 memoryview(bytes(range(7, 14))), b"\xff" * 64,
+                 bytes.fromhex("00010203040506070809")]
+        assert internet_checksum_batch(blobs) == [
+            internet_checksum(blob) for blob in blobs]
 
     def test_pseudo_header_layout(self):
         pseudo = pseudo_header(ip("1.2.3.4"), ip("5.6.7.8"), 17, 20)

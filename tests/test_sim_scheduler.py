@@ -85,6 +85,18 @@ class TestRunControl:
         assert fired == [1]
         assert sim.pending() == 1
 
+    def test_stop_leaves_clock_at_stopping_event(self, sim):
+        fired = []
+        sim.schedule(0.1, fired.append, 1)
+        sim.schedule(0.2, sim.stop)
+        sim.schedule(0.3, fired.append, 3)
+        assert sim.run(until=1.0) == pytest.approx(0.2)
+        assert sim.now == pytest.approx(0.2)
+        assert fired == [1]
+        # A later run without stop() still advances to its boundary.
+        assert sim.run(until=1.0) == 1.0
+        assert fired == [1, 3]
+
     def test_run_is_not_reentrant(self, sim):
         def nested():
             with pytest.raises(SchedulerError):

@@ -4,7 +4,9 @@ MobiPerf, ping2)."""
 import pytest
 
 from repro.core.measurement import ProbeCollector
+from repro.sim.scheduler import Simulator
 from repro.testbed.topology import Testbed
+from repro.tools.base import run_until_complete
 from repro.tools.httping import HttpingTool
 from repro.tools.javaping import JavaPingTool
 from repro.tools.mobiperf import MobiPerfTool
@@ -18,6 +20,65 @@ def build(seed=41, rtt=0.03, phone_key="nexus5"):
     collector = ProbeCollector(phone)
     testbed.settle(0.5)
     return testbed, phone, collector
+
+
+class TestRunUntilComplete:
+    """The shared run loop behind every tool's ``run_sync``."""
+
+    def test_completion_stops_run_at_completing_event(self):
+        sim = Simulator(seed=1)
+        ticks = []
+        sim.schedule_periodic(0.01, lambda: ticks.append(sim.now))
+
+        def start(on_complete):
+            sim.schedule(0.055, on_complete, "result")
+
+        assert run_until_complete(sim, start, "tool", deadline=10.0) \
+            == "result"
+        assert sim.now == pytest.approx(0.055)
+        assert len(ticks) == 5
+        assert sim.pending() == 1  # the train is still armed
+
+    def test_completion_inside_start_does_not_run(self):
+        sim = Simulator(seed=1)
+        fired = []
+        sim.schedule(0.01, fired.append, 1)
+        assert run_until_complete(sim, lambda done: done("now"), "tool") \
+            == "now"
+        assert fired == [] and sim.now == 0.0
+
+    def test_stalled(self):
+        sim = Simulator(seed=1)
+        with pytest.raises(RuntimeError, match="tool stalled"):
+            run_until_complete(sim, lambda done: None, "tool")
+
+    def test_deadline(self):
+        sim = Simulator(seed=1)
+        sim.schedule_periodic(0.1, lambda: None)
+
+        def start(on_complete):
+            sim.schedule(5.0, on_complete, None)
+
+        with pytest.raises(RuntimeError, match="tool did not finish by 1.0s"):
+            run_until_complete(sim, start, "tool", deadline=1.0)
+        assert sim.now == 1.0
+
+    def test_unrelated_stop_does_not_end_the_run(self):
+        sim = Simulator(seed=1)
+        sim.schedule(0.02, sim.stop)
+
+        def start(on_complete):
+            sim.schedule(0.05, on_complete, "late")
+
+        assert run_until_complete(sim, start, "tool") == "late"
+        assert sim.now == pytest.approx(0.05)
+
+    def test_run_sync_leaves_clock_at_last_reply(self):
+        testbed, phone, collector = build()
+        tool = PingTool(phone, collector, testbed.server_ip, interval=0.01)
+        samples = tool.run_sync(5)
+        last = max(sample.sent_at + sample.rtt for sample in samples)
+        assert testbed.sim.now == pytest.approx(last, abs=1e-3)
 
 
 class TestPingTool:
