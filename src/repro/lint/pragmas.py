@@ -7,8 +7,8 @@ whitespace and trailing prose so a rationale can live on the same line:
   suppress those rules' findings *on that physical line only*.  Always
   follow the pragma with a reason; suppressions without one read as
   mistakes.
-* ``# obs: caller-guarded`` — the observability-guard pragma inherited
-  from ``scripts/check_trace_guards.py``: the ``.enabled`` check for
+* ``# obs: caller-guarded`` — the observability-guard pragma of rule
+  ``RL001`` (``repro lint``): the ``.enabled`` check for
   this call site lives in its (sole) caller.  ``RL002`` flags the
   pragma when no observability call shares the line, so stale
   suppressions cannot rot in place.

@@ -256,10 +256,13 @@ class SchedulerInternalsRule(_SimScopedRule):
 class RawCheckpointWriteRule(_SimScopedRule):
     """RL104: checkpoint/journal writes go through the atomic helper.
 
-    The resume guarantee — a crash can only tear the journal's final
-    line — holds because every record is exactly one ``write()`` of a
-    complete JSONL line followed by a ``flush()``, which is what
-    ``repro.testbed.resilience.append_journal_record`` does.  A raw
+    The resume and cache guarantees — a crash can only tear a record
+    file's final line — hold because every record is exactly one
+    ``write()`` of a complete JSONL line followed by a ``flush()``,
+    which is what ``repro.testbed.resilience.append_journal_record``
+    does.  ``CheckpointJournal`` is the single owner of cell record
+    files: a campaign checkpoint is one journal and a ``ResultStore``
+    segment is another, so both are written through the helper.  A raw
     ``handle.write()`` / ``json.dump()`` against a journal or checkpoint
     handle can interleave partial lines (or buffer them past a crash),
     silently corrupting every later resume.  The helper's home module is
@@ -271,8 +274,10 @@ class RawCheckpointWriteRule(_SimScopedRule):
     severity = "error"
     description = ("raw write to a checkpoint/journal handle bypasses "
                    "the atomic-append helper "
-                   "(resilience.append_journal_record) — a torn or "
-                   "buffered record corrupts resume")
+                   "(resilience.append_journal_record) that "
+                   "CheckpointJournal, the single record-file owner, "
+                   "writes through — a torn or buffered record "
+                   "corrupts resume")
     exclude = ("testbed/resilience.py",)
 
     _NEEDLES = ("journal", "checkpoint")
@@ -315,27 +320,28 @@ class RawCheckpointWriteRule(_SimScopedRule):
 
 @register_rule
 class RawStorePathOpenRule(_SimScopedRule):
-    """RL107: journal and store files belong to their home modules.
+    """RL107: record files belong to the journal's home module.
 
-    The resume and cache guarantees rest on two file formats —
-    the checkpoint journal (``repro.testbed.resilience``) and the
-    result store's segment/index files (``repro.testbed.store``).  Both
-    modules own their formats completely: record framing, version
-    stamps, torn-line recovery, and (for the store) the private-segment
-    rule that makes concurrent writers safe.  Any other code that opens
-    those files directly — even just to read — couples itself to the
-    layout and breaks silently when the schema version bumps.  Go
-    through :class:`CheckpointJournal` and :class:`ResultStore` instead.
+    The resume and cache guarantees rest on one file format: the cell
+    record file owned by ``CheckpointJournal``
+    (``repro.testbed.resilience``).  A campaign checkpoint is one such
+    file and a ``ResultStore`` is a directory of them (its segments), so
+    the journal owns record framing, version stamps and torn-line
+    recovery for both, while the store only names and lists segments.
+    Any other code that opens those files directly — even just to read
+    — couples itself to the layout and breaks silently when the schema
+    version bumps.  Go through :class:`CheckpointJournal` and
+    :class:`ResultStore` instead.
     """
 
     id = "RL107"
     category = "determinism"
     severity = "error"
     description = ("direct open()/read/write of a journal, checkpoint, "
-                   "store, or segment file outside its home module — go "
-                   "through CheckpointJournal / ResultStore, which own "
-                   "the record framing and version stamps")
-    exclude = ("testbed/resilience.py", "testbed/store.py")
+                   "store, or segment file outside testbed.resilience — "
+                   "go through CheckpointJournal (the single record-file "
+                   "owner) or ResultStore")
+    exclude = ("testbed/resilience.py",)
 
     #: Substring needles: identifiers like ``sweep_journal`` or
     #: ``checkpoint_file`` unambiguously name the guarded formats.
@@ -365,9 +371,9 @@ class RawStorePathOpenRule(_SimScopedRule):
                 return True
         return False
 
-    _MESSAGE = ("the journal and store formats (framing, version stamps, "
-                "torn-line recovery) are private to testbed.resilience / "
-                "testbed.store — use CheckpointJournal or ResultStore")
+    _MESSAGE = ("the record-file format (framing, version stamps, "
+                "torn-line recovery) is private to testbed.resilience — "
+                "use CheckpointJournal or ResultStore")
 
     def visit(self, tree, source, path):
         findings = []

@@ -1,12 +1,11 @@
-"""Observability-guard rules (the ``scripts/check_trace_guards.py`` port).
+"""Observability-guard rules ``RL001``/``RL002`` (run by ``repro lint``).
 
 Instrumentation follows the ``if sim.metrics.enabled:`` idiom so the
 disabled path costs exactly one attribute check (docs/OBSERVABILITY.md).
 ``RL001`` is the original lint — an observability call site with no
 ``.enabled`` guard on the same line or within the preceding
-``GUARD_WINDOW`` lines — rehosted on the engine; the legacy script is
-now a thin wrapper over this module, so the regexes here are the single
-source of truth.  ``RL002`` closes the suppression loophole: a
+``GUARD_WINDOW`` lines — rehosted on the engine, so the regexes here
+are the single source of truth.  ``RL002`` closes the suppression loophole: a
 ``# obs: caller-guarded`` pragma on a line with no observability call
 is rot and gets flagged.
 """

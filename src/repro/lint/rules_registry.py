@@ -1,4 +1,4 @@
-"""Registry-contract rule (the ``scripts/check_registries.py`` port).
+"""Registry-contract rule ``RL301`` (run by ``repro lint``).
 
 A registry entry that imports but cannot build is a landmine: it passes
 ``import repro`` yet detonates mid-campaign, possibly hours into a
@@ -7,8 +7,8 @@ be expressed per file, so it builds every registered environment,
 checks the :class:`~repro.testbed.environment.Environment` protocol,
 attaches a phone, round-trips a :class:`ScenarioSpec`, and constructs
 every registered tool on a live WiFi cell, exactly the contract the
-scenario executor drives.  The legacy script is now a thin wrapper over
-:func:`environment_problems` / :func:`tool_problems`.
+scenario executor drives: :func:`environment_problems` and
+:func:`tool_problems` collect the problems the rule reports.
 """
 
 from repro.lint.registry import ProjectRule, register_rule

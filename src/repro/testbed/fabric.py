@@ -7,7 +7,11 @@ has three steps:
 * **Cache pre-pass** — cells already in the checkpoint journal (on
   resume), then cells in the persistent
   :class:`~repro.testbed.store.ResultStore`, are installed without
-  executing; only the remaining *pending* cells run.
+  executing; only the remaining *pending* cells run.  Both caches are
+  the same record files read by the same tolerant
+  :class:`~repro.testbed.resilience.CheckpointJournal` (a store is a
+  directory of them), so a damaged record is a cache miss either way.
+  Every fresh successful cell is appended to each one in use.
 * **Execution** — with ``workers=1`` and no shard count, pending cells
   run in-process in grid order, and ``progress(spec)`` fires just
   before each one.  Otherwise :func:`plan_shards` partitions them by

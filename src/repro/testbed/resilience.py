@@ -11,8 +11,11 @@ together:
   :meth:`~repro.testbed.scenario.ScenarioSpec.fingerprint` of each
   spec.  Every record is written through :func:`append_journal_record`
   (one ``write`` + ``flush`` per record), so a crash can only tear the
-  final line — which the tolerant loader discards.  Lint rule ``RL104``
-  flags journal writes that bypass the helper.
+  final line — which the tolerant reader skips like any other unusable
+  line.  It is the only code that reads or appends cell records: the
+  persistent :class:`~repro.testbed.store.ResultStore` is a directory
+  of journals.  Lint rule ``RL104`` flags journal writes that bypass
+  the helper.
 * **Content-addressed cell cache** — :meth:`CheckpointJournal.load`
   returns ``{fingerprint: result payload}``; a resumed campaign skips
   journaled cells and re-emits their cached results byte-for-byte, so
@@ -214,9 +217,12 @@ def append_journal_record(handle, record):
 
 
 class CheckpointJournal:
-    """Append-only JSONL journal of completed campaign cells.
+    """Append-only JSONL file of completed campaign cells.
 
-    Each line is one record::
+    The one reader and writer of cell record files: a campaign
+    checkpoint is one journal, and a
+    :class:`~repro.testbed.store.ResultStore` is a directory of them
+    (one private segment per writer).  Each line is one record::
 
         {"v": 1, "fingerprint": "<sha256 of the spec>", "result": {...}}
 
@@ -225,6 +231,12 @@ class CheckpointJournal:
     protocol, so a cached cell re-emits byte-identically.  Only
     successful cells are journaled: a quarantined cell re-runs on
     resume (its failure may have been transient).
+
+    Reads are tolerant: a line that does not parse, carries another
+    version, or has the wrong shape is skipped and counted, and reading
+    continues — a damaged record is a cache miss, never a crash or a
+    lost tail.  A crash can only tear the final line, which is skipped
+    the same way.
 
     ``durable=True`` adds an ``fsync`` per record — survives power loss
     at the cost of a disk round-trip per cell; the default (``flush``
@@ -241,41 +253,42 @@ class CheckpointJournal:
 
     # -- reading --------------------------------------------------------------
 
-    def records(self):
-        """Every intact record, in journal order; torn tails dropped.
+    def scan(self):
+        """One tolerant pass: ``(cache, records, skipped)``.
 
-        Reading stops at the first line that is not a complete,
-        well-formed record: after a crash only the final line can be
-        torn, and anything unparseable past it is not trusted.
+        ``cache`` is ``{fingerprint: payload}`` with later records
+        winning on duplicate fingerprints (a journal reused without
+        ``resume`` appends fresh results after the old ones);
+        ``records`` counts the valid records read, duplicates included;
+        ``skipped`` counts the unusable lines.  A missing or unreadable
+        file scans as empty.
         """
         try:
             text = self.path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError):
-            return []
-        records = []
+            return {}, 0, 0
+        cache = {}
+        records = skipped = 0
         for line in text.split("\n"):
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except ValueError:
-                break
+                record = None
             if (not isinstance(record, dict)
                     or record.get("v") != JOURNAL_VERSION
                     or not isinstance(record.get("fingerprint"), str)
                     or not isinstance(record.get("result"), dict)):
-                break
-            records.append(record)
-        return records
+                skipped += 1
+                continue
+            cache[record["fingerprint"]] = record["result"]
+            records += 1
+        return cache, records, skipped
 
     def load(self):
-        """The content-addressed cell cache: ``{fingerprint: payload}``.
-
-        Later records win on duplicate fingerprints (a journal reused
-        without ``resume`` appends fresh results after the old ones).
-        """
-        return {record["fingerprint"]: record["result"]
-                for record in self.records()}
+        """The content-addressed cell cache: ``{fingerprint: payload}``."""
+        return self.scan()[0]
 
     # -- writing --------------------------------------------------------------
 
@@ -288,15 +301,22 @@ class CheckpointJournal:
         return self
 
     def append(self, fingerprint, result):
-        """Journal one completed cell (must be :meth:`open`)."""
+        """Journal one completed cell (must be :meth:`open`).
+
+        ``result`` is a :class:`~repro.testbed.campaign.CellResult` (or
+        anything with ``to_dict()``) or an already serialized payload
+        dict; returns the payload written.
+        """
         if self._handle is None:
             raise RuntimeError("journal is not open for appending")
+        payload = result if isinstance(result, dict) else result.to_dict()
         append_journal_record(self._handle, {
             "v": JOURNAL_VERSION, "fingerprint": fingerprint,
-            "result": result.to_dict(),
+            "result": payload,
         })
         if self.durable:
             os.fsync(self._handle.fileno())
+        return payload
 
     def close(self):
         if self._handle is not None:

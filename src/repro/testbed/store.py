@@ -13,46 +13,32 @@ On-disk layout (``docs/FABRIC.md``)::
 
     <root>/
       segments/seg-<writer>-<n>.jsonl   # append-only record files
-      index.jsonl                       # rebuildable locator accelerator
 
-Each segment line is one record,
-``{"v": 1, "fingerprint": "<sha256>", "result": {...}}`` — the same
-payload shape the journal and the worker protocol use — written through
-:func:`~repro.testbed.resilience.append_journal_record` (one ``write``
-+ ``flush``), so a crash can only tear a segment's final line.  Every
-writer appends to its **own** segment (the name embeds the writer id),
-which is what makes concurrent ``put`` from several processes safe:
-no two processes ever share an append handle.  The index is a pure
-accelerator mapping fingerprints to segment names; it is rebuilt from
-the segments whenever it is missing or disagrees with them, so deleting
-or corrupting ``index.jsonl`` costs a rescan, never data.
+Each segment is a :class:`~repro.testbed.resilience.CheckpointJournal`
+— same record format, same version, same tolerant reader — so a
+checkpoint and a store segment are interchangeable files.  Every writer
+appends to its **own** segment (the name embeds the writer id), which
+is what makes concurrent ``put`` from several processes safe: no two
+processes ever share an append handle.
 
-Reads are *tolerant* where the journal's are strict: a store accretes
-segments from many runs and machines, so an unparseable or
-wrong-version line is skipped (and counted in :meth:`stats`) rather
-than truncating everything after it — a corrupted record simply misses
-the cache and the cell re-executes.  Later records win on duplicate
-fingerprints.  :meth:`gc` compacts the live records into one fresh
-segment and drops stale-version and superseded duplicates.
+The first :meth:`~ResultStore.get` reads every segment, in sorted name
+order, into memory; later records win on duplicate fingerprints, and a
+writer's own ``put`` is visible at once.  An unusable line is skipped
+(and counted in :meth:`~ResultStore.stats`): a corrupted record simply
+misses the cache and the cell re-executes.  :meth:`~ResultStore.gc`
+compacts the live records into one fresh segment and drops unusable and
+superseded records.
 
-Lint rule ``RL107`` keeps this module (and the journal's) the only
-place that opens store/journal files directly; everything else goes
-through the classes.
+Lint rule ``RL107`` keeps the journal's module the only place that
+opens record files directly; everything else goes through the classes.
 """
 
-import json
 import os
 import pathlib
 
-from repro.testbed.resilience import append_journal_record
-
-#: Store record schema version; bumped if the record shape changes.
-#: Records stamped with any other version are skipped, not crashed on,
-#: so a store written by a newer schema degrades to cache misses.
-STORE_VERSION = 1
+from repro.testbed.resilience import CheckpointJournal
 
 _SEGMENT_DIR = "segments"
-_INDEX_NAME = "index.jsonl"
 
 #: Per-process counter so two stores opened by one process get distinct
 #: segment names (the writer id embeds the pid for cross-process
@@ -61,13 +47,11 @@ _INDEX_NAME = "index.jsonl"
 _WRITER_SEQ = [0]
 
 
-def _parse_record(line):
-    """One segment/index line as a dict, or ``None`` if unusable."""
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return None
-    return record if isinstance(record, dict) else None
+def _new_segment_name(suffix=""):
+    _WRITER_SEQ[0] += 1
+    # Zero-padded so lexicographic segment order == creation order for
+    # one writer (later segments win on duplicate fingerprints).
+    return f"seg-{os.getpid()}-{_WRITER_SEQ[0]:08d}{suffix}.jsonl"
 
 
 class ResultStore:
@@ -83,17 +67,13 @@ class ResultStore:
         process crashes.
     """
 
-    __slots__ = ("root", "durable", "_index", "_segment_cache",
-                 "_handle", "_segment_name", "_skipped")
+    __slots__ = ("root", "durable", "_cache", "_writer")
 
     def __init__(self, root, durable=False):
         self.root = pathlib.Path(root)
         self.durable = durable
-        self._index = None  # fingerprint -> segment name
-        self._segment_cache = {}  # segment name -> {fingerprint: payload}
-        self._handle = None
-        self._segment_name = None
-        self._skipped = 0
+        self._cache = None  # {fingerprint: payload}, read on first get
+        self._writer = None  # this writer's private segment
 
     @classmethod
     def ensure(cls, store):
@@ -108,10 +88,6 @@ class ResultStore:
     def segment_dir(self):
         return self.root / _SEGMENT_DIR
 
-    @property
-    def index_path(self):
-        return self.root / _INDEX_NAME
-
     def segment_names(self):
         """Every segment file name, sorted (deterministic scan order)."""
         try:
@@ -123,102 +99,35 @@ class ResultStore:
 
     # -- reading -------------------------------------------------------------
 
-    def _scan_segment(self, name):
-        """``{fingerprint: payload}`` for one segment; bad lines skipped."""
-        cached = self._segment_cache.get(name)
-        if cached is not None:
-            return cached
-        records = {}
-        try:
-            text = (self.segment_dir / name).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            text = ""
-        for line in text.split("\n"):
-            if not line:
-                continue
-            record = _parse_record(line)
-            if (record is None
-                    or record.get("v") != STORE_VERSION
-                    or not isinstance(record.get("fingerprint"), str)
-                    or not isinstance(record.get("result"), dict)):
-                self._skipped += 1
-                continue
-            records[record["fingerprint"]] = record["result"]
-        self._segment_cache[name] = records
-        return records
+    def _scan_segments(self):
+        """``[(name, cache, records, skipped), ...]`` in segment order."""
+        return [(name,) + CheckpointJournal(self.segment_dir / name).scan()
+                for name in self.segment_names()]
 
-    def _load_index_file(self):
-        """The index accelerator as ``{fingerprint: segment}``, or None."""
-        try:
-            text = self.index_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            return None
-        index = {}
-        for line in text.split("\n"):
-            if not line:
-                continue
-            record = _parse_record(line)
-            if (record is None or record.get("v") != STORE_VERSION
-                    or not isinstance(record.get("fingerprint"), str)
-                    or not isinstance(record.get("segment"), str)):
-                continue  # a torn or foreign line costs one entry, not all
-            index[record["fingerprint"]] = record["segment"]
-        return index
-
-    def _rebuild_index(self):
-        """Authoritative index from a full segment scan (later seg wins)."""
-        index = {}
-        for name in self.segment_names():
-            for fingerprint in self._scan_segment(name):
-                index[fingerprint] = name
-        return index
-
-    def _ensure_index(self):
-        if self._index is None:
-            self._index = self._load_index_file()
-            if self._index is None:
-                self._index = self._rebuild_index()
-        return self._index
+    def _load(self):
+        if self._cache is None:
+            cache = {}
+            for _, segment, _, _ in self._scan_segments():
+                cache.update(segment)
+            self._cache = cache
+        return self._cache
 
     def contains(self, fingerprint):
         """Whether the store holds a result for this content address."""
         return self.get(fingerprint) is not None
 
     def get(self, fingerprint):
-        """The cached result payload for ``fingerprint``, or ``None``.
-
-        The index is an accelerator, not an authority: an entry whose
-        segment no longer yields the record (corruption, a foreign
-        index line) triggers one authoritative rescan before giving up.
-        """
-        index = self._ensure_index()
-        segment = index.get(fingerprint)
-        if segment is not None:
-            payload = self._scan_segment(segment).get(fingerprint)
-            if payload is not None:
-                return payload
-        # Index miss or stale entry: rescan once, then trust the result.
-        rebuilt = self._rebuild_index()
-        if rebuilt != index:
-            self._index = rebuilt
-            segment = rebuilt.get(fingerprint)
-            if segment is not None:
-                return self._scan_segment(segment).get(fingerprint)
-        return None
+        """The cached result payload for ``fingerprint``, or ``None``."""
+        return self._load().get(fingerprint)
 
     # -- writing -------------------------------------------------------------
 
     def open(self):
         """Open a private segment for appending; returns self."""
-        if self._handle is None:
-            self.segment_dir.mkdir(parents=True, exist_ok=True)
-            _WRITER_SEQ[0] += 1
-            # Zero-padded so lexicographic segment order == creation
-            # order for one writer (the rebuild scan relies on it).
-            name = f"seg-{os.getpid()}-{_WRITER_SEQ[0]:08d}.jsonl"
-            self._segment_name = name
-            self._handle = (self.segment_dir / name).open(
-                "a", encoding="utf-8")
+        if self._writer is None:
+            self._writer = CheckpointJournal(
+                self.segment_dir / _new_segment_name(),
+                durable=self.durable).open()
         return self
 
     def put(self, fingerprint, result):
@@ -226,33 +135,19 @@ class ResultStore:
 
         ``result`` is a :class:`~repro.testbed.campaign.CellResult` (or
         anything with ``to_dict()``).  Opens the writer segment on first
-        use; one record is one flushed line, and the index append is a
-        separate single flushed line (atomic for same-process readers,
-        tolerated if torn by the index loader).
+        use; one record is one flushed line.
         """
-        if self._handle is None:
+        if self._writer is None:
             self.open()
-        payload = result.to_dict()
-        append_journal_record(self._handle, {
-            "v": STORE_VERSION, "fingerprint": fingerprint,
-            "result": payload,
-        })
-        if self.durable:
-            os.fsync(self._handle.fileno())
-        with self.index_path.open("a", encoding="utf-8") as index_handle:
-            append_journal_record(index_handle, {
-                "v": STORE_VERSION, "fingerprint": fingerprint,
-                "segment": self._segment_name,
-            })
-        self._ensure_index()[fingerprint] = self._segment_name
-        self._segment_cache.setdefault(self._segment_name,
-                                       {})[fingerprint] = payload
+        payload = self._writer.append(fingerprint, result)
+        if self._cache is not None:
+            self._cache[fingerprint] = payload
         return fingerprint
 
     def close(self):
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
 
     def __enter__(self):
         return self.open()
@@ -265,75 +160,55 @@ class ResultStore:
     def gc(self):
         """Compact live records into one fresh segment.
 
-        Drops superseded duplicates and records whose schema version is
-        not :data:`STORE_VERSION`, rewrites the index to match, and
-        removes the old segments.  Safe to run on a store nobody is
-        writing; returns a summary dict
+        Drops superseded duplicates and unusable lines (stale versions
+        included) and removes the old segments.  Safe to run on a store
+        nobody is writing; returns a summary dict
         (``live``/``removed_segments``/``dropped`` counts).
         """
         self.close()
-        old_names = self.segment_names()
-        self._segment_cache.clear()
-        self._skipped = 0
+        scans = self._scan_segments()
         live = {}
-        total_records = 0
-        for name in old_names:
-            scanned = self._scan_segment(name)
-            total_records += len(scanned)
-            live.update(scanned)
-        dropped = self._skipped + (total_records - len(live))
-        self.segment_dir.mkdir(parents=True, exist_ok=True)
-        _WRITER_SEQ[0] += 1
-        compacted = f"seg-{os.getpid()}-{_WRITER_SEQ[0]:08d}-gc.jsonl"
-        with (self.segment_dir / compacted).open(
-                "a", encoding="utf-8") as handle:
+        dropped = 0
+        for _, segment, records, skipped in scans:
+            live.update(segment)
+            dropped += records + skipped
+        dropped -= len(live)
+        with CheckpointJournal(
+                self.segment_dir / _new_segment_name("-gc")) as compacted:
             for fingerprint in sorted(live):
-                append_journal_record(handle, {
-                    "v": STORE_VERSION, "fingerprint": fingerprint,
-                    "result": live[fingerprint],
-                })
-        with self.index_path.open("w", encoding="utf-8") as index_handle:
-            for fingerprint in sorted(live):
-                append_journal_record(index_handle, {
-                    "v": STORE_VERSION, "fingerprint": fingerprint,
-                    "segment": compacted,
-                })
-        for name in old_names:
+                compacted.append(fingerprint, live[fingerprint])
+        for name, _, _, _ in scans:
             try:
                 (self.segment_dir / name).unlink()
             except OSError:
                 pass
-        self._segment_cache = {compacted: live}
-        self._index = {fingerprint: compacted for fingerprint in live}
-        self._skipped = 0
-        return {"live": len(live), "removed_segments": len(old_names),
+        self._cache = live
+        return {"live": len(live), "removed_segments": len(scans),
                 "dropped": dropped}
 
     def stats(self):
-        """Occupancy summary: segments, records, live entries, bytes."""
-        self._segment_cache.clear()
-        self._skipped = 0
-        names = self.segment_names()
-        total_records = 0
-        total_bytes = 0
+        """Occupancy summary: segments, records, live entries, bytes.
+
+        ``records`` counts distinct fingerprints per segment, summed.
+        """
+        scans = self._scan_segments()
         live = {}
-        for name in names:
-            scanned = self._scan_segment(name)
-            total_records += len(scanned)
-            live.update(scanned)
+        total_bytes = 0
+        for name, segment, _, _ in scans:
+            live.update(segment)
             try:
                 total_bytes += (self.segment_dir / name).stat().st_size
             except OSError:
                 pass
         return {
             "path": str(self.root),
-            "segments": len(names),
-            "records": total_records,
+            "segments": len(scans),
+            "records": sum(len(segment) for _, segment, _, _ in scans),
             "live": len(live),
-            "skipped": self._skipped,
+            "skipped": sum(skipped for _, _, _, skipped in scans),
             "bytes": total_bytes,
         }
 
     def __repr__(self):
-        state = "open" if self._handle is not None else "closed"
+        state = "open" if self._writer is not None else "closed"
         return f"<ResultStore {self.root} {state}>"

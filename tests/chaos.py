@@ -137,8 +137,9 @@ def corrupt_store_segment(store_root, mode="garble", drop_index=False):
     non-JSON bytes (an unreadable record inside an otherwise healthy
     segment); ``mode="truncate"`` chops each segment mid-line (a torn
     tail, as left by a crash during ``put``).  ``drop_index=True``
-    additionally deletes ``index.jsonl`` so the store must rebuild its
-    locator from the surviving segments.
+    additionally deletes an ``index.jsonl`` left in the root by older
+    stores; stores no longer write one, so on a fresh store it is a
+    no-op.
     """
     import pathlib
 

@@ -1,27 +1,17 @@
 """The codebase itself passes its own lint (tier-1 acceptance gate).
 
-``repro lint`` must report zero non-baselined findings on ``src/``, the
-legacy wrapper scripts must reach the same verdict as the engine rules
-they delegate to, and the only in-tree suppressions must be the two
-documented wall-clock reads in the observed scheduler path.
+``repro lint`` must report zero non-baselined findings on ``src/``, and
+the only in-tree suppressions must be the two documented wall-clock
+reads in the observed scheduler path.
 """
 
-import importlib.util
 import pathlib
 
 from repro.cli import main as cli_main
-from repro.lint import RULES, run_lint
+from repro.lint import run_lint
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
-
-
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(
-        name, REPO_ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_src_tree_lints_clean():
@@ -44,50 +34,3 @@ def test_cli_lint_exit_code_and_output(capsys):
     out = capsys.readouterr().out
     assert "lint clean" in out
     assert "RL301" in out  # the registry project rule ran
-
-
-def test_trace_guard_wrapper_matches_engine():
-    wrapper = _load_script("check_trace_guards")
-    engine = run_lint(SRC, rules=[RULES["RL001"], RULES["RL002"]],
-                      include_project_rules=False)
-    violations = wrapper.find_violations(SRC)
-    assert [(p.relative_to(SRC).as_posix(), line)
-            for p, line, _ in violations] \
-        == [(f.path, f.line) for f in engine.findings]
-    assert wrapper.main([str(SRC)]) == (1 if engine.findings else 0)
-
-
-def test_registry_wrapper_matches_engine():
-    wrapper = _load_script("check_registries")
-    problems = wrapper.check_registries()
-    engine_findings = RULES["RL301"].check(SRC)
-    assert problems == [f.message for f in engine_findings]
-    assert wrapper.main([]) == (1 if problems else 0)
-
-
-def test_lint_all_runner_clean(capsys):
-    runner = _load_script("lint_all")
-    assert runner.main([]) == 0
-    out = capsys.readouterr().out
-    assert "lint clean" in out
-    assert "trace-guard lint" in out
-    assert "registries clean" in out
-
-
-def test_trace_guard_wrapper_flags_seeded_violations(tmp_path):
-    """The wrapper keeps its legacy behaviour on ad-hoc trees, and the
-    pragma is recognised with flexible whitespace and trailing text."""
-    wrapper = _load_script("check_trace_guards")
-    bad = tmp_path / "pkg" / "module.py"
-    bad.parent.mkdir()
-    bad.write_text(
-        "def f(sim):\n"
-        "    sim.trace.record(sim.now, 'x', 'unguarded')\n"
-        "    sim.metrics.inc('y_total')  #obs:caller-guarded (see caller)\n"
-        "    x = 1  # obs: caller-guarded\n",
-        encoding="utf-8")
-    violations = wrapper.find_violations(tmp_path)
-    # Line 2 is unguarded; line 3's flexible pragma counts; line 4's
-    # pragma is unused and flagged so suppressions cannot rot.
-    assert [(line, "record" in text or "x = 1" in text)
-            for _, line, text in violations] == [(2, True), (4, True)]

@@ -409,9 +409,9 @@ def test_smoke_store_lookup_overhead(tmp_path):
     """Consulting the result store must stay a sliver of cell cost.
 
     A store-backed cold run (docs/FABRIC.md) adds exactly one unit of
-    work per cell: hash the spec's canonical JSON, miss the cache, and
-    append the finished record to the writer segment plus one index
-    line.  Best-of-3 timing of that unit over 200 distinct specs,
+    work per cell: hash the spec's canonical JSON, miss the in-memory
+    cache, and append the finished record to the writer's segment
+    journal.  Best-of-3 timing of that unit over 200 distinct specs,
     expressed as a percentage of the per-cell execution time measured
     by ``test_smoke_campaign_cell_rate`` — the same methodology as the
     checkpoint gate above, and the same 3% budget: the gate only trips

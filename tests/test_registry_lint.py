@@ -1,52 +1,46 @@
-"""Tier-1 wiring for ``scripts/check_registries.py``.
+"""The registry-contract rule ``RL301`` on ``repro lint``.
 
-The lint builds every registered environment, checks the
+The rule builds every registered environment, checks the
 :class:`~repro.testbed.environment.Environment` protocol surface,
 and constructs every registered tool — so a registry entry that would
 detonate mid-campaign fails the suite instead.
 """
 
-import importlib.util
 import pathlib
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-SCRIPT = REPO_ROOT / "scripts" / "check_registries.py"
+from repro.cli import main as cli_main
+from repro.lint import RULES
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def _load():
-    spec = importlib.util.spec_from_file_location("check_registries",
-                                                  SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _registry_problems():
+    return [finding.message for finding in RULES["RL301"].check(SRC)]
 
 
 def test_registries_are_clean():
-    lint = _load()
-    problems = lint.check_registries()
+    problems = _registry_problems()
     assert not problems, "registry problems:\n" + "\n".join(problems)
 
 
-def test_main_exit_code_clean():
-    lint = _load()
-    assert lint.main([]) == 0
+def test_main_exit_code_clean(capsys):
+    assert cli_main(["lint"]) == 0
+    out = capsys.readouterr().out
+    assert "lint clean" in out and "RL301" in out
 
 
 def test_lint_rejects_none_builder(monkeypatch):
     from repro.testbed import scenario
 
-    lint = _load()
     monkeypatch.setitem(
         scenario.TOOLS, "broken",
         scenario.ToolEntry("broken", None, "phone", "placeholder"))
-    problems = lint.check_tools()
+    problems = _registry_problems()
     assert any("broken" in p and "None" in p for p in problems)
 
 
 def test_lint_rejects_unbuildable_environment(monkeypatch):
     from repro.testbed import environment
-
-    lint = _load()
 
     def explode(seed=0, emulated_rtt=0.0, **params):
         raise RuntimeError("boom")
@@ -55,5 +49,5 @@ def test_lint_rejects_unbuildable_environment(monkeypatch):
         environment.ENVIRONMENTS, "exploding",
         environment.EnvironmentEntry("exploding", explode, "bad",
                                      frozenset()))
-    problems = lint.check_environments()
+    problems = _registry_problems()
     assert any("exploding" in p and "build failed" in p for p in problems)

@@ -127,17 +127,21 @@ class TestCheckpointJournal:
         cache = CheckpointJournal(path).load()
         assert list(cache) == [spec.fingerprint()]
 
-    def test_reading_stops_at_first_invalid_record(self, tmp_path):
+    def test_invalid_record_is_skipped_and_reading_continues(self,
+                                                             tmp_path):
         path = tmp_path / "ck.jsonl"
         good = {"v": JOURNAL_VERSION, "fingerprint": "aa",
                 "result": {"x": 1}}
         wrong_version = {"v": 99, "fingerprint": "bb", "result": {}}
         later = {"v": JOURNAL_VERSION, "fingerprint": "cc",
                  "result": {"x": 2}}
-        path.write_text("\n".join(json.dumps(record) for record in
-                                  (good, wrong_version, later)) + "\n",
-                        encoding="utf-8")
-        assert list(CheckpointJournal(path).load()) == ["aa"]
+        lines = [json.dumps(record) for record in
+                 (good, wrong_version, later)]
+        lines.insert(2, '{"v": 1, "fingerprint": !!garbled!!')
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        journal = CheckpointJournal(path)
+        assert journal.load() == {"aa": {"x": 1}, "cc": {"x": 2}}
+        assert journal.scan()[1:] == (2, 2)  # records read, lines skipped
 
     def test_later_records_win_on_duplicate_fingerprint(self, tmp_path):
         path = tmp_path / "ck.jsonl"

@@ -2,8 +2,9 @@
 
 The store's contract (docs/FABRIC.md): fingerprints in, byte-identical
 payloads out, across processes and campaigns; tolerant reads that turn
-corruption into cache misses instead of crashes; an index that is only
-ever an accelerator; ``gc`` that compacts without losing a live record.
+corruption into cache misses instead of crashes; a directory of
+journal segments with no index; ``gc`` that compacts without losing a
+live record.
 """
 
 import json
@@ -11,7 +12,8 @@ import json
 import pytest
 
 from repro.testbed.campaign import CellResult
-from repro.testbed.store import STORE_VERSION, ResultStore
+from repro.testbed.resilience import JOURNAL_VERSION
+from repro.testbed.store import ResultStore
 
 
 class FakePayload:
@@ -42,6 +44,11 @@ class TestRoundTrip:
         assert store.contains(fp(1))
         assert store.get(fp(2)) is None
         assert not store.contains(fp(2))
+
+    def test_own_put_visible_after_first_read(self, store):
+        assert store.get(fp(1)) is None  # loads the (empty) store
+        store.put(fp(1), FakePayload({"a": 1}))
+        assert store.get(fp(1)) == {"a": 1}
 
     def test_round_trip_survives_reopen(self, store, tmp_path):
         store.put(fp(1), FakePayload({"a": 1}))
@@ -80,8 +87,8 @@ class TestRoundTrip:
     def test_context_manager_opens_and_closes(self, tmp_path):
         with ResultStore(tmp_path / "store") as store:
             store.put(fp(1), FakePayload({"a": 1}))
-            assert store._handle is not None
-        assert store._handle is None
+            assert store._writer is not None
+        assert store._writer is None
 
     def test_durable_put_fsyncs_per_record(self, tmp_path):
         store = ResultStore(tmp_path / "store", durable=True)
@@ -129,7 +136,7 @@ class TestTolerantReads:
         segment.write_text("\n".join(lines) + "\n", encoding="utf-8")
         fresh = ResultStore(tmp_path / "store")
         assert fresh.get(fp(0)) == {"n": 0}
-        assert fresh.get(fp(1)) is None  # unlike the strict journal
+        assert fresh.get(fp(1)) is None
         assert fresh.get(fp(2)) == {"n": 2}
 
     def test_non_dict_and_shapeless_records_skipped(self, store,
@@ -139,10 +146,10 @@ class TestTolerantReads:
         segment = self._segment_path(store)
         with segment.open("a", encoding="utf-8") as handle:
             handle.write('["not", "a", "dict"]\n')
-            handle.write(json.dumps({"v": STORE_VERSION,
+            handle.write(json.dumps({"v": JOURNAL_VERSION,
                                      "fingerprint": 42,
                                      "result": {}}) + "\n")
-            handle.write(json.dumps({"v": STORE_VERSION,
+            handle.write(json.dumps({"v": JOURNAL_VERSION,
                                      "fingerprint": fp(3),
                                      "result": "not-a-dict"}) + "\n")
         fresh = ResultStore(tmp_path / "store")
@@ -150,38 +157,25 @@ class TestTolerantReads:
         assert fresh.get(fp(3)) is None
         assert fresh.stats()["skipped"] == 3
 
-
-class TestIndexAccelerator:
-    def test_deleted_index_rebuilds_from_segments(self, store, tmp_path):
-        store.put(fp(1), FakePayload({"a": 1}))
-        store.close()
-        store.index_path.unlink()
-        fresh = ResultStore(tmp_path / "store")
-        assert fresh.get(fp(1)) == {"a": 1}
-
-    def test_stale_index_entry_triggers_one_rescan(self, store,
-                                                   tmp_path):
-        store.put(fp(1), FakePayload({"a": 1}))
-        store.close()
-        store.index_path.write_text(
-            json.dumps({"v": STORE_VERSION, "fingerprint": fp(1),
-                        "segment": "seg-gone.jsonl"}) + "\n",
-            encoding="utf-8")
-        fresh = ResultStore(tmp_path / "store")
-        assert fresh.get(fp(1)) == {"a": 1}
-
-    def test_torn_index_line_costs_one_entry_not_all(self, store,
-                                                     tmp_path):
+    def test_leftover_index_file_is_ignored(self, store, tmp_path):
+        """Stores once kept an ``index.jsonl`` locator in their root; a
+        stale or garbled one left behind changes nothing."""
         store.put(fp(1), FakePayload({"a": 1}))
         store.put(fp(2), FakePayload({"b": 2}))
         store.close()
-        text = store.index_path.read_text(encoding="utf-8")
-        lines = text.splitlines()
-        store.index_path.write_text(
-            lines[0] + "\n" + lines[1][:10] + "\n", encoding="utf-8")
+        (tmp_path / "store" / "index.jsonl").write_text(
+            json.dumps({"v": JOURNAL_VERSION, "fingerprint": fp(1),
+                        "segment": "seg-gone.jsonl"}) + "\n"
+            + json.dumps({"v": JOURNAL_VERSION, "fingerprint": fp(3),
+                          "result": {"ghost": True}}) + "\n"
+            + '{"v": 1, "fingerprint": !!torn!!\n', encoding="utf-8")
         fresh = ResultStore(tmp_path / "store")
         assert fresh.get(fp(1)) == {"a": 1}
-        assert fresh.get(fp(2)) == {"b": 2}  # via the rescan fallback
+        assert fresh.get(fp(2)) == {"b": 2}
+        assert fresh.get(fp(3)) is None
+        stats = fresh.stats()
+        assert stats["segments"] == 1 and stats["live"] == 2
+        assert stats["skipped"] == 0
 
     def test_missing_store_directory_is_just_empty(self, tmp_path):
         fresh = ResultStore(tmp_path / "never-written")
@@ -222,6 +216,16 @@ class TestGc:
         assert first["live"] == second["live"] == 1
         assert second["dropped"] == 0
         assert store.get(fp(1)) == {"a": 1}
+
+    def test_gc_counts_duplicates_within_one_segment(self, store):
+        """Two puts of one fingerprint from one writer: gc removes one
+        record and says so."""
+        store.put(fp(1), FakePayload({"version": "old"}))
+        store.put(fp(1), FakePayload({"version": "new"}))
+        store.close()
+        assert store.gc() == {"live": 1, "removed_segments": 1,
+                              "dropped": 1}
+        assert store.get(fp(1)) == {"version": "new"}
 
     def test_gc_on_empty_store(self, store):
         assert store.gc() == {"live": 0, "removed_segments": 0,
