@@ -8,9 +8,9 @@ time.
 
 PR 6 raised the workloads to steady-state sizes (100k chained events,
 200k batched train ticks, 3000-packet wire batches) and split the
-scheduler bench in two: the chained shape exercises the timing wheel's
-general path (schedule + fire per event), the train shape its batched
-fast path.  ``tests/test_perf_smoke.py`` runs one-shot miniatures of
+scheduler bench in two: the chained shape exercises the heap
+scheduler's general path (schedule + fire per event), the train shape
+its batched fast path.  ``tests/test_perf_smoke.py`` runs one-shot miniatures of
 the same shapes inside tier-1 and gates them via
 ``scripts/bench_compare.py``.
 """

@@ -215,26 +215,26 @@ class NegativeDelayRule(_SimScopedRule):
 class SchedulerInternalsRule(_SimScopedRule):
     """RL105: the scheduler's queue layout is private to its home module.
 
-    PR 6 replaced the binary heap behind :class:`repro.sim.Simulator`
-    with a hierarchical timing wheel.  The swap was possible because no
-    caller reached into ``sim._heap`` — and stays possible only while
-    that holds for the wheel fields too.  Code that needs queue state
-    has public API: ``pending()``, ``peek()``, ``wheel_stats()``.
+    :class:`repro.sim.Simulator` keeps its pending events in one
+    ``(time, seq, event)`` heap with lazy cancellation.  That layout has
+    already been swapped for a timing wheel and back, which was possible
+    only because no caller reached into ``sim._heap`` or the
+    cancelled-entry counter.  Code that needs queue state has public
+    API: ``pending()`` and ``peek()``.
     """
 
     id = "RL105"
     category = "determinism"
     severity = "error"
     description = ("direct access to scheduler queue internals (._heap / "
-                   "._wheel_* / ._canceled_in_heap) outside the scheduler "
-                   "core — use the public Simulator API (schedule/cancel/"
-                   "pending()/peek()/wheel_stats())")
-    # The scheduler core: the wheel lives in scheduler.py; Event.cancel
+                   "._canceled_in_heap) outside the scheduler core — use "
+                   "the public Simulator API (schedule/cancel/pending()/"
+                   "peek())")
+    # The scheduler core: the heap lives in scheduler.py; Event.cancel
     # (events.py) maintains the lazy-cancellation counter.
     exclude = ("sim/scheduler.py", "sim/events.py")
 
-    _EXACT = frozenset({"_heap", "_canceled_in_heap"})
-    _PREFIX = "_wheel_"
+    _PRIVATE = frozenset({"_heap", "_canceled_in_heap"})
 
     def visit(self, tree, source, path):
         findings = []
@@ -242,13 +242,13 @@ class SchedulerInternalsRule(_SimScopedRule):
             if not isinstance(node, ast.Attribute):
                 continue
             attr = node.attr
-            if attr in self._EXACT or attr.startswith(self._PREFIX):
+            if attr in self._PRIVATE:
                 findings.append(self.finding(
                     path, node.lineno,
                     f"direct access to scheduler internal .{attr}: the "
-                    "event-queue layout (timing wheel) is private to "
-                    "repro.sim.scheduler — read queue state through "
-                    "pending()/peek()/wheel_stats() instead", source))
+                    "event-queue layout (a heap with lazy cancellation) "
+                    "is private to repro.sim.scheduler — read queue state "
+                    "through pending()/peek() instead", source))
         return findings
 
 

@@ -17,10 +17,6 @@ constants stay in sync with them).
 SCHEDULER_EVENTS_FIRED_TOTAL = "scheduler_events_fired_total"
 SCHEDULER_EVENTS_CANCELED_TOTAL = "scheduler_events_canceled_total"
 SCHEDULER_HANDLER_SELF_SECONDS_TOTAL = "scheduler_handler_self_seconds_total"
-SCHEDULER_WHEEL_ACTIVATIONS_TOTAL = "scheduler_wheel_activations_total"
-SCHEDULER_WHEEL_DEPTH = "scheduler_wheel_depth"
-SCHEDULER_WHEEL_OVERFLOW_PULLS_TOTAL = "scheduler_wheel_overflow_pulls_total"
-SCHEDULER_WHEEL_FAST_FORWARDS_TOTAL = "scheduler_wheel_fast_forwards_total"
 
 # End-of-run gauges pushed by ``finalize_sim_metrics``.
 SCHEDULER_EVENTS_FIRED = "scheduler_events_fired"
@@ -101,10 +97,6 @@ METRIC_NAMES = frozenset({
     SCHEDULER_EVENTS_FIRED_TOTAL,
     SCHEDULER_EVENTS_CANCELED_TOTAL,
     SCHEDULER_HANDLER_SELF_SECONDS_TOTAL,
-    SCHEDULER_WHEEL_ACTIVATIONS_TOTAL,
-    SCHEDULER_WHEEL_DEPTH,
-    SCHEDULER_WHEEL_OVERFLOW_PULLS_TOTAL,
-    SCHEDULER_WHEEL_FAST_FORWARDS_TOTAL,
     SCHEDULER_EVENTS_FIRED,
     SCHEDULER_EVENTS_CANCELED,
     SCHEDULER_PENDING_EVENTS,

@@ -6,8 +6,8 @@ event-driven simulator.  The design goals are:
 * **Determinism** — two runs with the same seed produce bit-identical
   traces.  All randomness flows through named :class:`~repro.sim.rng.RngRegistry`
   streams; wall-clock time never enters the simulation.
-* **Transparency** — the scheduler is a timing wheel with an exact
-  total order (see :mod:`repro.sim.scheduler`); a
+* **Transparency** — the scheduler is one binary heap with an exact
+  ``(time, seq)`` total order (see :mod:`repro.sim.scheduler`); a
   :class:`~repro.sim.trace.TraceRecorder` can capture every interesting
   transition for tests and debugging.
 * **Callback style** — components schedule plain callables.  Periodic

@@ -292,7 +292,7 @@ class TestCommands:
         assert main(["lint", str(FIXTURE), "--baseline",
                      str(baseline)]) == 0
         out = capsys.readouterr().out
-        assert "lint clean" in out and "19 baselined" in out
+        assert "lint clean" in out and "18 baselined" in out
 
     def test_lint_update_baseline_requires_path(self, capsys):
         assert main(["lint", str(FIXTURE), "--update-baseline"]) == 2

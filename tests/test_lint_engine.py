@@ -39,7 +39,7 @@ FIXTURE_EXPECTED = [
     (40, "RL104"),  # raw journal.write()
     (41, "RL104"),  # json.dump() into a checkpoint handle
     (46, "RL105"),  # sim._heap access outside the scheduler core
-    (47, "RL105"),  # sim._wheel_cursor access outside the scheduler core
+    # 47: sim._wheel_cursor names no scheduler field, so RL105 is silent
     (51, "RL107"),  # open() on a store path outside the home modules
     (52, "RL107"),  # .read_text() on a segment path
 ]

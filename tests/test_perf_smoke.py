@@ -15,7 +15,7 @@ metrics recorded in ``seed_baseline`` against >10% regressions.
 Workloads were raised in PR 6 from the seed's 20k chained events / 600
 wire round trips so steady-state throughput is what gets measured: the
 headline scheduler number now drives 200k ticks through batched
-periodic trains (the workload the timing wheel optimizes), a separate
+periodic trains (the heap scheduler's batched fast path), a separate
 chain workload tracks the unbatched general path, and the wire workload
 round-trips 3000 probe-id-varied packets through the batch codec.
 """
@@ -37,10 +37,10 @@ _REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 _BENCH_PATH = _REPO_ROOT / "BENCH_simulator.json"
 
 #: Gate workload: one dense periodic train (the measurement probe loop,
-#: period 100us) plus one 10ms watchdog — the steady state the wheel's
-#: batched fast path serves.  Tick counts are exact: the train fires
-#: 200_000 times in 20 simulated seconds, the watchdog 1_999 (its
-#: phase-shifted grid has 1_999 points in (0, 20]).
+#: period 100us) plus one 10ms watchdog — the steady state the
+#: scheduler's batched fast path serves.  Tick counts are exact: the
+#: train fires 200_000 times in 20 simulated seconds, the watchdog 1_999
+#: (its phase-shifted grid has 1_999 points in (0, 20]).
 _TRAIN_EVENTS = 200_000 + 1_999
 #: Fidelity workload: self-rescheduling callback chain — the seed
 #: benchmark's shape, which cannot batch (every tick schedules).
@@ -210,8 +210,10 @@ def test_smoke_scenario_build_overhead():
 
 
 class _ReferenceSimulator(Simulator):
-    """The wheel's fast loop with no observability dispatch at all —
-    the zero-overhead yardstick for the bench below."""
+    """The scheduler's fast loop with no observability dispatch at all —
+    the zero-overhead yardstick for the bench below.  Mirrors
+    ``Simulator.run`` otherwise, including leaving the clock at the
+    stopping event after ``stop()``."""
 
     def run(self, until=None):
         self._running = True
@@ -220,7 +222,7 @@ class _ReferenceSimulator(Simulator):
             self._run_fast(until)
         finally:
             self._running = False
-        if until is not None and self._now < until:
+        if until is not None and self._now < until and not self._stopped:
             self._now = until
         return self._now
 

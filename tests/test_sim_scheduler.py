@@ -223,6 +223,47 @@ class TestCancellation:
         assert sim.peek() == 0.2
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteTimes:
+    """NaN and +-inf times raise SimTimeError instead of entering the
+    heap, where NaN would compare false both ways and misorder events."""
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_schedule_rejects_non_finite_delay(self, sim, value):
+        with pytest.raises(SimTimeError):
+            sim.schedule(value, lambda: None)
+        assert sim.pending() == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_at_rejects_non_finite_time(self, sim, value):
+        with pytest.raises(SimTimeError):
+            sim.at(value, lambda: None)
+        assert sim.pending() == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_periodic_rejects_non_finite_phase(self, sim, value):
+        with pytest.raises(SimTimeError):
+            sim.schedule_periodic(0.1, lambda: None, phase=value)
+        assert sim.pending() == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_periodic_rejects_non_finite_first(self, sim, value):
+        with pytest.raises(SimTimeError):
+            sim.schedule_periodic(0.1, lambda: None, first=value)
+        assert sim.pending() == 0
+
+    def test_nan_never_reaches_the_run_loop(self, sim):
+        fired = []
+        sim.schedule(0.2, fired.append, "b")
+        with pytest.raises(SimTimeError):
+            sim.schedule(float("nan"), fired.append, "nan")
+        sim.schedule(0.1, fired.append, "a")
+        sim.run()
+        assert fired == ["a", "b"]
+
+
 class TestDeterminism:
     def test_same_seed_same_stream_draws(self):
         def draws(seed):

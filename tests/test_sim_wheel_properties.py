@@ -1,34 +1,29 @@
-"""Differential property tests: timing wheel vs a reference heap.
+"""Differential property tests: the scheduler vs a reference heap.
 
-The PR 6 scheduler swap (binary heap → hierarchical timing wheel) is
-safe only if the total event order is untouched: ``(time, seq)``
-ordering with FIFO ties at equal timestamps, lazy cancellation, and the
-inclusive ``run(until=...)`` boundary.  These tests replay hypothesis-
-generated workloads — one-shot schedules, schedules and cancellations
+The scheduler keeps one ``(time, seq, event)`` heap but fires periodic
+trains in batches on its fast path.  That is safe only if the total
+event order is untouched: ``(time, seq)`` ordering with FIFO ties at
+equal timestamps, lazy cancellation, the inclusive ``run(until=...)``
+boundary, and a batch bound that stops *before* any competitor at or
+ahead of the next tick.  These tests replay hypothesis-generated
+workloads — one-shot schedules, anchored (``phase=`` / ``first=``) and
+``rearm_after`` trains, schedules and cancellations (of trains too)
 issued from inside callbacks, and a mid-run ``run(until=...)`` split —
 against both the real :class:`~repro.sim.Simulator` and a textbook
-heap scheduler, and require identical firing logs.  The whole suite
-sweeps several wheel geometries (slot widths) so no bucket-boundary
-case can hide behind the default geometry.
+heap scheduler that fires every train one tick at a time, and require
+identical firing logs.
 """
 
 import heapq
 import itertools
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
 
-#: Slot widths to sweep: default geometry, slots far narrower than the
-#: delays (deep overflow traffic), slots far wider (everything lands in
-#: a handful of buckets), and an irrational-ish width that guarantees
-#: delays never align with bucket boundaries.
-GEOMETRIES = [None, 0.001, 0.5, 7.3]
-
-#: Delay pool biased toward collisions (FIFO ties) and the wheel's
-#: default ~4 s window edge, mixed with arbitrary floats.
+#: Delay pool biased toward collisions (FIFO ties, and ties with train
+#: ticks on exactly representable grids), mixed with arbitrary floats.
 delays = st.one_of(
     st.sampled_from([0.0, 1.0 / 256.0, 0.25, 1.0, 3.996, 4.0,
                      4.0000001, 10.0, 60.0]),
@@ -36,51 +31,135 @@ delays = st.one_of(
               allow_nan=False, allow_infinity=False),
 )
 
+#: Train periods: exact binary fractions (ticks land exactly on the
+#: pooled delays), inexact decimals (ticks drift by ulps from them),
+#: and arbitrary floats.
+periods = st.one_of(
+    st.sampled_from([1.0 / 256.0, 0.125, 0.25, 0.5, 1.0, 0.1, 0.1024]),
+    st.floats(min_value=1e-3, max_value=3.0,
+              allow_nan=False, allow_infinity=False),
+)
+
+phases = st.sampled_from([0.0, 0.0, 0.25, 0.05, 1.0 / 7.0])
+
 
 class ReferenceScheduler:
-    """Textbook heap event loop: the behavior the wheel must reproduce."""
+    """Textbook heap event loop: the behavior the scheduler must reproduce.
+
+    Trains re-arm one tick at a time with the same arithmetic and at the
+    same ``seq``-drawing points as ``Simulator._fire_train_general``:
+    anchored trains push their successor before the callback, chained
+    (``rearm_after``) trains after it.
+    """
 
     def __init__(self):
         self._queue = []
         self._seq = itertools.count()
         self.now = 0.0
 
-    def schedule(self, delay, fn):
-        handle = [self.now + delay, next(self._seq), fn, False]
-        heapq.heappush(self._queue, handle)
-        return handle
+    def _push(self, time, item):
+        heapq.heappush(self._queue, (time, next(self._seq), item))
 
-    @staticmethod
-    def cancel(handle):
-        handle[3] = True
+    def schedule(self, delay, fn):
+        item = _Shot(fn)
+        self._push(self.now + delay, item)
+        return item
+
+    def schedule_periodic(self, period, fn, phase=0.0, first=None,
+                          rearm_after=False):
+        if first is None:
+            train = _Train(self, period, fn, self.now + phase, 1, rearm_after)
+            self._push(self.now + (period + phase), train)
+        else:
+            train = _Train(self, period, fn, first, 0, rearm_after)
+            self._push(first, train)
+        return train
 
     def run(self, until=None):
         while self._queue:
             fire_time = self._queue[0][0]
             if until is not None and fire_time > until:
                 break
-            _, _, fn, canceled = heapq.heappop(self._queue)
-            if canceled:
+            _, _, item = heapq.heappop(self._queue)
+            if item.canceled:
                 continue
             self.now = fire_time
-            fn()
+            item.fire()
         if until is not None and until > self.now:
             self.now = until
+
+
+class _Shot:
+    def __init__(self, fn):
+        self.fn = fn
+        self.canceled = False
+
+    def cancel(self):
+        self.canceled = True
+
+    def fire(self):
+        self.fn()
+
+
+class _Train(_Shot):
+    def __init__(self, sched, period, fn, anchor, index, rearm_after):
+        super().__init__(fn)
+        self.sched = sched
+        self.period = period
+        self.anchor = anchor
+        self.index = index
+        self.rearm_after = rearm_after
+
+    def fire(self):
+        sched = self.sched
+        if self.rearm_after:
+            self.fn()
+            if not self.canceled:
+                sched._push(sched.now + self.period, self)
+            return
+        self.index += 1
+        sched._push(self.anchor + self.index * self.period, self)
+        self.fn()
+
+
+@st.composite
+def trains(draw):
+    """A train's shape: period, anchoring, re-arm mode, and lifetime.
+
+    ``anchoring`` is ``("phase", p)`` or ``("first", t)``.  The train
+    cancels itself from its own callback on tick ``ticks``; its action
+    list runs on tick ``act_tick``, so most ticks leave the scheduler
+    untouched and can batch.
+    """
+    period = draw(periods)
+    if draw(st.booleans()):
+        anchoring = ("phase", draw(phases))
+    else:
+        anchoring = ("first", draw(delays))
+    ticks = draw(st.integers(min_value=1, max_value=60))
+    act_tick = draw(st.integers(min_value=1, max_value=ticks))
+    return period, anchoring, draw(st.booleans()), ticks, act_tick
 
 
 @st.composite
 def workloads(draw):
     """A scripted workload: root events, callback actions, a run split.
 
-    Each root event ``i`` carries a small action list executed inside
-    its callback: schedule a fresh event (exercising insert-while-
-    running and window re-anchoring) or cancel root event ``j``
-    (exercising lazy cancellation, including self- and already-fired
-    targets).  ``until`` splits the run so the inclusive boundary and
-    clock advance on an idle scheduler are both checked mid-stream.
+    Each root is a one-shot ``("shot", delay)`` or a ``("train", ...)``
+    and carries a small action list executed inside its callback:
+    schedule a fresh one-shot (exercising insert-while-running and
+    cutting train batches short) or cancel root ``j`` (exercising lazy
+    cancellation, including self-, train- and already-fired targets).
+    ``until`` splits the run so the inclusive boundary and clock advance
+    on an idle scheduler are both checked mid-stream.
     """
     count = draw(st.integers(min_value=1, max_value=20))
-    roots = [draw(delays) for _ in range(count)]
+    roots = []
+    for _ in range(count):
+        if draw(st.integers(0, 2)) == 0:
+            roots.append(("train",) + draw(trains()))
+        else:
+            roots.append(("shot", draw(delays)))
     actions = []
     for _ in range(count):
         acts = []
@@ -95,71 +174,67 @@ def workloads(draw):
     return roots, actions, until
 
 
-def _execute(schedule, cancel, run, clock, workload):
-    """Drive one scheduler through a workload; return its firing log."""
+def _execute(sched, workload):
+    """Drive one scheduler through a workload; return its firing log.
+
+    ``sched`` is a :class:`~repro.sim.Simulator` or a
+    :class:`ReferenceScheduler`: both expose ``schedule``,
+    ``schedule_periodic``, ``run(until)`` and ``now``, and return
+    handles with ``cancel()``.
+    """
     roots, actions, until = workload
     log = []
     handles = {}
 
-    def make_callback(index, key):
+    def run_actions(index):
+        for position, action in enumerate(actions[index]):
+            if action[0] == "sched":
+                nested_key = ("nested", index, position)
+                handles[nested_key] = sched.schedule(
+                    action[1], make_shot(None, nested_key))
+            else:
+                handles[action[1]].cancel()
+
+    def make_shot(index, key):
         def callback():
-            log.append((key, clock()))
-            if index is None:
-                return
-            for position, action in enumerate(actions[index]):
-                if action[0] == "sched":
-                    nested_key = ("nested", index, position)
-                    handles[nested_key] = schedule(
-                        action[1], make_callback(None, nested_key))
-                else:
-                    cancel(handles[action[1]])
+            log.append((key, sched.now))
+            if index is not None:
+                run_actions(index)
         return callback
 
-    for index, delay in enumerate(roots):
-        handles[index] = schedule(delay, make_callback(index, index))
-    run(until)
-    checkpoint = (tuple(log), clock())
-    run(None)
-    return checkpoint, tuple(log), clock()
+    def make_train_tick(index, lifetime, act_tick):
+        fired = [0]
 
+        def callback():
+            fired[0] += 1
+            log.append((index, fired[0], sched.now))
+            if fired[0] == act_tick:
+                run_actions(index)
+            if fired[0] == lifetime:
+                handles[index].cancel()
+        return callback
 
-def _run_reference(workload):
-    ref = ReferenceScheduler()
-    return _execute(ref.schedule, ref.cancel, ref.run,
-                    lambda: ref.now, workload)
-
-
-def _run_wheel(workload, slot_seconds):
-    kwargs = {}
-    if slot_seconds is not None:
-        kwargs["wheel_slot_seconds"] = slot_seconds
-    sim = Simulator(seed=0, **kwargs)
-    return _execute(
-        lambda delay, fn: sim.schedule(delay, fn),
-        lambda event: event.cancel(),
-        lambda until: sim.run(until=until),
-        lambda: sim.now, workload)
+    for index, root in enumerate(roots):
+        if root[0] == "shot":
+            handles[index] = sched.schedule(root[1], make_shot(index, index))
+            continue
+        _, period, (mode, value), rearm_after, lifetime, act_tick = root
+        kwargs = {mode: value, "rearm_after": rearm_after}
+        handles[index] = sched.schedule_periodic(
+            period, make_train_tick(index, lifetime, act_tick), **kwargs)
+    sched.run(until)
+    checkpoint = (tuple(log), sched.now)
+    sched.run(None)
+    return checkpoint, tuple(log), sched.now
 
 
 class TestWheelMatchesReferenceHeap:
-    @pytest.mark.parametrize("slot_seconds", GEOMETRIES)
     @given(workload=workloads())
-    @settings(max_examples=60, deadline=None)
-    def test_identical_firing_order_and_clock(self, slot_seconds,
-                                              workload):
-        reference = _run_reference(workload)
-        wheel = _run_wheel(workload, slot_seconds)
-        assert wheel == reference
-
-    @given(workload=workloads())
-    @settings(max_examples=40, deadline=None)
-    def test_geometry_is_pure_perf_knob(self, workload):
-        """Every geometry produces the same run — slot width can only
-        change speed, never order."""
-        runs = {slot: _run_wheel(workload, slot)
-                for slot in GEOMETRIES}
-        baseline = runs[None]
-        assert all(result == baseline for result in runs.values())
+    @settings(max_examples=300, deadline=None)
+    def test_identical_firing_order_and_clock(self, workload):
+        reference = _execute(ReferenceScheduler(), workload)
+        actual = _execute(Simulator(seed=0), workload)
+        assert actual == reference
 
 
 class TestBoundaryPins:
@@ -169,8 +244,8 @@ class TestBoundaryPins:
         sim = Simulator(seed=0)
         ref = ReferenceScheduler()
         order_sim, order_ref = [], []
-        # Interleave registrations so seq order differs from spatial
-        # order; include exact ties at 1.0 and at the window edge.
+        # Interleave registrations so seq order differs from time
+        # order; include exact ties at 1.0 and at 4.0.
         pattern = [1.0, 4.0, 1.0, 0.0, 4.0, 1.0, 8.5, 0.0]
         for mark, delay in enumerate(pattern):
             sim.schedule(delay, order_sim.append, mark)
@@ -199,3 +274,15 @@ class TestBoundaryPins:
         sim.run()
         assert fired == ["survivor"]
         assert sim.pending() == 0
+
+    def test_train_tick_tied_with_earlier_competitor_yields(self):
+        """A one-shot scheduled before the train at exactly a tick time
+        has the smaller seq and fires first: the batch must stop short
+        of a tie with its barrier."""
+        sim = Simulator(seed=0)
+        fired = []
+        sim.schedule(1.0, fired.append, "shot")
+        train = sim.schedule_periodic(0.25, lambda: fired.append(sim.now))
+        sim.schedule(1.1, train.cancel)
+        sim.run()
+        assert fired == [0.25, 0.5, 0.75, "shot", 1.0]
