@@ -23,6 +23,7 @@ from repro.obs.attribution import (
     attribute_record,
 )
 from repro.obs.export import (
+    DEFAULT_LATENCY_BUCKETS,
     to_chrome_trace,
     to_jsonl,
     to_prometheus,
@@ -30,7 +31,6 @@ from repro.obs.export import (
     write_snapshot,
 )
 from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,

@@ -14,18 +14,47 @@ span visibly covering an ``sdio.promotion`` or ``psm.buffered`` span
 """
 
 import json
+from bisect import bisect_right
+from itertools import accumulate
+
+from repro.obs.sketch import DDSketch
+
+#: The Prometheus ``le`` grid (seconds) every histogram is exported on.
+#: Spans the sub-millisecond driver costs up to the multi-beacon PSM
+#: waits the paper measures; anything beyond 1 s counts only in +Inf.
+DEFAULT_LATENCY_BUCKETS = (
+    100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3,
+    75e-3, 100e-3, 150e-3, 250e-3, 500e-3, 1.0,
+)
+
+_INF = float("inf")
 
 
 def _fmt(value):
-    """Prometheus number formatting (ints without a trailing .0)."""
-    if value is None:
+    """Prometheus number formatting: ints without a trailing .0, and
+    ``+Inf`` / ``-Inf`` / ``NaN`` for the non-finite floats (``None``
+    is ``NaN`` too)."""
+    if value is None or value != value:
         return "NaN"
-    if isinstance(value, bool):
-        return str(int(value))
+    if value == _INF:
+        return "+Inf"
+    if value == -_INF:
+        return "-Inf"
     if isinstance(value, int) or (isinstance(value, float)
                                   and value == int(value)):
         return str(int(value))
     return repr(value)
+
+
+def _le_counts(payload):
+    """The cumulative count at each ``le`` bound, read from a sketch
+    payload (see :func:`to_prometheus`)."""
+    sketch = DDSketch.from_payload(payload)
+    keys = sorted(sketch.bins)
+    cumulative = list(accumulate((sketch.bins[key] for key in keys),
+                                 initial=sketch.zero_count))
+    return [cumulative[bisect_right(keys, sketch.key(bound))]
+            for bound in DEFAULT_LATENCY_BUCKETS]
 
 
 def _escape_label_value(value):
@@ -54,7 +83,17 @@ def to_jsonl(snapshot):
 
 
 def to_prometheus(snapshot):
-    """Prometheus text exposition format (version 0.0.4)."""
+    """Prometheus text exposition format (version 0.0.4).
+
+    A histogram exports ``_bucket{le=...}`` on
+    :data:`DEFAULT_LATENCY_BUCKETS`, then ``_sum`` and ``_count``.  Each
+    ``le`` count is read from the entry's sketch: the zero bucket plus
+    every bin whose key is at most ``key(b)``.  A bin holds the values
+    in ``(gamma**(k-1), gamma**k]``, so that is every observation
+    ``<= b`` plus only those in ``(b, b * gamma)``: the bucket edge sits
+    up to ``gamma`` (1.0202 at alpha 0.01, about 2%) above the nominal
+    bound.
+    """
     lines = []
     typed = set()
     for entry in snapshot.get("metrics", ()):
@@ -65,9 +104,8 @@ def to_prometheus(snapshot):
         if kind in ("counter", "gauge"):
             lines.append(f"{name}{_label_str(labels)} {_fmt(entry['value'])}")
             continue
-        cumulative = 0
-        for bound, count in zip(entry["buckets"], entry["counts"]):
-            cumulative += count
+        for bound, cumulative in zip(DEFAULT_LATENCY_BUCKETS,
+                                     _le_counts(entry["sketch"])):
             lines.append(f"{name}_bucket"
                          f"{_label_str(labels, {'le': _fmt(bound)})} "
                          f"{cumulative}")

@@ -12,32 +12,30 @@ Metrics are identified by ``(name, labels)``.  Three kinds exist:
 
 * :class:`Counter` — monotonically increasing value (``inc``),
 * :class:`Gauge` — point-in-time value (``set``),
-* :class:`Histogram` — fixed upper-bound buckets (kept for the
-  Prometheus cumulative-``le`` export) plus an embedded
-  :class:`~repro.obs.sketch.DDSketch` that supplies the p50/p95/p99
-  estimates with a relative-error bound instead of bucket-grid
-  interpolation error.
+* :class:`Histogram` — sum/count/min/max plus an embedded
+  :class:`~repro.obs.sketch.DDSketch`, the histogram's only bucket
+  structure: it supplies the p50/p95/p99 estimates with a
+  relative-error bound, and the exporter derives the Prometheus
+  cumulative-``le`` series from it (:mod:`repro.obs.export`).
 
-Both layers make snapshots *mergeable*: campaign workers return
-per-cell snapshots and the parent folds them together — bucket counts
-and sketch bins sum exactly (:func:`merge_snapshots`) — so a parallel
-sweep produces bit-identically the snapshot a serial one does.  Metrics
-whose values depend on wall-clock time (handler self-time) are flagged
-``volatile`` and excluded from snapshots by default, keeping snapshots
-deterministic.
+Snapshots are *mergeable*: campaign workers return per-cell snapshots
+and the parent folds them together — sketch bins sum exactly
+(:func:`merge_snapshots`) — so a parallel sweep produces bit-identically
+the snapshot a serial one does.  Metrics whose values depend on
+wall-clock time (handler self-time) are flagged ``volatile`` and
+excluded from snapshots by default, keeping snapshots deterministic.
 """
 
-from bisect import bisect_left
+from repro.obs.sketch import DDSketch, merge_payloads
 
-from repro.obs.sketch import DDSketch, DEFAULT_ALPHA, merge_payloads
+_INF = float("inf")
+_NEG_INF = -_INF
 
-#: Default latency buckets (seconds).  Spans the sub-millisecond driver
-#: costs up to the multi-beacon PSM waits the paper measures; anything
-#: beyond 1 s lands in the implicit +Inf bucket.
-DEFAULT_LATENCY_BUCKETS = (
-    100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3,
-    75e-3, 100e-3, 150e-3, 250e-3, 500e-3, 1.0,
-)
+#: The fields of a histogram snapshot entry, in snapshot order.  Older
+#: records also carry ``buckets``/``counts``; :func:`merge_snapshots`
+#: drops them.
+HISTOGRAM_FIELDS = ("name", "kind", "labels", "sum", "count", "min", "max",
+                    "p50", "p95", "p99", "sketch")
 
 
 def _label_key(labels):
@@ -92,70 +90,38 @@ class Gauge:
         return f"<Gauge {self.name}{dict(self.labels)} {self.value}>"
 
 
-def _bucket_percentile(bounds, counts, total, minimum, maximum, q):
-    """Interpolated percentile estimate from fixed-bucket counts.
-
-    ``counts`` are per-bucket (non-cumulative), one entry per bound plus
-    the trailing +Inf overflow bucket.  The estimate interpolates
-    linearly within the bucket holding the target rank, with the
-    observed min/max clamping the open-ended edge buckets.
-    """
-    if not total:
-        return None
-    target = total * q / 100.0
-    cumulative = 0.0
-    for index, count in enumerate(counts):
-        if count and cumulative + count >= target:
-            lower = bounds[index - 1] if index > 0 else minimum
-            upper = bounds[index] if index < len(bounds) else maximum
-            lower = max(lower, minimum)
-            upper = min(upper, maximum)
-            if upper <= lower:
-                return min(max(lower, minimum), maximum)
-            fraction = (target - cumulative) / count
-            return min(max(lower + (upper - lower) * fraction, minimum),
-                       maximum)
-        cumulative += count
-    return maximum
-
-
 class Histogram:
-    """Latency histogram: fixed export buckets plus a quantile sketch.
+    """Latency histogram: sum/count/min/max plus a quantile sketch.
 
-    ``buckets`` are inclusive upper bounds in increasing order; one
-    implicit +Inf bucket catches overflow.  Buckets are fixed at
-    creation so two histograms of the same metric merge exactly; they
-    feed the Prometheus cumulative-``le`` export.  Every observation
-    additionally lands in a :class:`~repro.obs.sketch.DDSketch`, which
-    is what :meth:`percentile` reads — estimates carry the sketch's
-    relative-error bound (default 1%) independent of the bucket grid,
-    clamped to the observed ``[min, max]`` so degenerate distributions
-    (a single repeated value) report exactly.
+    Every observation lands in a :class:`~repro.obs.sketch.DDSketch`,
+    the histogram's only bucket structure.  :meth:`percentile` reads it
+    — estimates carry the sketch's relative-error bound (1%), clamped
+    to the observed ``[min, max]`` so degenerate distributions (a single
+    repeated value) report exactly — and the Prometheus exporter
+    derives its cumulative ``le`` counts from it.
     """
 
     kind = "histogram"
 
-    __slots__ = ("name", "labels", "buckets", "counts", "sum", "count",
-                 "minimum", "maximum", "volatile", "sketch")
+    __slots__ = ("name", "labels", "sum", "count", "minimum", "maximum",
+                 "volatile", "sketch")
 
-    def __init__(self, name, labels=(), buckets=DEFAULT_LATENCY_BUCKETS,
-                 volatile=False, sketch_alpha=DEFAULT_ALPHA):
-        bounds = tuple(buckets)
-        if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError(f"histogram buckets must increase: {bounds!r}")
+    def __init__(self, name, labels=(), volatile=False):
         self.name = name
         self.labels = labels
-        self.buckets = bounds
-        self.counts = [0] * (len(bounds) + 1)
         self.sum = 0.0
         self.count = 0
         self.minimum = None
         self.maximum = None
         self.volatile = volatile
-        self.sketch = DDSketch(alpha=sketch_alpha)
+        self.sketch = DDSketch()
 
     def observe(self, value):
-        self.counts[bisect_left(self.buckets, value)] += 1
+        # Reject NaN and +-inf before any field changes: they would
+        # poison ``sum`` and have no sketch bucket.
+        if not _NEG_INF < value < _INF:
+            raise ValueError(
+                f"histogram {self.name!r} cannot observe {value!r}")
         self.sum += value
         self.count += 1
         if self.minimum is None or value < self.minimum:
@@ -193,8 +159,6 @@ class Histogram:
 
     def payload(self):
         return {
-            "buckets": list(self.buckets),
-            "counts": list(self.counts),
             "sum": self.sum,
             "count": self.count,
             "min": self.minimum,
@@ -216,11 +180,10 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 class MetricsRegistry:
     """Get-or-create store of metrics, keyed by ``(name, labels)``."""
 
-    __slots__ = ("enabled", "default_buckets", "_metrics")
+    __slots__ = ("enabled", "_metrics")
 
-    def __init__(self, enabled=True, default_buckets=DEFAULT_LATENCY_BUCKETS):
+    def __init__(self, enabled=True):
         self.enabled = enabled
-        self.default_buckets = tuple(default_buckets)
         self._metrics = {}
 
     # -- get-or-create ----------------------------------------------------
@@ -242,10 +205,8 @@ class MetricsRegistry:
     def gauge(self, name, labels=None, volatile=False):
         return self._get(Gauge, name, labels, volatile=volatile)
 
-    def histogram(self, name, labels=None, buckets=None, volatile=False):
-        return self._get(Histogram, name, labels,
-                         buckets=buckets or self.default_buckets,
-                         volatile=volatile)
+    def histogram(self, name, labels=None, volatile=False):
+        return self._get(Histogram, name, labels, volatile=volatile)
 
     # -- one-shot conveniences (the usual call-site form) -----------------
 
@@ -255,8 +216,8 @@ class MetricsRegistry:
     def set_gauge(self, name, value, labels=None):
         self.gauge(name, labels=labels).set(value)
 
-    def observe(self, name, value, labels=None, buckets=None):
-        self.histogram(name, labels=labels, buckets=buckets).observe(value)
+    def observe(self, name, value, labels=None):
+        self.histogram(name, labels=labels).observe(value)
 
     # -- access -----------------------------------------------------------
 
@@ -300,6 +261,16 @@ class MetricsRegistry:
         return f"<MetricsRegistry {state} metrics={len(self._metrics)}>"
 
 
+def _copy_histogram(entry):
+    """A fresh histogram entry holding exactly :data:`HISTOGRAM_FIELDS`."""
+    copied = {field: entry[field] for field in HISTOGRAM_FIELDS}
+    copied["labels"] = dict(entry["labels"])
+    sketch = entry["sketch"]
+    copied["sketch"] = {"alpha": sketch["alpha"], "zero": sketch["zero"],
+                        "bins": [list(pair) for pair in sketch["bins"]]}
+    return copied
+
+
 def _merge_entry(into, entry):
     if into["kind"] != entry["kind"]:
         raise ValueError(
@@ -310,66 +281,47 @@ def _merge_entry(into, entry):
     elif into["kind"] == "gauge":
         into["value"] = entry["value"]  # later snapshots win
     else:
-        if into["buckets"] != entry["buckets"]:
-            raise ValueError(
-                f"cannot merge {entry['name']!r}: bucket bounds differ")
-        into["counts"] = [a + b
-                          for a, b in zip(into["counts"], entry["counts"])]
+        merged = merge_payloads(into["sketch"], entry["sketch"])
+        into["sketch"] = merged
         into["sum"] += entry["sum"]
         into["count"] += entry["count"]
         for field, pick in (("min", min), ("max", max)):
             values = [v for v in (into[field], entry[field]) if v is not None]
             into[field] = pick(values) if values else None
-        sketch_a, sketch_b = into.get("sketch"), entry.get("sketch")
-        if sketch_a is not None and sketch_b is not None:
-            merged = merge_payloads(sketch_a, sketch_b)
-            into["sketch"] = merged
-            sketch = DDSketch.from_payload(merged)
-            for q in (50, 95, 99):
-                estimate = sketch.quantile(q / 100.0)
-                if estimate is None:
-                    into[f"p{q}"] = None
-                else:
-                    into[f"p{q}"] = min(max(estimate, into["min"]),
-                                        into["max"])
-        else:
-            # Pre-sketch snapshots (older saved campaigns): fall back to
-            # the fixed-bucket interpolation they were built with.
-            into.pop("sketch", None)
-            for q in (50, 95, 99):
-                into[f"p{q}"] = _bucket_percentile(
-                    tuple(into["buckets"]), into["counts"], into["count"],
-                    into["min"], into["max"], q)
+        sketch = DDSketch.from_payload(merged)
+        for q in (50, 95, 99):
+            estimate = sketch.quantile(q / 100.0)
+            into[f"p{q}"] = (None if estimate is None else
+                             min(max(estimate, into["min"]), into["max"]))
 
 
 def merge_snapshots(snapshots):
     """Fold :meth:`MetricsRegistry.snapshot` dicts into one.
 
-    Counters, histogram buckets and sketch bins sum; gauges keep the
-    last value seen (snapshots merge in the order given, which campaign
-    code keeps in grid order).  Histogram percentiles are recomputed
-    from the merged sketch, so the result is exactly — bit-identically —
-    what one registry observing all the samples would report, for any
-    partition of the observations across snapshots.
+    Counters and sketch bins sum; gauges keep the last value seen
+    (snapshots merge in the order given, which campaign code keeps in
+    grid order).  Histogram percentiles are recomputed from the merged
+    sketch, so the result is exactly — bit-identically — what one
+    registry observing all the samples would report, for any partition
+    of the observations across snapshots.  Histogram entries keep only
+    :data:`HISTOGRAM_FIELDS`; one without a sketch payload raises
+    :class:`ValueError` naming the metric.
     """
     merged = {}
     for snapshot in snapshots:
         for entry in snapshot.get("metrics", ()):
+            if entry["kind"] == "histogram" and entry.get("sketch") is None:
+                raise ValueError(
+                    f"cannot merge histogram {entry['name']!r}: the entry "
+                    f"has no sketch payload (written before histograms "
+                    f"carried one)")
             key = (entry["name"], _label_key(entry["labels"]))
             if key in merged:
                 _merge_entry(merged[key], entry)
+            elif entry["kind"] == "histogram":
+                merged[key] = _copy_histogram(entry)
             else:
                 copied = dict(entry)
-                if copied["kind"] == "histogram":
-                    copied["buckets"] = list(copied["buckets"])
-                    copied["counts"] = list(copied["counts"])
-                    sketch = copied.get("sketch")
-                    if sketch is not None:
-                        copied["sketch"] = {
-                            "alpha": sketch["alpha"],
-                            "zero": sketch["zero"],
-                            "bins": [list(pair) for pair in sketch["bins"]],
-                        }
                 copied["labels"] = dict(copied["labels"])
                 merged[key] = copied
     return {"metrics": [merged[key] for key in sorted(merged)]}

@@ -1,14 +1,14 @@
 """DDSketch-style streaming quantile sketch with relative-error bounds.
 
-Fixed-bucket histograms answer "how many samples fell below 10 ms" but
-their percentile estimates are only as good as the bucket grid — a p99
-inside the 250–500 ms bucket can be off by half the bucket width.  The
-:class:`DDSketch` closes that gap: values land in *log-spaced* buckets
-``(gamma**(k-1), gamma**k]`` with ``gamma = (1 + alpha) / (1 - alpha)``,
-so any quantile estimate is within a relative error ``alpha`` of the
-true sample quantile (see Masson, Rim & Lee, "DDSketch: a fast and
-fully-mergeable quantile sketch with relative-error guarantees",
-VLDB 2019).
+The sketch is a histogram's only bucket structure.  Values land in
+*log-spaced* buckets ``(gamma**(k-1), gamma**k]`` with
+``gamma = (1 + alpha) / (1 - alpha)``, so any quantile estimate is
+within a relative error ``alpha`` of the true sample quantile (see
+Masson, Rim & Lee, "DDSketch: a fast and fully-mergeable quantile
+sketch with relative-error guarantees", VLDB 2019), and a count "below
+bound ``b``" is exact up to the one bucket holding ``b`` — the
+Prometheus exporter's ``le`` series is read that way
+(:mod:`repro.obs.export`).
 
 Three properties matter for this codebase:
 
@@ -152,7 +152,7 @@ class DDSketch:
 
     def __repr__(self):
         return (f"<DDSketch alpha={self.alpha} n={self.count} "
-                f"buckets={len(self.bins)}>")
+                f"bins={len(self.bins)}>")
 
 
 def merge_payloads(a, b):

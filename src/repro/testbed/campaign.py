@@ -264,7 +264,7 @@ class Campaign:
     def merged_metrics(self):
         """Fold every cell's metrics snapshot into one campaign-wide view.
 
-        Counters and histogram buckets sum across cells; gauges keep the
+        Counters and histogram sketches sum across cells; gauges keep the
         last cell's value (grid order).  Returns ``None`` when no cell
         carries metrics (i.e. the campaign ran without
         ``collect_metrics``).  Because each cell's snapshot is

@@ -1,6 +1,8 @@
 """Unit tests for the observability layer: registry, spans, exporters."""
 
 import json
+import math
+import pathlib
 
 import pytest
 from hypothesis import given
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
+    DDSketch,
+    Histogram,
     MetricsRegistry,
     SpanTracker,
     merge_snapshots,
@@ -18,7 +22,24 @@ from repro.obs import (
     write_chrome_trace,
     write_snapshot,
 )
+from repro.obs.metrics import HISTOGRAM_FIELDS
 from repro.sim.trace import TraceRecorder
+
+#: A snapshot written when histograms kept a fixed ``buckets``/``counts``
+#: array next to the sketch, by :func:`_legacy_registry`'s observations.
+_LEGACY_SNAPSHOT = (pathlib.Path(__file__).resolve().parent / "data"
+                    / "legacy_snapshot.json")
+
+
+def _legacy_registry():
+    registry = MetricsRegistry()
+    for value in (0.0, 4e-5, 3e-4, 0.0021, 0.012, 0.0499, 0.051, 0.1024,
+                  0.31, 1.7):
+        registry.inc("probes_total")
+        registry.observe("lat_seconds", value)
+        registry.observe("lat_seconds", value * 2, labels={"leg": "wire"})
+    registry.set_gauge("clock", 1.7)
+    return registry
 
 
 class TestCountersAndGauges:
@@ -57,18 +78,18 @@ class TestCountersAndGauges:
 class TestHistogram:
     def test_observe_buckets_and_stats(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("lat", buckets=(0.001, 0.01, 0.1))
+        hist = registry.histogram("lat")
         for value in (0.0005, 0.002, 0.05, 0.5):
             hist.observe(value)
-        assert hist.counts == [1, 1, 1, 1]  # one overflow in +Inf
-        assert hist.count == 4
+        assert len(hist.sketch.bins) == 4  # one sketch bucket per value
+        assert hist.sketch.count == hist.count == 4
         assert hist.minimum == 0.0005
         assert hist.maximum == 0.5
         assert hist.sum == pytest.approx(0.5525)
 
     def test_percentiles_interpolate_and_clamp(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("lat", buckets=(0.01, 0.1))
+        hist = registry.histogram("lat")
         for _ in range(100):
             hist.observe(0.05)
         # All mass in one bucket: estimates must stay inside [min, max].
@@ -80,10 +101,34 @@ class TestHistogram:
         assert registry.histogram("lat").p50 is None
         assert registry.histogram("lat").mean is None
 
-    def test_buckets_must_increase(self):
+    def test_bucket_knobs_are_gone(self):
+        # The sketch is the only bucket structure: no grid to choose,
+        # and alpha is fixed so every histogram merges with every other.
         registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.histogram("bad", buckets=(0.1, 0.1))
+        with pytest.raises(TypeError):
+            registry.histogram("bad", buckets=(0.1, 0.2))
+        with pytest.raises(TypeError):
+            registry.observe("bad", 0.1, buckets=(0.1, 0.2))
+        with pytest.raises(TypeError):
+            MetricsRegistry(default_buckets=(0.1, 0.2))
+        with pytest.raises(TypeError):
+            Histogram("bad", sketch_alpha=0.05)
+        assert registry.get("bad") is None
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observe_rejected_untouched(self, value):
+        # Rejected before any field changes: ``count`` stays in step
+        # with the sketch, and a histogram whose only value was bad
+        # still snapshots.
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat")
+        before = registry.snapshot()
+        with pytest.raises(ValueError, match="'lat'"):
+            hist.observe(value)
+        assert hist.count == hist.sketch.count == 0
+        assert registry.snapshot() == before
+        hist.observe(0.02)
+        assert hist.count == hist.sketch.count == 1
 
     def test_default_buckets_cover_paper_delays(self):
         # Sub-ms driver costs through the ~102.4ms beacon interval.
@@ -95,45 +140,47 @@ class TestHistogramEdgeCases:
     """The audited corners: empty, single-observation, all-overflow."""
 
     def test_empty_every_stat_is_none_not_nan(self):
-        hist = MetricsRegistry().histogram("lat", buckets=(0.01, 0.1))
+        hist = MetricsRegistry().histogram("lat")
         for stat in (hist.p50, hist.p95, hist.p99, hist.mean,
                      hist.minimum, hist.maximum):
             assert stat is None
 
     def test_empty_snapshot_and_prometheus_render(self):
         registry = MetricsRegistry()
-        registry.histogram("lat", buckets=(0.01, 0.1))
+        registry.histogram("lat")
         (entry,) = registry.snapshot()["metrics"]
         assert entry["count"] == 0 and entry["p50"] is None
         text = to_prometheus(registry.snapshot())
         assert 'lat_count 0' in text  # no division, no crash
+        assert 'lat_bucket{le="1"} 0' in text
 
     def test_single_observation_all_percentiles_exact(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("lat", buckets=(0.01, 0.1))
+        hist = registry.histogram("lat")
         hist.observe(0.042)
         for q in (0, 25, 50, 95, 99, 100):
             assert hist.percentile(q) == pytest.approx(0.042)
         assert hist.mean == pytest.approx(0.042)
 
     def test_all_observations_in_overflow_bucket(self):
-        # Every value beyond the last finite bound: the legacy
-        # fixed-bucket math had no upper edge to interpolate against;
-        # the sketch answers within its relative-error bound and the
-        # clamp keeps estimates inside [min, max].
+        # Every value beyond the last finite ``le`` bound: the sketch
+        # answers within its relative-error bound and the clamp keeps
+        # estimates inside [min, max].
         registry = MetricsRegistry()
-        hist = registry.histogram("lat", buckets=(0.001, 0.01))
-        for value in (0.5, 1.0, 2.0, 4.0):
+        hist = registry.histogram("lat")
+        for value in (1.5, 2.0, 3.0, 4.0):
             hist.observe(value)
-        assert hist.counts == [0, 0, 4]
-        assert 0.5 <= hist.p50 <= 4.0
-        assert hist.p50 == pytest.approx(1.0, rel=0.01)
+        text = to_prometheus(registry.snapshot())
+        assert 'lat_bucket{le="1"} 0' in text
+        assert 'lat_bucket{le="+Inf"} 4' in text
+        assert 1.5 <= hist.p50 <= 4.0
+        assert hist.p50 == pytest.approx(2.0, rel=0.01)
         assert hist.p99 == pytest.approx(4.0, rel=0.01)
 
     def test_merged_overflow_only_snapshots(self):
         registry_a, registry_b = MetricsRegistry(), MetricsRegistry()
-        registry_a.observe("h", 5.0, buckets=(0.01,))
-        registry_b.observe("h", 7.0, buckets=(0.01,))
+        registry_a.observe("h", 5.0)
+        registry_b.observe("h", 7.0)
         merged = merge_snapshots([registry_a.snapshot(),
                                   registry_b.snapshot()])
         (entry,) = merged["metrics"]
@@ -142,27 +189,37 @@ class TestHistogramEdgeCases:
 
     def test_snapshot_carries_sketch_payload(self):
         registry = MetricsRegistry()
-        registry.observe("h", 0.02, buckets=(0.01, 0.1))
+        registry.observe("h", 0.02)
         (entry,) = registry.snapshot()["metrics"]
+        assert tuple(entry) == HISTOGRAM_FIELDS
+        assert len(HISTOGRAM_FIELDS) == 11
         sketch = entry["sketch"]
         assert sketch["bins"] and isinstance(sketch["bins"][0][1], int)
         json.dumps(entry)  # wire-format safe
 
-    def test_merge_without_sketch_falls_back_to_buckets(self):
-        # Pre-sketch snapshots (an old checkpoint journal) still merge;
-        # percentiles come from the bucket interpolation fallback.
-        registry_a, registry_b = MetricsRegistry(), MetricsRegistry()
-        registry_a.observe("h", 0.005, buckets=(0.01, 0.1))
-        registry_b.observe("h", 0.05, buckets=(0.01, 0.1))
-        snaps = [registry_a.snapshot(), registry_b.snapshot()]
-        for snap in snaps:
-            for entry in snap["metrics"]:
-                del entry["sketch"]
-        merged = merge_snapshots(snaps)
-        (entry,) = merged["metrics"]
-        assert entry["count"] == 2
-        assert "sketch" not in entry
-        assert 0.0 <= entry["p50"] <= 0.1
+    def test_parent_format_entries_merge_like_fresh_ones(self):
+        # A snapshot written when histograms still kept a fixed bucket
+        # array next to the sketch: ``buckets``/``counts`` are dropped,
+        # everything else merges exactly as a fresh snapshot does.
+        legacy = json.loads(_LEGACY_SNAPSHOT.read_text())
+        assert all("counts" in entry for entry in legacy["metrics"]
+                   if entry["kind"] == "histogram")
+        fresh = _legacy_registry().snapshot()
+        assert json.dumps(merge_snapshots([legacy])) \
+            == json.dumps(merge_snapshots([fresh]))
+        assert json.dumps(merge_snapshots([legacy, fresh])) \
+            == json.dumps(merge_snapshots([fresh, fresh]))
+        assert to_prometheus(merge_snapshots([legacy])) \
+            == to_prometheus(fresh)
+
+    def test_pre_sketch_entry_raises_naming_the_metric(self):
+        registry = MetricsRegistry()
+        registry.observe("probe_du_seconds", 0.02)
+        legacy = registry.snapshot()
+        del legacy["metrics"][0]["sketch"]
+        for snapshots in ([legacy], [registry.snapshot(), legacy]):
+            with pytest.raises(ValueError, match="'probe_du_seconds'"):
+                merge_snapshots(snapshots)
 
 
 class TestSnapshotAndMerge:
@@ -170,7 +227,7 @@ class TestSnapshotAndMerge:
         registry = MetricsRegistry()
         registry.inc("c_total", 3)
         registry.set_gauge("g", 7)
-        registry.observe("h_seconds", 0.02, buckets=(0.01, 0.1))
+        registry.observe("h_seconds", 0.02)
         return registry
 
     def test_snapshot_is_json_ready_and_sorted(self):
@@ -197,27 +254,20 @@ class TestSnapshotAndMerge:
         hist = by_name["h_seconds"]
         assert hist["count"] == 2
         assert hist["sum"] == pytest.approx(0.04)
-        assert sum(hist["counts"]) == 2
+        assert hist["sketch"]["zero"] + sum(
+            count for _, count in hist["sketch"]["bins"]) == 2
 
     def test_merge_recomputes_percentiles(self):
         registry_a = MetricsRegistry()
         registry_b = MetricsRegistry()
         for _ in range(99):
-            registry_a.observe("h", 0.005, buckets=(0.01, 0.1))
-        registry_b.observe("h", 0.05, buckets=(0.01, 0.1))
+            registry_a.observe("h", 0.005)
+        registry_b.observe("h", 0.05)
         merged = merge_snapshots([registry_a.snapshot(),
                                   registry_b.snapshot()])
         (entry,) = merged["metrics"]
         assert entry["p50"] < 0.01  # median stays in the low bucket
         assert entry["max"] == 0.05
-
-    def test_merge_rejects_bucket_mismatch(self):
-        registry_a = MetricsRegistry()
-        registry_b = MetricsRegistry()
-        registry_a.observe("h", 0.005, buckets=(0.01,))
-        registry_b.observe("h", 0.005, buckets=(0.02,))
-        with pytest.raises(ValueError):
-            merge_snapshots([registry_a.snapshot(), registry_b.snapshot()])
 
     def test_clear_resets_registry(self):
         registry = self.build()
@@ -233,9 +283,8 @@ def _shard_registry(observations):
         registry.inc("probes_total")
         registry.inc("bytes_total", int(value * 1e6), labels={"dir": "up"})
         registry.set_gauge("clock", value)
-        registry.observe("lat_seconds", value, buckets=(0.01, 0.1))
-        registry.observe("lat_seconds", value * 2,
-                         labels={"leg": "wire"}, buckets=(0.01, 0.1))
+        registry.observe("lat_seconds", value)
+        registry.observe("lat_seconds", value * 2, labels={"leg": "wire"})
     return registry
 
 
@@ -269,6 +318,21 @@ class TestMixedKindMergeProperty:
                     assert entry["sum"] == pytest.approx(value, rel=1e-12)
                 else:
                     assert entry[field] == value, field
+        # The Prometheus text, ``le`` counts included, is byte-identical
+        # to one registry's; ``_sum`` lines carry the same float
+        # accumulator and so match to ~1 ulp.
+        whole_lines = to_prometheus(
+            _shard_registry(samples).snapshot()).splitlines()
+        merged_lines = to_prometheus(merged).splitlines()
+        assert len(merged_lines) == len(whole_lines)
+        for got, want in zip(merged_lines, whole_lines):
+            series, _, value = want.rpartition(" ")
+            if series.partition("{")[0].endswith("_sum"):
+                assert got.rpartition(" ")[0] == series
+                assert float(got.rpartition(" ")[2]) \
+                    == pytest.approx(float(value), rel=1e-12)
+            else:
+                assert got == want
 
     def test_mixed_kinds_survive_one_round_trip(self):
         snapshot = _shard_registry([0.02, 0.2]).snapshot()
@@ -276,6 +340,64 @@ class TestMixedKindMergeProperty:
             [json.loads(json.dumps(snapshot))])
         assert json.dumps(merged, sort_keys=True) \
             == json.dumps(merge_snapshots([snapshot]), sort_keys=True)
+
+
+def _prometheus_le_counts(text, name):
+    """``{le: count}`` of one unlabelled histogram in exposition text."""
+    counts = {}
+    prefix = f'{name}_bucket{{le="'
+    for line in text.splitlines():
+        if line.startswith(prefix):
+            bound, _, count = line[len(prefix):].partition('"} ')
+            counts[bound] = int(count)
+    return counts
+
+
+class TestPrometheusFromSketch:
+    """The ``le`` series is read from the sketch at export time."""
+
+    @given(samples=st.lists(
+        st.one_of(st.just(0.0),
+                  st.floats(min_value=1e-6, max_value=5.0,
+                            allow_nan=False, allow_infinity=False),
+                  st.sampled_from(DEFAULT_LATENCY_BUCKETS)),
+        max_size=60))
+    def test_le_counts_bracket_the_exact_counts(self, samples):
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat_seconds")
+        for value in samples:
+            hist.observe(value)
+        text = to_prometheus(registry.snapshot())
+        counts = _prometheus_le_counts(text, "lat_seconds")
+        gamma = DDSketch().gamma
+        assert list(counts) == [str(bound) if bound != 1.0 else "1"
+                                for bound in DEFAULT_LATENCY_BUCKETS] \
+            + ["+Inf"]
+        for bound in DEFAULT_LATENCY_BUCKETS:
+            count = counts["1" if bound == 1.0 else str(bound)]
+            at_most = sum(1 for value in samples if value <= bound)
+            below_edge = sum(1 for value in samples if value < bound * gamma)
+            assert at_most <= count <= below_edge, bound
+        values = list(counts.values())
+        assert values == sorted(values)
+        assert counts["+Inf"] == len(samples)
+        assert f"lat_seconds_count {len(samples)}" in text
+
+    def test_non_finite_numbers_use_exposition_spelling(self):
+        registry = MetricsRegistry()
+        registry.set_gauge("up", math.inf)
+        registry.set_gauge("down", -math.inf)
+        registry.set_gauge("lost", math.nan)
+        registry.observe("lat_seconds", 0.02)
+        snapshot = registry.snapshot()
+        for entry in snapshot["metrics"]:
+            if entry["kind"] == "histogram":
+                entry["sum"] = math.inf
+        text = to_prometheus(snapshot)
+        assert "up +Inf\n" in text
+        assert "down -Inf\n" in text
+        assert "lost NaN\n" in text
+        assert "lat_seconds_sum +Inf\n" in text
 
 
 class TestSpanTracker:
@@ -327,8 +449,8 @@ class TestExporters:
         registry = MetricsRegistry()
         registry.inc("c_total", 2, labels={"kind": "probe"})
         registry.set_gauge("g", 1.0)
-        registry.observe("h_seconds", 0.02, buckets=(0.01, 0.1))
-        registry.observe("h_seconds", 0.5, buckets=(0.01, 0.1))
+        registry.observe("h_seconds", 0.02)
+        registry.observe("h_seconds", 0.5)
         return registry.snapshot()
 
     def test_prometheus_cumulative_buckets(self):

@@ -32,6 +32,7 @@ from repro.net.addresses import ip
 from repro.net.packet import IcmpEcho, Packet, TcpSegment, UdpDatagram
 from repro.sim.scheduler import Simulator
 from repro.testbed.campaign import Campaign
+from tests.callcount import calls_per_op
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 _BENCH_PATH = _REPO_ROOT / "BENCH_simulator.json"
@@ -265,28 +266,50 @@ def test_smoke_obs_disabled_overhead():
 
 class _NullSketch:
     """Drop-in that skips sketch maintenance — the yardstick for the
-    sketch-observe overhead gate below."""
+    recorded ``sketch_observe_overhead_pct``."""
 
     def add(self, value, count=1):
         pass
 
 
+#: What one ``Histogram.observe`` of a value above the sketch's zero
+#: bucket, inside the observed [min, max], does: it enters itself and
+#: ``DDSketch.add`` (Python calls), calls the ``log`` / ``ceil`` /
+#: ``dict.get`` of the bucket update (C calls), and runs six lines of
+#: ``observe`` and four of ``add``.
+_OBSERVE_PYTHON_CALLS = {"repro.obs.metrics.Histogram.observe": 1,
+                         "repro.obs.sketch.DDSketch.add": 1}
+_OBSERVE_C_CALLS = {"math.log": 1, "math.ceil": 1, "dict.get": 1}
+_OBSERVE_LINES = {"repro.obs.metrics.Histogram.observe": 6,
+                  "repro.obs.sketch.DDSketch.add": 4}
+
+
 @pytest.mark.perf_smoke
 def test_smoke_sketch_observe_overhead():
-    """The quantile sketch must stay a modest share of observe() cost.
+    """``Histogram.observe`` does exactly the work pinned above.
 
-    ``Histogram.observe`` pays one ``DDSketch.add`` (a ``log`` plus one
-    dict update) on top of the bucket scan and min/max/sum bookkeeping.
-    Best-of-3 A/B of the same histogram with the sketch swapped for a
-    no-op: currently ~50% (the log costs about as much as the bisect
-    and stats updates combined); the 60% gate trips if sketch
-    maintenance grows real work (a rebalancing pass, per-add
-    allocation), which would erode the "enable metrics freely" story
-    of docs/OBSERVABILITY.md.
+    The sketch is a histogram's only bucket structure, so what keeps
+    "enable metrics freely" (docs/OBSERVABILITY.md) true is that an
+    observe stays two Python calls, three C calls and ten lines: a
+    helper call, a rebalancing loop or a per-add allocation in
+    ``DDSketch.add`` changes the counts deterministically, where a
+    wall-clock share of observe() cost cannot tell it from host noise
+    (tests/callcount.py).  The sketch's timed share (a best-of-3 A/B
+    against a no-op sketch) is still recorded as
+    ``sketch_observe_overhead_pct`` for the trajectory, ungated.
     """
     from repro.obs.metrics import MetricsRegistry
 
     values = [1e-4 * (1 + (index % 997)) for index in range(1000)]
+
+    hist = MetricsRegistry(enabled=True).histogram("perf_seconds")
+    hist.observe(min(values) / 2)  # fix [min, max] so every observe
+    hist.observe(max(values) * 2)  # below takes the same path
+    per_observe = calls_per_op(hist.observe, values)
+    assert dict(per_observe.python) == _OBSERVE_PYTHON_CALLS
+    assert dict(per_observe.c) == _OBSERVE_C_CALLS
+    assert dict(per_observe.lines) == _OBSERVE_LINES
+    assert (per_observe.calls, per_observe.c_calls) == (2, 3)
 
     def workload(null_sketch):
         registry = MetricsRegistry(enabled=True)
@@ -310,7 +333,6 @@ def test_smoke_sketch_observe_overhead():
                         _rate(_SKETCH_OBSERVATIONS, workload(False)))
     overhead = max(0.0, (without_rate - with_rate) / without_rate * 100.0)
     _rates["sketch_observe_overhead_pct"] = overhead
-    assert overhead <= 60.0
 
 
 @pytest.mark.perf_smoke
