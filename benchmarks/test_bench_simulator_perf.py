@@ -89,7 +89,8 @@ def test_perf_wire_encoding(benchmark):
 
 
 def test_perf_wire_batch_round_trip(benchmark):
-    """Vectorized batch encode + decode of probe-id-varied packets."""
+    """Encode + decode of 3000 probe-id-varied packets (sniffer shape),
+    one scalar ``encode_ipv4`` / ``decode_ipv4`` call each."""
     src, dst = ip("10.0.0.1"), ip("10.0.0.2")
     packets = []
     for index in range(_WIRE_BATCH):
@@ -105,10 +106,9 @@ def test_perf_wire_batch_round_trip(benchmark):
                               meta={"probe_id": index + 1}))
 
     def run():
-        blobs = wire.encode_ipv4_batch(packets)
-        for blob in blobs:
-            wire.decode_ipv4(blob)
-        return len(blobs)
+        for packet in packets:
+            wire.decode_ipv4(wire.encode_ipv4(packet))
+        return len(packets)
 
     assert benchmark(run) == _WIRE_BATCH
 

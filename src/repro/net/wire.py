@@ -23,11 +23,7 @@ checksum covers only the header).  Decoding memoises
 import ipaddress
 import struct
 
-from repro.net.checksum import (
-    internet_checksum,
-    internet_checksum_batch,
-    pseudo_header,
-)
+from repro.net.checksum import internet_checksum, pseudo_header
 from repro.net.packet import (
     ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST,
@@ -115,60 +111,30 @@ def encode_ipv4(packet, ident=0):
 
 
 def encode_ipv4_batch(packets, ident=0):
-    """Encode many packets at once; checksums fold in one vectorized pass.
-
-    Byte-identical to ``[encode_ipv4(p, ident) for p in packets]``.  The
-    transport checksum — the only step that touches every payload byte —
-    is computed for the whole batch by
-    :func:`repro.net.checksum.internet_checksum_batch`; header packing
-    and the IPv4 header cache are shared with the scalar path.  ICMP
-    error packets (nested encodings) fall back to the scalar encoder.
-    """
-    wire_bytes = [None] * len(packets)
-    staged = []  # (index, packet, header, body, csum_offset, is_udp)
-    csum_inputs = []
-    for i, packet in enumerate(packets):
-        parts = _transport_parts(packet)
-        if parts is None:
-            wire_bytes[i] = encode_ipv4(packet, ident)
-            continue
-        csum_input, header, body, offset, is_udp = parts
-        staged.append((i, packet, header, body, offset, is_udp))
-        csum_inputs.append(csum_input)
-    if staged:
-        checksums = internet_checksum_batch(csum_inputs)
-        pack_u16 = _U16.pack
-        for (i, packet, header, body, offset, is_udp), checksum in zip(
-                staged, checksums):
-            if is_udp and checksum == 0:
-                checksum = 0xFFFF  # RFC 768: zero means "no checksum"
-            segment = (header[:offset] + pack_u16(checksum)
-                       + header[offset + 2:] + body)
-            wire_bytes[i] = _ipv4_header_for(packet, len(segment), ident) + segment
-    return wire_bytes
+    """``encode_ipv4`` over ``packets``; ``perfbench/tracer.py`` wraps it
+    by name."""
+    return [encode_ipv4(packet, ident) for packet in packets]
 
 
-def _transport_parts(packet):
-    """Stage one packet's transport encoding for (batched) checksumming.
-
-    Returns ``(checksum_input, header, body, checksum_offset, is_udp)``
-    with a zeroed checksum field in ``header``, or ``None`` for payloads
-    that need the scalar path (nested ICMP error encodings).
-    """
+def _encode_transport(packet):
     payload = packet.payload
     probe_id = packet.probe_id
     if isinstance(payload, IcmpEcho):
         body = _payload_filler(payload.payload_size, probe_id)
         header = _ICMP_ECHO_HEADER.pack(payload.icmp_type, 0, 0,
                                         payload.ident, payload.seq)
-        return header + body, header, body, 2, False
+        checksum = internet_checksum(header + body)
+        return header[:2] + _U16.pack(checksum) + header[4:] + body
     if isinstance(payload, UdpDatagram):
         body = _payload_filler(payload.payload_size, probe_id)
         length = 8 + len(body)
         header = _UDP_HEADER.pack(payload.src_port, payload.dst_port,
                                   length, 0)
         pseudo = pseudo_header(packet.src, packet.dst, PROTO_UDP, length)
-        return pseudo + header + body, header, body, 6, True
+        checksum = internet_checksum(pseudo + header + body)
+        if checksum == 0:
+            checksum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
+        return header[:6] + _U16.pack(checksum) + body
     if isinstance(payload, TcpSegment):
         body = _payload_filler(payload.payload_size, probe_id)
         header = _TCP_HEADER.pack(
@@ -184,22 +150,11 @@ def _transport_parts(packet):
         )
         pseudo = pseudo_header(packet.src, packet.dst, PROTO_TCP,
                                len(header) + len(body))
-        return pseudo + header + body, header, body, 16, False
-    return None
-
-
-def _encode_transport(packet):
-    parts = _transport_parts(packet)
-    if parts is None:
-        payload = packet.payload
-        if isinstance(payload, IcmpTimeExceeded):
-            return _encode_icmp_time_exceeded(payload)
-        raise TypeError(f"cannot encode payload {payload!r}")
-    csum_input, header, body, offset, is_udp = parts
-    checksum = internet_checksum(csum_input)
-    if is_udp and checksum == 0:
-        checksum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
-    return header[:offset] + _U16.pack(checksum) + header[offset + 2:] + body
+        checksum = internet_checksum(pseudo + header + body)
+        return header[:16] + _U16.pack(checksum) + header[18:] + body
+    if isinstance(payload, IcmpTimeExceeded):
+        return _encode_icmp_time_exceeded(payload)
+    raise TypeError(f"cannot encode payload {payload!r}")
 
 
 def _encode_icmp_time_exceeded(message):
@@ -235,8 +190,11 @@ def decode_ipv4(data, allow_truncated=False):
     if version_ihl >> 4 != 4:
         raise ValueError(f"not IPv4 (version={version_ihl >> 4})")
     ihl = (version_ihl & 0x0F) * 4
+    if ihl < IPV4_HEADER_LEN:
+        raise ValueError(f"IPv4 IHL {ihl // 4} below the minimum of 5")
     total_length = _U16.unpack_from(data, 2)[0]
-    if total_length > len(data):
+    truncated = total_length > len(data)
+    if truncated:
         if not allow_truncated:
             raise ValueError("IPv4 total length exceeds buffer")
         total_length = len(data)
@@ -245,18 +203,18 @@ def decode_ipv4(data, allow_truncated=False):
     src = _decode_address(data[12:16])
     dst = _decode_address(data[16:20])
     body = data[ihl:total_length]
-    payload, probe_id = _decode_transport(protocol, body)
+    payload, probe_id = _decode_transport(protocol, body, truncated)
     packet = Packet(src, dst, payload, ttl=ttl)
     if probe_id is not None:
         packet.meta["probe_id"] = probe_id
     return packet
 
 
-def _decode_transport(protocol, body):
+def _decode_transport(protocol, body, truncated):
     if protocol == PROTO_ICMP:
         return _decode_icmp(body)
     if protocol == PROTO_UDP:
-        return _decode_udp(body)
+        return _decode_udp(body, truncated)
     if protocol == PROTO_TCP:
         return _decode_tcp(body)
     raise ValueError(f"unsupported protocol {protocol}")
@@ -289,10 +247,15 @@ def _decode_icmp(body):
     raise ValueError(f"unsupported ICMP type {icmp_type}")
 
 
-def _decode_udp(body):
+def _decode_udp(body, truncated):
     if len(body) < 8:
         raise ValueError("truncated UDP header")
     src_port, dst_port, length = _UDP_PORTS_LEN.unpack_from(body, 0)
+    # A truncated excerpt (an ICMP error's header + 8 bytes) keeps the
+    # original length field, which then runs past the bytes at hand.
+    if length < 8 or (length > len(body) and not truncated):
+        raise ValueError(f"UDP length {length} outside the header and "
+                         f"the {len(body)}-byte datagram")
     payload = body[8:length]
     datagram = UdpDatagram(src_port, dst_port, payload_size=len(payload))
     return datagram, _extract_probe_id(payload)
@@ -303,6 +266,9 @@ def _decode_tcp(body):
         raise ValueError("truncated TCP header")
     src_port, dst_port, seq, ack = _TCP_PORTS_SEQ_ACK.unpack_from(body, 0)
     offset = (body[12] >> 4) * 4
+    if not 20 <= offset <= len(body):
+        raise ValueError(f"TCP data offset {offset // 4} outside the header "
+                         f"and the {len(body)}-byte segment")
     flags = body[13]
     payload = body[offset:]
     segment = TcpSegment(src_port, dst_port, seq, ack, flags, payload_size=len(payload))

@@ -73,9 +73,11 @@ class PcapReader:
             self._owns_file = True
         header = self._file.read(_GLOBAL_HEADER.size)
         if len(header) < _GLOBAL_HEADER.size:
+            self.close()
             raise ValueError("truncated pcap global header")
         fields = _GLOBAL_HEADER.unpack(header)
         if fields[0] != PCAP_MAGIC:
+            self.close()
             raise ValueError(f"bad pcap magic {fields[0]:#x} "
                              "(byte-swapped captures not supported)")
         self.version = (fields[1], fields[2])

@@ -13,9 +13,11 @@ deterministic, so a gate can pin them exactly: one extra helper call or
 one added loop changes them, and host noise never does.
 
 :func:`calls_per_op` divides out the harness's own calls and gives the
-cost of one operation, e.g. one ``Histogram.observe``.  The same
-counters serve I/O gates: ``count_calls(store.put, ...).c["io.open"]``
-is the number of files one put opens.
+cost of one operation, e.g. one ``Histogram.observe``;
+:func:`calls_per_unit` gives the cost of one unit of a longer run, e.g.
+one event of a scheduler run.  The same counters serve I/O gates:
+``count_calls(store.put, ...).c["io.open"]`` is the number of files one
+put opens.
 """
 
 import gc
@@ -127,15 +129,32 @@ def calls_per_op(op, inputs):
         for value in values:
             op(value)
 
-    whole, empty = count_calls(loop, inputs), count_calls(loop, ())
-    per_op = []
+    return _per_unit(count_calls(loop, inputs), count_calls(loop, ()),
+                     len(inputs), drop=f"{__name__}.{loop.__qualname__}")
+
+
+def calls_per_unit(run, small, large):
+    """The :class:`CallCount` of one unit of ``run``'s work.
+
+    ``run(n)`` does ``n`` units (fires ``n`` events, say).  Counts
+    ``run(small)`` and ``run(large)`` and divides the difference by
+    ``large - small``, so what ``run`` pays once per call (set-up, the
+    first and last unit) cancels out.
+    Raises :class:`AssertionError` if some count does not divide
+    evenly.
+    """
+    return _per_unit(count_calls(run, large), count_calls(run, small),
+                     large - small)
+
+
+def _per_unit(whole, base, units, drop=None):
+    per_unit = []
     for kind in ("python", "c", "lines"):
-        total = getattr(whole, kind) - getattr(empty, kind)
-        total.pop(f"{__name__}.{loop.__qualname__}", None)
-        uneven = {name: n for name, n in total.items() if n % len(inputs)}
+        total = getattr(whole, kind) - getattr(base, kind)
+        total.pop(drop, None)
+        uneven = {name: n for name, n in total.items() if n % units}
         assert not uneven, (
-            f"{kind} counts vary across inputs: {uneven} over "
-            f"{len(inputs)} inputs")
-        per_op.append(Counter({name: n // len(inputs)
-                               for name, n in total.items()}))
-    return CallCount(*per_op)
+            f"{kind} counts vary across units: {uneven} over {units} units")
+        per_unit.append(Counter({name: n // units
+                                 for name, n in total.items()}))
+    return CallCount(*per_unit)

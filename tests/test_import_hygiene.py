@@ -1,12 +1,13 @@
 """Import hygiene: the campaign path never loads scipy or numpy.
 
-Both are optional heavy dependencies used at the point of use only
+scipy is an optional heavy dependency imported at the point of use only
 (large-df Student-t quantiles, non-default confidence levels,
-``ks_test`` p-values, the batch checksum codec).  A module-level import
-of either costs every ``repro`` process its import time and resident
-memory, so this test imports the package's entry points, runs a small
-campaign and renders both report kinds in a fresh interpreter, then
-checks neither module was loaded.
+``ks_test`` p-values); numpy is no dependency at all, and a stray
+import would make it one again.  A module-level import of either costs
+every ``repro`` process its import time and resident memory, so this
+test imports the package's entry points, runs a small campaign and
+renders both report kinds in a fresh interpreter, then checks neither
+module was loaded.
 """
 
 import json

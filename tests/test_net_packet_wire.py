@@ -1,12 +1,12 @@
 """Unit tests for packet models, checksums, and wire encoding."""
 
-import sys
+import hashlib
 
 import pytest
 
 from repro.net.addresses import MacAddress, ip
 from repro.net.checksum import (
-    internet_checksum, internet_checksum_batch, pseudo_header, verify_checksum,
+    internet_checksum, pseudo_header, verify_checksum,
 )
 from repro.net.packet import (
     ICMP_ECHO_REPLY,
@@ -23,6 +23,7 @@ from repro.net.packet import (
     tcp_flag_names,
 )
 from repro.net import wire
+from tests.test_perf_smoke import wire_packets
 
 
 class TestMacAddress:
@@ -67,19 +68,6 @@ class TestChecksum:
 
     def test_zero_data(self):
         assert internet_checksum(b"\x00\x00") == 0xFFFF
-
-    @pytest.mark.parametrize("numpy_present", [True, False])
-    def test_batch_matches_scalar(self, numpy_present, monkeypatch):
-        if numpy_present:
-            pytest.importorskip("numpy")
-        else:
-            # A stripped install: the batch falls back to the scalar fold.
-            monkeypatch.setitem(sys.modules, "numpy", None)
-        blobs = [b"", b"\x01", bytes(range(7)), bytearray(range(40)),
-                 memoryview(bytes(range(7, 14))), b"\xff" * 64,
-                 bytes.fromhex("00010203040506070809")]
-        assert internet_checksum_batch(blobs) == [
-            internet_checksum(blob) for blob in blobs]
 
     def test_pseudo_header_layout(self):
         pseudo = pseudo_header(ip("1.2.3.4"), ip("5.6.7.8"), 17, 20)
@@ -207,6 +195,14 @@ class TestWireRoundTrip:
         decoded = self._roundtrip(packet)
         assert decoded.probe_id is None
 
+    def test_batch_matches_scalar(self):
+        packets = wire_packets()[:30] + [Packet(
+            ip("192.168.1.1"), ip("10.0.0.1"),
+            IcmpTimeExceeded(Packet(ip("10.0.0.1"), ip("10.0.0.2"),
+                                    UdpDatagram(40000, 33434, 8), ttl=1)))]
+        assert wire.encode_ipv4_batch(packets, ident=3) == [
+            wire.encode_ipv4(packet, ident=3) for packet in packets]
+
     def test_truncated_input_rejected(self):
         with pytest.raises(ValueError):
             wire.decode_ipv4(b"\x45\x00\x00")
@@ -214,3 +210,88 @@ class TestWireRoundTrip:
     def test_non_ipv4_rejected(self):
         with pytest.raises(ValueError):
             wire.decode_ipv4(b"\x60" + b"\x00" * 30)
+
+
+def _sha256(blobs):
+    digest = hashlib.sha256()
+    for blob in blobs:
+        digest.update(len(blob).to_bytes(4, "big"))
+        digest.update(blob)
+    return digest.hexdigest()
+
+
+class TestWireBytesPinned:
+    """The exact bytes ``encode_ipv4`` writes, pinned by SHA-256.
+
+    Captures are re-parsed for the network RTT, so any change to the
+    encoder's output (a checksum, a header field, the filler) is a
+    change to every pcap the sniffers write.
+    """
+
+    def test_perf_smoke_set(self):
+        blobs = [wire.encode_ipv4(packet) for packet in wire_packets()]
+        assert _sha256(blobs) == (
+            "79c07731010b7e2bf3c91b2dc2b85d423508d957d12da3aaeba89a5513aa24ad")
+
+    def test_icmp_time_exceeded(self):
+        original = Packet(ip("10.0.0.1"), ip("10.0.0.2"),
+                          UdpDatagram(40000, 33434, 8), ttl=1,
+                          meta={"probe_id": 77})
+        error = Packet(ip("192.168.1.1"), ip("10.0.0.1"),
+                       IcmpTimeExceeded(original))
+        assert _sha256([wire.encode_ipv4(error, ident=9)]) == (
+            "c45dbaafdc6debf28fb6103a92832f99de1090a2cfa65830d95836b338dc572d")
+
+    def test_odd_length_udp_payload(self):
+        blobs = [wire.encode_ipv4(Packet(ip("10.0.0.1"), ip("10.0.0.2"),
+                                         UdpDatagram(40000, 7007, size),
+                                         meta={"probe_id": 5}))
+                 for size in (1, 7, 9, 33, 513)]
+        assert _sha256(blobs) == (
+            "37a95820ed3b9d2228126c347226d9d8e69f20288ff0f343f673d687f7d5508b")
+
+
+class TestMalformedDecode:
+    """Malformed headers raise instead of decoding into a wrong packet."""
+
+    def _udp(self, payload_size=30):
+        return bytearray(wire.encode_ipv4(Packet(
+            ip("10.0.0.1"), ip("10.0.0.2"),
+            UdpDatagram(40000, 7007, payload_size))))
+
+    def _tcp(self, payload_size=40):
+        return bytearray(wire.encode_ipv4(Packet(
+            ip("10.0.0.1"), ip("10.0.0.2"),
+            TcpSegment(32768, 80, 1, 0, TCP_ACK, payload_size))))
+
+    def test_ihl_below_five_rejected(self):
+        raw = self._udp()
+        raw[0] = (4 << 4) | 3
+        with pytest.raises(ValueError, match="IHL"):
+            wire.decode_ipv4(bytes(raw))
+
+    def test_tcp_data_offset_below_five_rejected(self):
+        raw = self._tcp()
+        raw[20 + 12] = 2 << 4
+        with pytest.raises(ValueError, match="data offset"):
+            wire.decode_ipv4(bytes(raw))
+
+    def test_tcp_data_offset_past_segment_rejected(self):
+        raw = self._tcp(payload_size=0)
+        raw[20 + 12] = 15 << 4
+        with pytest.raises(ValueError, match="data offset"):
+            wire.decode_ipv4(bytes(raw))
+
+    @pytest.mark.parametrize("length", [0, 4, 7])
+    def test_udp_length_below_header_rejected(self, length):
+        raw = self._udp()
+        raw[24:26] = length.to_bytes(2, "big")
+        with pytest.raises(ValueError, match="UDP length"):
+            wire.decode_ipv4(bytes(raw))
+
+    def test_udp_length_past_datagram_rejected(self):
+        raw = self._udp()
+        assert len(raw) - 20 == 38
+        raw[24:26] = (200).to_bytes(2, "big")
+        with pytest.raises(ValueError, match="UDP length"):
+            wire.decode_ipv4(bytes(raw))

@@ -17,9 +17,10 @@ wire round trips so steady-state throughput is what gets measured: the
 headline scheduler number now drives 200k ticks through batched
 periodic trains (the heap scheduler's batched fast path), a separate
 chain workload tracks the unbatched general path, and the wire workload
-round-trips 3000 probe-id-varied packets through the batch codec.
+round-trips 3000 probe-id-varied packets through the scalar codec.
 """
 
+import functools
 import json
 import pathlib
 import sys
@@ -32,7 +33,7 @@ from repro.net.addresses import ip
 from repro.net.packet import IcmpEcho, Packet, TcpSegment, UdpDatagram
 from repro.sim.scheduler import Simulator
 from repro.testbed.campaign import Campaign
-from tests.callcount import calls_per_op
+from tests.callcount import calls_per_op, calls_per_unit
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 _BENCH_PATH = _REPO_ROOT / "BENCH_simulator.json"
@@ -96,6 +97,26 @@ def _steady_rate(units, fn, rounds=3):
     return max(_rate(units, fn) for _ in range(rounds))
 
 
+def _chain(sim_cls):
+    """The chain workload on ``sim_cls``: ``run(events)`` fires a
+    self-rescheduling callback ``events`` times."""
+
+    def run(events):
+        sim = sim_cls(seed=1)
+        count = [0]
+
+        def tick():
+            count[0] += 1
+            if count[0] < events:
+                sim.schedule(1e-4, tick)
+
+        sim.schedule(0.0, tick)
+        sim.run()
+        assert count[0] == events
+
+    return run
+
+
 @pytest.mark.perf_smoke
 def test_smoke_scheduler_train_rate():
     """Headline gate: batched periodic-train steady state (>=3.2M/s)."""
@@ -120,26 +141,14 @@ def test_smoke_scheduler_train_rate():
 def test_smoke_scheduler_chain_rate():
     """Fidelity metric: the unbatched general path must not rot either."""
 
-    def run():
-        sim = Simulator(seed=1)
-        count = [0]
-
-        def tick():
-            count[0] += 1
-            if count[0] < _CHAIN_EVENTS:
-                sim.schedule(1e-4, tick)
-
-        sim.schedule(0.0, tick)
-        sim.run()
-        assert count[0] == _CHAIN_EVENTS
-
-    _rates["scheduler_chain_events_per_sec"] = _steady_rate(_CHAIN_EVENTS, run)
+    _rates["scheduler_chain_events_per_sec"] = _steady_rate(
+        _CHAIN_EVENTS, functools.partial(_chain(Simulator), _CHAIN_EVENTS))
     assert _rates["scheduler_chain_events_per_sec"] > 50_000
 
 
-@pytest.mark.perf_smoke
-def test_smoke_wire_round_trip_rate():
-    """Batch encode + decode of probe-id-varied packets (sniffer shape)."""
+def wire_packets():
+    """The wire workload: probe-id-varied ICMP/UDP/TCP packets (sniffer
+    shape).  ``tests/test_net_packet_wire.py`` pins their encoding."""
     endpoints = (ip("10.0.0.1"), ip("10.0.0.2"))
     packets = []
     for index in range(_WIRE_ROUND_TRIPS):
@@ -154,11 +163,18 @@ def test_smoke_wire_round_trip_rate():
                                  index, 0, 0x18, 1024)
         packets.append(Packet(endpoints[0], endpoints[1], payload,
                               meta=meta))
+    return packets
+
+
+@pytest.mark.perf_smoke
+def test_smoke_wire_round_trip_rate():
+    """Encode + decode of the wire workload, one scalar ``encode_ipv4``
+    / ``decode_ipv4`` call each."""
+    packets = wire_packets()
 
     def run():
-        blobs = wire.encode_ipv4_batch(packets)
-        for blob in blobs:
-            wire.decode_ipv4(blob)
+        for packet in packets:
+            wire.decode_ipv4(wire.encode_ipv4(packet))
 
     _rates["wire_round_trips_per_sec"] = _steady_rate(_WIRE_ROUND_TRIPS, run)
     assert _rates["wire_round_trips_per_sec"] > 5_000
@@ -228,40 +244,51 @@ class _ReferenceSimulator(Simulator):
         return self._now
 
 
+#: What one event of the chain workload costs on the disabled path: the
+#: fast loop pops it (14 lines of ``_run_fast``) and fires ``tick``,
+#: which schedules its successor (``schedule`` builds an ``Event`` and
+#: pushes it).  No observability call, C call or line is in the loop.
+_CHAIN_TICK = f"{__name__}._chain.<locals>.run.<locals>.tick"
+_CHAIN_EVENT_PYTHON_CALLS = {"repro.sim.scheduler.Simulator.schedule": 1,
+                             "repro.sim.events.Event.__init__": 1,
+                             _CHAIN_TICK: 1}
+_CHAIN_EVENT_C_CALLS = {"next": 1, "_heapq.heappush": 1,
+                        "_heapq.heappop": 1}
+_CHAIN_EVENT_LINES = {"repro.sim.scheduler.Simulator._run_fast": 14,
+                      "repro.sim.scheduler.Simulator.schedule": 6,
+                      "repro.sim.events.Event.__init__": 9,
+                      _CHAIN_TICK: 3}
+
+
 @pytest.mark.perf_smoke
 def test_smoke_obs_disabled_overhead():
-    """Disabled metrics/spans/tracing must stay ~free on the hot loop.
+    """Disabled metrics/spans/tracing add nothing to the per-event path.
 
-    Best-of-3 interleaved runs of the chain workload on the stock
-    Simulator (obs attached but disabled) versus the reference replica
-    above; the gate is the relative throughput loss.  3% is far above
-    the one-attribute-check-per-run() cost actually added — the assert
-    only trips if instrumentation leaks into the per-event path.
+    The stock Simulator (obs attached but disabled) must do exactly the
+    per-event work pinned above, and so must the reference replica,
+    which never dispatches on observability.  Both share ``_run_fast``,
+    so it is the pinned counts, not their equality, that catch an
+    instrumentation leak into the loop: one added attribute check is a
+    line more per event.  Host noise cannot move a count, where a
+    wall-clock ratio of the two cannot resolve a few percent on a
+    shared host (tests/callcount.py).  The timed overhead (best-of-3
+    interleaved runs) is still recorded as ``obs_disabled_overhead_pct``
+    for the trajectory, ungated.
     """
+    for sim_cls in (Simulator, _ReferenceSimulator):
+        per_event = calls_per_unit(_chain(sim_cls), 1_000, 2_000)
+        assert dict(per_event.python) == _CHAIN_EVENT_PYTHON_CALLS, sim_cls
+        assert dict(per_event.c) == _CHAIN_EVENT_C_CALLS, sim_cls
+        assert dict(per_event.lines) == _CHAIN_EVENT_LINES, sim_cls
 
-    def workload(sim_cls):
-        def run():
-            sim = sim_cls(seed=1)
-            count = [0]
-
-            def tick():
-                count[0] += 1
-                if count[0] < 20_000:
-                    sim.schedule(1e-4, tick)
-
-            sim.schedule(0.0, tick)
-            sim.run()
-            assert count[0] == 20_000
-
-        return run
-
+    ref_run = functools.partial(_chain(_ReferenceSimulator), 20_000)
+    sim_run = functools.partial(_chain(Simulator), 20_000)
     ref_rate = sim_rate = 0.0
     for _ in range(3):
-        ref_rate = max(ref_rate, _rate(20_000, workload(_ReferenceSimulator)))
-        sim_rate = max(sim_rate, _rate(20_000, workload(Simulator)))
+        ref_rate = max(ref_rate, _rate(20_000, ref_run))
+        sim_rate = max(sim_rate, _rate(20_000, sim_run))
     overhead = max(0.0, (ref_rate - sim_rate) / ref_rate * 100.0)
     _rates["obs_disabled_overhead_pct"] = overhead
-    assert overhead <= 3.0
 
 
 class _NullSketch:

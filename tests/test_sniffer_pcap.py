@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.net.addresses import ip
+from repro.sniffer import pcap
 from repro.sniffer.merge import coverage, merge_records
 from repro.sniffer.pcap import (
     LINKTYPE_IEEE802_11,
@@ -64,6 +65,23 @@ class TestPcapFormat:
     def test_truncated_header_rejected(self):
         with pytest.raises(ValueError):
             PcapReader(io.BytesIO(b"\xd4\xc3"))
+
+    @pytest.mark.parametrize("content", [b"\xd4\xc3", b"\x00" * 24],
+                             ids=["truncated", "bad_magic"])
+    def test_rejected_path_closes_its_file(self, tmp_path, monkeypatch,
+                                           content):
+        path = tmp_path / "bad.pcap"
+        path.write_bytes(content)
+        opened = []
+
+        def spy_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(pcap, "open", spy_open, raising=False)
+        with pytest.raises(ValueError):
+            PcapReader(path)
+        assert len(opened) == 1 and opened[0].closed
 
 
 class SnifferBed:
