@@ -41,6 +41,9 @@ HISTOGRAM_FIELDS = ("name", "kind", "labels", "sum", "count", "min", "max",
 def _label_key(labels):
     if not labels:
         return ()
+    if len(labels) == 1:
+        # Nothing to sort: the common single-label key, built directly.
+        return tuple(labels.items())
     return tuple(sorted(labels.items()))
 
 

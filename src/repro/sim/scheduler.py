@@ -15,16 +15,29 @@ Most steady-state events are periodic — SDIO watchdog ticks, beacon
 intervals, AcuteMon background packets.
 :meth:`Simulator.schedule_periodic` arms a
 :class:`~repro.sim.events.PeriodicEvent` — one allocation for the whole
-train; each tick re-stamps ``(time, seq)`` in place.  On the fast path
-(observability disabled, argument-free anchored callback) the scheduler
-fires whole runs of ticks in a single inner loop, bounded by the next
-competing event (the heap head, ties excluded) and ``run(until=...)``.
+train; each tick re-stamps ``(time, seq)`` in place.  For an
+argument-free anchored callback both run loops fire whole runs of ticks
+in a single inner loop (:meth:`Simulator._fire_train`), bounded by the
+next competing event (the heap head, ties excluded) and
+``run(until=...)``.
 The batch aborts the moment the callback touches scheduler state
 (schedules, cancels, or stops), so interaction with other events is
 byte-identical to the one-tick-at-a-time path; a fresh ``seq`` is drawn
 per tick at the same point it would be drawn without batching, so the
 deterministic event order is unchanged.  ``events_fired`` is settled
 once per batch and may read stale from inside a batched callback.
+
+Observed runs
+-------------
+
+With metrics enabled, :meth:`Simulator.run` takes the observed loop: the
+same fused pop loop and the same train batches, plus per-category
+``scheduler_events_fired_total`` and volatile
+``scheduler_handler_self_seconds_total`` counters.  Each event label's
+counter pair is bound once per run.  An event then costs a dict hit and
+two ``perf_counter`` reads on top of the fast loop; a train batch is one
+event to the clock and adds its tick count once, in the ``finally`` that
+settles ``events_fired``.
 """
 
 import heapq
@@ -51,6 +64,31 @@ def _check_finite(name, value):
     """Reject NaN and +-inf times, which a heap would silently misorder."""
     if not math.isfinite(value):
         raise SimTimeError(f"{name} must be finite, got {value!r}")
+
+
+class _Meters(dict):
+    """Event label -> its ``(fired, self-seconds)`` counter pair.
+
+    A pair is fetched through the registry's get-or-create on the
+    label's first event and kept, so the observed loop pays one dict
+    hit per event and a snapshot still sees the registry's own objects.
+    Only built with observability on.
+    """
+
+    __slots__ = ("metrics",)
+
+    def __init__(self, metrics):
+        super().__init__()
+        self.metrics = metrics
+
+    def __missing__(self, label):
+        labels = {"category": label.partition(":")[0] or "event"}
+        self[label] = meter = (
+            self.metrics.counter(SCHEDULER_EVENTS_FIRED_TOTAL,  # obs: caller-guarded
+                                 labels=labels),
+            self.metrics.counter(SCHEDULER_HANDLER_SELF_SECONDS_TOTAL,  # obs: caller-guarded
+                                 labels=labels, volatile=True))
+        return meter
 
 
 class Simulator:
@@ -154,9 +192,9 @@ class Simulator:
         tick that just fired — the semantics of a callback whose last
         statement re-schedules itself.
 
-        Argument-free anchored trains are eligible for batched firing on
-        the fast path (see the module docstring); every other shape runs
-        tick-at-a-time with identical observable behaviour.
+        Argument-free anchored trains are eligible for batched firing
+        (see the module docstring); every other shape runs tick-at-a-time
+        with identical observable behaviour.
         """
         if period <= 0 or not math.isfinite(period):
             raise ValueError(f"period must be positive and finite, got {period!r}")
@@ -211,65 +249,43 @@ class Simulator:
 
         Not callable from inside :meth:`run` — a callback single-stepping
         the scheduler mid-run would fire events out from under the run
-        loop.
+        loop.  Trains advance one tick per step.
         """
         if self._running:
             raise SchedulerError("step() is not supported during run()")
         if self.peek() is None:
             return False
-        self._fire_head()
+        if self.metrics.enabled:
+            self._stopped = False
+            self._run_observed(None, once=True)
+        else:
+            t, _seq, event = heapq.heappop(self._heap)
+            event.in_heap = False
+            self._now = t
+            if event.__class__ is PeriodicEvent:
+                self._fire_train_general(event)
+            else:
+                self.events_fired += 1
+                event.fire()
         return True
 
-    def _fire_head(self):
-        """Pop the live heap head and fire it, trains tick-at-a-time."""
-        t, _seq, event = heapq.heappop(self._heap)
-        event.in_heap = False
-        self._now = t
-        if event.__class__ is PeriodicEvent:
-            self._fire_train_general(event)
-        else:
-            self.events_fired += 1
-            if self.metrics.enabled:
-                self._fire_observed(event)
-            else:
-                event.fire()
-
-    def _fire_observed(self, event):
-        """Fire one event while recording per-category scheduler metrics.
-
-        Only reached when ``self.metrics.enabled`` — the callers keep
-        the guard so the disabled path never pays for instrumentation.
-        """
-        metrics = self.metrics
-        category = event.label.partition(":")[0] or "event"
-        # Deliberate wall-clock reads: handler self-time is host-CPU
-        # cost, not simulated time, and feeds a volatile-marked counter
-        # that deterministic snapshots exclude.
-        start = time.perf_counter()  # lint: disable=RL101 (volatile self-time)
-        event.fire()
-        elapsed = time.perf_counter() - start  # lint: disable=RL101 (volatile self-time)
-        metrics.inc(SCHEDULER_EVENTS_FIRED_TOTAL,  # obs: caller-guarded
-                    labels={"category": category})
-        metrics.counter(SCHEDULER_HANDLER_SELF_SECONDS_TOTAL,  # obs: caller-guarded
-                        labels={"category": category},
-                        volatile=True).inc(elapsed)
-
-    def _fire_train_general(self, event):
+    def _fire_train_general(self, event, meter=None):
         """Fire one train tick and re-arm it — the unbatched path.
 
-        Used whenever batching doesn't apply (observability on, carried
-        arguments, chained re-arm, or a competing event before the next
-        tick).  Anchored trains draw the successor's ``seq`` and push it
+        Used whenever batching doesn't apply (carried arguments, chained
+        re-arm, a competing event before the next tick, or ``step()``).
+        Anchored trains draw the successor's ``seq`` and push it
         *before* the callback, chained trains after — each matching the
         event order of the equivalent self-rescheduling callback.
+        ``meter`` is the train's bound counter pair when observed; the
+        tick is counted on it before the callback, like ``events_fired``.
         """
         event.ticks += 1
         if event.rearm_after:
             self.events_fired += 1
-            if self.metrics.enabled:
-                self._fire_observed(event)
-            else:
-                event.fire()
+            if meter is not None:
+                meter[0].value += 1
+            event.fire()
             if not event.canceled:
                 event.time = self._now + event.period
                 event.seq = next(_SEQ)
@@ -281,10 +297,95 @@ class Simulator:
         event.in_heap = True
         heapq.heappush(self._heap, (t, seq, event))
         self.events_fired += 1
-        if self.metrics.enabled:
-            self._fire_observed(event)
+        if meter is not None:
+            meter[0].value += 1
+        event.fire()
+
+    def _fire_train(self, event, t, until_, meter):
+        """Fire train ``event``, just popped at ``t``: a batch of ticks
+        when one fits before the next competing event, else one tick.
+
+        Shared by both run loops; ``meter`` is ``None`` on the fast path
+        and the train's bound counter pair on the observed one, where a
+        batch adds its tick count once, in the ``finally`` that settles
+        ``events_fired`` (the observed loop times the whole call).
+        """
+        if event.rearm_after or event.args or event.kwargs:
+            self._fire_train_general(event, meter)
+            return
+        # Batched firing: run consecutive ticks in one tight loop,
+        # bounded by the heap head (a cancelled head is still a safe
+        # lower bound) and the inclusive run boundary.  The
+        # size/cancel/stop check after each callback ends the batch
+        # on any scheduler interaction, keeping interleaving exact.
+        heap = self._heap
+        anchor = event.anchor
+        period = event.period
+        index = event.index
+        hint = event.batch_hint
+        barrier = heap[0][0] if heap else _INF
+        bound = barrier if barrier < until_ else until_
+        if bound == _INF:
+            # Unbounded run of a sole train: batch by hint alone.
+            n = hint
         else:
-            event.fire()
+            n = int((bound - anchor) / period) - index + 1
+            if n > hint:
+                n = hint
+        if n < 2:
+            self._fire_train_general(event, meter)
+            return
+        times = [anchor + i * period for i in range(index, index + n)]
+        times[0] = t  # the popped entry's exact time, never recomputed
+        # The arithmetic bound can overshoot by an ulp; trim the tail
+        # with the exact conditions.  Ties with the barrier are cut
+        # so equal-time order resolves through the (time, seq) heap.
+        while times:
+            tl = times[-1]
+            if tl > until_ or tl >= barrier:
+                times.pop()
+            else:
+                break
+        if len(times) < 2:
+            self._fire_train_general(event, meter)
+            return
+        fn = event.fn
+        next_seq = _SEQ.__next__
+        size0 = len(heap)
+        canceled0 = self.events_canceled
+        fired = 0
+        seq = 0
+        interrupted = False
+        try:
+            for t2 in times:
+                # Draw the successor's seq before the callback, where
+                # the unbatched path would draw it.
+                seq = next_seq()
+                self._now = t2
+                fired += 1
+                fn()
+                if (len(heap) != size0
+                        or self.events_canceled != canceled0
+                        or self._stopped):
+                    interrupted = True
+                    break
+        finally:
+            # Settle accounting even if the callback raised, leaving
+            # the same state the unbatched path would have: the tick
+            # counted and the successor armed.
+            self.events_fired += fired
+            if meter is not None:
+                meter[0].value += fired
+            event.ticks += fired
+            event.index = index + fired
+            if not event.canceled:
+                event.time = anchor + event.index * period
+                event.seq = seq
+                self._insert_entry(event)
+            if interrupted or fired != len(times):
+                event.batch_hint = 4
+            elif hint < _BATCH_CAP:
+                event.batch_hint = hint * 2
 
     # -- run loops ---------------------------------------------------------
 
@@ -323,9 +424,9 @@ class Simulator:
         until_ = _INF if until is None else until
         heap = self._heap
         heappop = heapq.heappop
-        next_seq = _SEQ.__next__
         # The loop body is a manually fused peek()+step(): one pop per
-        # event, no property reads, and train ticks batched in place.
+        # event, no property reads, and train ticks batched by
+        # _fire_train.
         while heap and not self._stopped:
             entry = heap[0]
             event = entry[2]
@@ -347,91 +448,59 @@ class Simulator:
                 else:
                     event.fn(*event.args)
                 continue
-            # ---- periodic train tick ----
-            if event.rearm_after or event.args or event.kwargs:
-                self._fire_train_general(event)
-                continue
-            # Batched firing: run consecutive ticks in one tight loop,
-            # bounded by the heap head (a cancelled head is still a safe
-            # lower bound) and the inclusive run boundary.  The
-            # size/cancel/stop check after each callback ends the batch
-            # on any scheduler interaction, keeping interleaving exact.
-            anchor = event.anchor
-            period = event.period
-            index = event.index
-            hint = event.batch_hint
-            barrier = heap[0][0] if heap else _INF
-            bound = barrier if barrier < until_ else until_
-            if bound == _INF:
-                # Unbounded run of a sole train: batch by hint alone.
-                n = hint
-            else:
-                n = int((bound - anchor) / period) - index + 1
-                if n > hint:
-                    n = hint
-            if n < 2:
-                self._fire_train_general(event)
-                continue
-            times = [anchor + i * period for i in range(index, index + n)]
-            times[0] = t  # the popped entry's exact time, never recomputed
-            # The arithmetic bound can overshoot by an ulp; trim the tail
-            # with the exact conditions.  Ties with the barrier are cut
-            # so equal-time order resolves through the (time, seq) heap.
-            while times:
-                tl = times[-1]
-                if tl > until_ or tl >= barrier:
-                    times.pop()
-                else:
-                    break
-            if len(times) < 2:
-                self._fire_train_general(event)
-                continue
-            fn = event.fn
-            size0 = len(heap)
-            canceled0 = self.events_canceled
-            fired = 0
-            seq = 0
-            interrupted = False
-            try:
-                for t2 in times:
-                    # Draw the successor's seq before the callback, where
-                    # the unbatched path would draw it.
-                    seq = next_seq()
-                    self._now = t2
-                    fired += 1
-                    fn()
-                    if (len(heap) != size0
-                            or self.events_canceled != canceled0
-                            or self._stopped):
-                        interrupted = True
-                        break
-            finally:
-                # Settle accounting even if the callback raised, leaving
-                # the same state the unbatched path would have: the tick
-                # counted and the successor armed.
-                self.events_fired += fired
-                event.ticks += fired
-                event.index = index + fired
-                if not event.canceled:
-                    event.time = anchor + event.index * period
-                    event.seq = seq
-                    self._insert_entry(event)
-                if interrupted or fired != len(times):
-                    event.batch_hint = 4
-                elif hint < _BATCH_CAP:
-                    event.batch_hint = hint * 2
+            self._fire_train(event, t, until_, None)
 
-    def _run_observed(self, until):
-        """The event loop plus per-event scheduler metrics (opt-in).
+    def _run_observed(self, until, once=False):
+        """The fast loop plus per-category scheduler metrics (opt-in).
 
-        Trains run tick-at-a-time so every tick is metered exactly once.
+        The same fused pop loop and the same train batches as
+        :meth:`_run_fast`.  Each event label's ``(fired, self-seconds)``
+        counter pair is bound once per run, so an event costs a dict hit
+        and two ``perf_counter`` reads on top of the fast loop, and a
+        train batch is metered once, not once per tick.  ``once=True``
+        fires just the head event, a train one tick (``step()``).
         """
         until_ = _INF if until is None else until
-        while not self._stopped:
-            t = self.peek()
-            if t is None or t > until_:
+        heap = self._heap
+        heappop = heapq.heappop
+        meters = _Meters(self.metrics)
+        while heap and not self._stopped:
+            entry = heap[0]
+            event = entry[2]
+            if event.canceled:
+                heappop(heap)
+                event.in_heap = False
+                self._canceled_in_heap -= 1
+                continue
+            t = entry[0]
+            if t > until_:
                 return
-            self._fire_head()
+            heappop(heap)
+            event.in_heap = False
+            self._now = t
+            meter = meters[event.label]
+            # Deliberate wall-clock reads: handler self-time is host-CPU
+            # cost, not simulated time, and feeds a volatile-marked
+            # counter that deterministic snapshots exclude.
+            start = time.perf_counter()  # lint: disable=RL101 (volatile self-time)
+            try:
+                if event.__class__ is not PeriodicEvent:
+                    # Counted before the callback, like events_fired,
+                    # so the two agree even when it raises.
+                    self.events_fired += 1
+                    meter[0].value += 1
+                    if event.kwargs:
+                        event.fn(*event.args, **event.kwargs)
+                    else:
+                        event.fn(*event.args)
+                elif once:
+                    self._fire_train_general(event, meter)
+                else:
+                    self._fire_train(event, t, until_, meter)
+            finally:
+                meter[1].value += time.perf_counter() - start  # lint: disable=RL101 (volatile self-time)
+            if once:
+                return
 
     # -- introspection -----------------------------------------------------
 

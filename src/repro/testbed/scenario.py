@@ -20,6 +20,8 @@ name, and every registered tool drives through the same
 
 import hashlib
 import json
+import math
+from collections.abc import Mapping
 
 from repro.core.acutemon import AcuteMon, AcuteMonConfig
 from repro.core.measurement import ProbeCollector
@@ -157,6 +159,15 @@ _FIELDS = (
 )
 
 
+def _params(name, value):
+    """A params escape hatch as a fresh dict (``None`` means empty)."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ScenarioError(f"{name} must be a mapping, got {value!r}")
+    return dict(value)
+
+
 class ScenarioSpec:
     """A declarative description of one experiment cell.
 
@@ -185,14 +196,18 @@ class ScenarioSpec:
         self.bus_sleep = bus_sleep
         self.settle = settle
         self.observe = observe
-        self.env_params = dict(env_params) if env_params else {}
-        self.tool_params = dict(tool_params) if tool_params else {}
+        self.env_params = _params("env_params", env_params)
+        self.tool_params = _params("tool_params", tool_params)
         self.validate()
 
     # -- validation -----------------------------------------------------------
 
     def validate(self):
         """Check every field; raises :class:`ScenarioError`. Returns self."""
+        for name in ("env", "phone", "tool"):
+            if not isinstance(getattr(self, name), str):
+                raise ScenarioError(
+                    f"{name} must be a string, got {getattr(self, name)!r}")
         entry = self._env_entry()
         if self.phone not in PHONES:
             raise ScenarioError(
@@ -222,8 +237,8 @@ class ScenarioSpec:
             if not all(isinstance(key, str) for key in params):
                 raise ScenarioError(f"{name} keys must be strings")
             try:
-                json.dumps(params, sort_keys=True)
-            except (TypeError, ValueError) as exc:
+                json.dumps(params, sort_keys=True, allow_nan=False)
+            except (TypeError, ValueError, RecursionError) as exc:
                 raise ScenarioError(
                     f"{name} must be JSON-serializable: {exc}") from None
         return self
@@ -238,6 +253,12 @@ class ScenarioSpec:
     def _require_number(name, value, minimum=None, exclusive=False):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(f"{name} must be a number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond float range
+            finite = False
+        if not finite:
+            raise ScenarioError(f"{name} must be finite, got {value!r}")
         if minimum is not None:
             if exclusive and not value > minimum:
                 raise ScenarioError(f"{name} must be > {minimum}")
@@ -268,11 +289,14 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data):
         """Strict inverse of :meth:`to_dict`: unknown keys are errors."""
+        if not isinstance(data, Mapping):
+            raise ScenarioError(
+                f"a scenario must be a JSON object, got {data!r}")
         known = {name for name, _default in _FIELDS}
         unknown = set(data) - known
         if unknown:
             raise ScenarioError(
-                f"unknown scenario field(s): {sorted(unknown)}; "
+                f"unknown scenario field(s): {sorted(unknown, key=str)}; "
                 f"known: {sorted(known)}")
         return cls(**data)
 

@@ -60,6 +60,18 @@ class TestSchedulerInstrumentation:
         assert sim.metrics.counter("scheduler_events_fired_total",
                                    labels={"category": "a"}).value == 1
 
+    def test_step_fires_one_train_tick_per_call(self):
+        """Observed step() never batches, and a stop() from the last
+        stepped callback does not swallow the next step."""
+        sim = enable_observability(Simulator(seed=0))
+        train = sim.schedule_periodic(0.1, sim.stop, label="bg:x")
+        for ticks in (1, 2, 3):
+            assert sim.step() is True
+            assert train.ticks == sim.events_fired == ticks
+        assert sim.metrics.counter("scheduler_events_fired_total",
+                                   labels={"category": "bg"}).value == 3
+        assert sim.now == pytest.approx(0.3)
+
 
 class TestSdioInstrumentation:
     @pytest.fixture(scope="class")

@@ -1,8 +1,11 @@
 """Tests for the declarative scenario layer."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.testbed.scenario import (
     TOOLS,
@@ -13,6 +16,50 @@ from repro.testbed.scenario import (
     tool_entry,
     tool_keys,
 )
+
+
+#: Valid values for each spec field, for the from_dict fuzz below.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PARAMS = st.dictionaries(st.text(max_size=4), st.one_of(
+    st.none(), st.booleans(), st.integers(), _FINITE, st.text(max_size=4)),
+    max_size=3)
+_VALID_FIELDS = {
+    "env": st.sampled_from(["wifi", "cellular-lte", "cellular-3g"]),
+    "phone": st.sampled_from(["nexus5", "nexus4", "htc_one"]),
+    "tool": st.sampled_from(["acutemon", "ping", "httping"]),
+    "emulated_rtt": st.floats(min_value=0.0, max_value=1.0),
+    "count": st.integers(min_value=1, max_value=1000),
+    "interval": st.floats(min_value=1e-3, max_value=10.0),
+    "seed": st.integers(),
+    "cross_traffic": st.booleans(),
+    "bus_sleep": st.booleans(),
+    "settle": st.floats(min_value=0.0, max_value=10.0),
+    "observe": st.booleans(),
+    "env_params": _PARAMS,
+    "tool_params": _PARAMS,
+}
+#: Anything JSON-shaped, including non-finite floats, huge ints,
+#: non-string keys and wrong types: what a bad field may hold.
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.floats(), st.text(max_size=4))
+_ANY_VALUE = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=2),
+    st.dictionaries(st.one_of(st.text(max_size=4), st.integers()),
+                    _JSON_SCALARS, max_size=3),
+)
+
+
+@st.composite
+def _spec_dicts(draw):
+    """A subset of valid fields with up to two replaced by anything
+    (an unknown ``bogus`` key included)."""
+    data = draw(st.fixed_dictionaries({}, optional=_VALID_FIELDS))
+    bad = draw(st.lists(st.sampled_from(sorted(_VALID_FIELDS) + ["bogus"]),
+                        max_size=2, unique=True))
+    for field in bad:
+        data[field] = draw(_ANY_VALUE)
+    return data
 
 
 class TestValidation:
@@ -49,6 +96,18 @@ class TestValidation:
         ("cross_traffic", "yes"),
         ("bus_sleep", 1),
         ("observe", None),
+        ("emulated_rtt", math.inf),
+        ("interval", math.inf),
+        ("settle", math.inf),
+        ("settle", math.nan),
+        pytest.param("emulated_rtt", 10 ** 400, id="emulated_rtt-huge-int"),
+        ("env", ["wifi"]),
+        ("phone", None),
+        ("tool", 3),
+        ("env_params", "ab"),
+        ("env_params", [("t1", 3.0)]),
+        ("tool_params", 0),
+        ("tool_params", {"timeout": math.inf}),
     ])
     def test_bad_field_values(self, field, value):
         with pytest.raises(ScenarioError):
@@ -90,6 +149,27 @@ class TestSerialization:
         data["warp_factor"] = 9
         with pytest.raises(ScenarioError, match="unknown scenario field"):
             ScenarioSpec.from_dict(data)
+
+    def test_from_dict_rejects_non_objects(self):
+        with pytest.raises(ScenarioError, match="JSON object"):
+            ScenarioSpec.from_json("[1, 2]")
+        with pytest.raises(ScenarioError, match="unknown"):
+            ScenarioSpec.from_dict({1: "x", "bogus": 2})
+
+    @given(data=_spec_dicts())
+    @settings(max_examples=300, deadline=None)
+    def test_from_dict_fuzz_round_trips_or_rejects(self, data):
+        """Any dict either builds a spec that round-trips exactly or
+        raises ScenarioError — never another exception.  A built spec
+        is strict JSON: no NaN or infinity reaches its fingerprint."""
+        try:
+            spec = ScenarioSpec.from_dict(data)
+        except ScenarioError:
+            return
+        json.dumps(spec.to_dict(), allow_nan=False)
+        assert ScenarioSpec.from_dict(spec.to_dict()).to_dict() \
+            == spec.to_dict()
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
 
     def test_from_dict_validates(self):
         data = ScenarioSpec().to_dict()

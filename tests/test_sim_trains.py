@@ -1,8 +1,8 @@
 """Periodic-train behavior: cancellation, re-anchoring, obs accounting.
 
 ``Simulator.schedule_periodic`` keeps one armed
-:class:`~repro.sim.events.PeriodicEvent` per train and (with
-observability off) fires whole batches of ticks per queue pop.  These
+:class:`~repro.sim.events.PeriodicEvent` per train and fires whole
+batches of ticks per queue pop, with observability on or off.  These
 tests pin the behavior that batching must not change: cancellation from
 inside and outside the callback, the anchored grid surviving
 ``run(until=...)`` splits, ``first=`` and ``rearm_after=`` anchoring

@@ -11,15 +11,23 @@ workloads — one-shot schedules, anchored (``phase=`` / ``first=``) and
 issued from inside callbacks, and a mid-run ``run(until=...)`` split —
 against both the real :class:`~repro.sim.Simulator` and a textbook
 heap scheduler that fires every train one tick at a time, and require
-identical firing logs.
+identical firing logs.  The same workloads run once more with
+observability on, where the observed run loop batches trains too: the
+firing log must still match, and the per-category
+``scheduler_events_fired_total`` counters must equal the reference's
+fire counts, also after a train callback raised mid-batch.
 """
 
+import collections
 import heapq
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import enable_observability, finalize_sim_metrics
+from repro.obs.names import SCHEDULER_EVENTS_FIRED, SCHEDULER_EVENTS_FIRED_TOTAL
 from repro.sim import Simulator
 
 #: Delay pool biased toward collisions (FIFO ties, and ties with train
@@ -60,13 +68,13 @@ class ReferenceScheduler:
     def _push(self, time, item):
         heapq.heappush(self._queue, (time, next(self._seq), item))
 
-    def schedule(self, delay, fn):
+    def schedule(self, delay, fn, label=""):
         item = _Shot(fn)
         self._push(self.now + delay, item)
         return item
 
     def schedule_periodic(self, period, fn, phase=0.0, first=None,
-                          rearm_after=False):
+                          rearm_after=False, label=""):
         if first is None:
             train = _Train(self, period, fn, self.now + phase, 1, rearm_after)
             self._push(self.now + (period + phase), train)
@@ -174,13 +182,29 @@ def workloads(draw):
     return roots, actions, until
 
 
+def _label(key):
+    """The event label of a workload key: root ``i`` gets one of four
+    categories (one of them the unlabelled ``event``), nested one-shots
+    share ``nested``."""
+    if isinstance(key, tuple):
+        return "nested:shot"
+    category = ("shot", "train", "mixed", "")[key % 4]
+    return f"{category}:{key}" if category else ""
+
+
+def _category(entry):
+    """The metrics category of one firing-log entry."""
+    key = entry[0]
+    return _label(key).partition(":")[0] or "event"
+
+
 def _execute(sched, workload):
     """Drive one scheduler through a workload; return its firing log.
 
     ``sched`` is a :class:`~repro.sim.Simulator` or a
     :class:`ReferenceScheduler`: both expose ``schedule``,
     ``schedule_periodic``, ``run(until)`` and ``now``, and return
-    handles with ``cancel()``.
+    handles with ``cancel()``.  Every event carries a :func:`_label`.
     """
     roots, actions, until = workload
     log = []
@@ -191,7 +215,8 @@ def _execute(sched, workload):
             if action[0] == "sched":
                 nested_key = ("nested", index, position)
                 handles[nested_key] = sched.schedule(
-                    action[1], make_shot(None, nested_key))
+                    action[1], make_shot(None, nested_key),
+                    label=_label(nested_key))
             else:
                 handles[action[1]].cancel()
 
@@ -216,10 +241,12 @@ def _execute(sched, workload):
 
     for index, root in enumerate(roots):
         if root[0] == "shot":
-            handles[index] = sched.schedule(root[1], make_shot(index, index))
+            handles[index] = sched.schedule(root[1], make_shot(index, index),
+                                            label=_label(index))
             continue
         _, period, (mode, value), rearm_after, lifetime, act_tick = root
-        kwargs = {mode: value, "rearm_after": rearm_after}
+        kwargs = {mode: value, "rearm_after": rearm_after,
+                  "label": _label(index)}
         handles[index] = sched.schedule_periodic(
             period, make_train_tick(index, lifetime, act_tick), **kwargs)
     sched.run(until)
@@ -235,6 +262,74 @@ class TestWheelMatchesReferenceHeap:
         reference = _execute(ReferenceScheduler(), workload)
         actual = _execute(Simulator(seed=0), workload)
         assert actual == reference
+
+
+def _fired_by_category(sim):
+    """``{category: scheduler_events_fired_total}`` of an observed sim."""
+    return {dict(metric.labels)["category"]: metric.value
+            for metric in sim.metrics
+            if metric.name == SCHEDULER_EVENTS_FIRED_TOTAL}
+
+
+def _assert_counts_match(sim, log):
+    """The observed sim's per-category fire counters equal the number
+    of reference firings in each category, and the end-of-run gauge
+    equals their sum."""
+    expected = collections.Counter(_category(entry) for entry in log)
+    fired = _fired_by_category(sim)
+    assert fired == dict(expected)
+    finalize_sim_metrics(sim)
+    gauge = sim.metrics.get(SCHEDULER_EVENTS_FIRED).value
+    assert gauge == sum(fired.values()) == sim.events_fired == len(log)
+
+
+class TestObservedMatchesReferenceHeap:
+    """The observed run loop batches trains and meters per category."""
+
+    @given(workload=workloads())
+    @settings(max_examples=200, deadline=None)
+    def test_identical_order_clock_and_fire_counts(self, workload):
+        reference = _execute(ReferenceScheduler(), workload)
+        sim = enable_observability(Simulator(seed=0))
+        actual = _execute(sim, workload)
+        assert actual == reference
+        _assert_counts_match(sim, actual[1])
+
+    @pytest.mark.parametrize("rearm_after", [False, True])
+    @pytest.mark.parametrize("raise_tick", [1, 3, 5, 6, 9, 13, 20, 37])
+    def test_train_raising_mid_batch_keeps_counts(self, raise_tick,
+                                                  rearm_after):
+        """A train callback raising inside a batch: the tick counts,
+        the train stays armed exactly as tick-at-a-time firing leaves
+        it, and the counters agree before and after resuming."""
+        logs = []
+        for sched in (ReferenceScheduler(),
+                      enable_observability(Simulator(seed=0))):
+            log = []
+            ticks = [0]
+
+            def tick(sched=sched, log=log, ticks=ticks):
+                ticks[0] += 1
+                log.append((1, ticks[0], sched.now))
+                if ticks[0] == raise_tick:
+                    raise RuntimeError("tick failed")
+                if ticks[0] == 60:
+                    train.cancel()
+
+            sched.schedule(7.3, lambda sched=sched, log=log:
+                           log.append((0, sched.now)), label=_label(0))
+            train = sched.schedule_periodic(0.125, tick, label=_label(1),
+                                            rearm_after=rearm_after)
+            with pytest.raises(RuntimeError, match="tick failed"):
+                sched.run()
+            checkpoint = (tuple(log), sched.now)
+            if isinstance(sched, Simulator):
+                _assert_counts_match(sched, log)
+            sched.run()
+            if isinstance(sched, Simulator):
+                _assert_counts_match(sched, log)
+            logs.append((checkpoint, tuple(log), sched.now))
+        assert logs[0] == logs[1]
 
 
 class TestBoundaryPins:
