@@ -25,6 +25,7 @@ bit-identical.
 import json
 
 from repro.analysis.render import Table
+from repro.obs import metrics as obs_metrics
 from repro.obs.export import to_prometheus
 from repro.obs.names import PROBE_COMPONENT_SECONDS
 from repro.obs.attribution import COMPONENTS
@@ -107,18 +108,14 @@ class SliceDecomposition:
                 f"dominant={self.dominant}>")
 
 
-def _component_entries(snapshot):
-    """``{component: histogram entry}`` for the decomposition series."""
-    out = {}
-    for entry in snapshot.get("metrics", ()):
-        if entry["name"] != PROBE_COMPONENT_SECONDS:
-            continue
-        if entry["labels"].get("kind") != "probe":
-            continue
-        component = entry["labels"].get("component")
-        if component is not None:
-            out[component] = entry
-    return out
+def _component_series(snapshot):
+    """The snapshot's ``probe_component_seconds{kind="probe"}``
+    histograms that name a component, in snapshot order."""
+    return [entry for entry in snapshot.get("metrics", ())
+            if entry["name"] == PROBE_COMPONENT_SECONDS
+            and entry["kind"] == "histogram"
+            and entry["labels"].get("kind") == "probe"
+            and entry["labels"].get("component") is not None]
 
 
 def decompose_snapshot(snapshot, key=None):
@@ -128,7 +125,8 @@ def decompose_snapshot(snapshot, key=None):
     snapshot carries no decomposition series (the cell ran without
     observability, or no probe completed).
     """
-    entries = _component_entries(snapshot)
+    entries = {entry["labels"]["component"]: entry
+               for entry in _component_series(snapshot)}
     if not entries:
         return None
     grand_total = sum(entry["sum"] for entry in entries.values())
@@ -175,20 +173,26 @@ def decompose_campaign(campaign):
     """Build the decomposition report for a campaign run (or loaded)
     with ``collect_metrics``.
 
-    Returns a :class:`DecompositionReport`, or ``None`` when no cell
-    carries a decomposition (campaign ran without metrics).
+    Each cell's snapshot is scanned once for its component series; they
+    make the cell's slice and are the only series merged
+    (:func:`~repro.obs.metrics.merge_snapshots`) for the overall view,
+    which equals :func:`decompose_snapshot` of every whole snapshot
+    merged.  Returns a :class:`DecompositionReport`, or ``None`` when
+    no cell carries a decomposition (campaign ran without metrics).
     """
     slices = []
+    cells = []
     for result in campaign.results:
         if result.metrics is None:
             continue
-        slice_ = decompose_snapshot(result.metrics, key=_cell_key(result))
+        cell = {"metrics": _component_series(result.metrics)}
+        cells.append(cell)
+        slice_ = decompose_snapshot(cell, key=_cell_key(result))
         if slice_ is not None:
             slices.append(slice_)
     if not slices:
         return None
-    merged = campaign.merged_metrics()
-    overall = decompose_snapshot(merged) if merged is not None else None
+    overall = decompose_snapshot(obs_metrics.merge_snapshots(cells))
     return DecompositionReport(slices, overall)
 
 

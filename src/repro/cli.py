@@ -207,8 +207,11 @@ def cmd_report(args):
     from repro.analysis.decompose import decompose_campaign, render_report
     from repro.testbed.campaign import Campaign
 
-    campaign = Campaign.load(args.campaign)
-    report = decompose_campaign(campaign)
+    try:
+        report = decompose_campaign(Campaign.load(args.campaign))
+    except ValueError as exc:  # an unreadable file or unmergeable cells
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if report is None:
         print("error: no decomposition data in this campaign — re-run "
               "with `repro campaign --metrics-out/--report-out` so cells "

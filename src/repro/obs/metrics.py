@@ -26,10 +26,14 @@ wall-clock time (handler self-time) are flagged ``volatile`` and
 excluded from snapshots by default, keeping snapshots deterministic.
 """
 
-from repro.obs.sketch import DDSketch, merge_payloads
+import sys
+from math import log
+
+from repro.obs.sketch import DDSketch
 
 _INF = float("inf")
 _NEG_INF = -_INF
+_FLOAT_MAX = sys.float_info.max
 
 #: The fields of a histogram snapshot entry, in snapshot order.  Older
 #: records also carry ``buckets``/``counts``; :func:`merge_snapshots`
@@ -274,28 +278,101 @@ def _copy_histogram(entry):
     return copied
 
 
-def _merge_entry(into, entry):
+def _series(entry):
+    """How merge errors name a series: its name and its labels."""
+    return f"{entry.get('name')!r} {entry.get('labels')}"
+
+
+def _merge_entry(into, entry, folded):
+    """Fold ``entry`` into ``into``; a histogram's first merge swaps its
+    sketch payload for a :class:`DDSketch` and lists it in ``folded``."""
     if into["kind"] != entry["kind"]:
-        raise ValueError(
-            f"cannot merge {entry['name']!r}: kind {entry['kind']} != "
-            f"{into['kind']}")
+        raise ValueError(f"cannot merge {_series(entry)}: kind "
+                         f"{entry['kind']} != {into['kind']}")
     if into["kind"] == "counter":
         into["value"] += entry["value"]
     elif into["kind"] == "gauge":
         into["value"] = entry["value"]  # later snapshots win
     else:
-        merged = merge_payloads(into["sketch"], entry["sketch"])
-        into["sketch"] = merged
+        sketch = into["sketch"]
+        try:
+            if not isinstance(sketch, DDSketch):
+                sketch = into["sketch"] = DDSketch.from_payload(sketch)
+                folded.append(into)
+            sketch.merge(DDSketch.from_payload(entry["sketch"]))
+        except ValueError as exc:
+            raise ValueError(f"cannot merge histogram {_series(entry)}: "
+                             f"{exc}") from None
         into["sum"] += entry["sum"]
         into["count"] += entry["count"]
         for field, pick in (("min", min), ("max", max)):
             values = [v for v in (into[field], entry[field]) if v is not None]
             into[field] = pick(values) if values else None
-        sketch = DDSketch.from_payload(merged)
-        for q in (50, 95, 99):
-            estimate = sketch.quantile(q / 100.0)
-            into[f"p{q}"] = (None if estimate is None else
-                             min(max(estimate, into["min"]), into["max"]))
+
+
+def _no_sketch(entry):
+    return ValueError(
+        f"histogram {_series(entry)} has no sketch payload, so it cannot "
+        f"merge (written before histograms carried one)")
+
+
+def is_finite_number(value):
+    """Whether a JSON value is a number a float can hold (not a bool,
+    NaN or an infinity)."""
+    return type(value) in (int, float) and \
+        -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _is_count(value):
+    # Exact as a float, so no sum of them overflows a quantile's rank.
+    return type(value) is int and 0 <= value <= 2 ** 53
+
+
+def _valid_entry(entry):
+    if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and entry.get("kind") in ("counter", "gauge", "histogram")
+            and isinstance(entry.get("labels"), dict)
+            and all(isinstance(v, str) for v in entry["labels"].values())):
+        return False
+    if entry["kind"] != "histogram":
+        return is_finite_number(entry.get("value"))
+    sketch = entry["sketch"]
+    alpha = sketch.get("alpha") if isinstance(sketch, dict) else None
+    if not (is_finite_number(alpha) and 0.0 < alpha < 1.0
+            and all(field in entry for field in HISTOGRAM_FIELDS)):
+        return False
+    log_gamma = log((1.0 + alpha) / (1.0 - alpha))
+    bins, zero = sketch.get("bins"), sketch.get("zero")
+    # A key past ~709 / log(gamma) has no float representative value.
+    return (log_gamma > 0.0 and _is_count(zero) and isinstance(bins, list)
+            and all(isinstance(pair, list) and len(pair) == 2
+                    and type(pair[0]) is int
+                    and abs(pair[0]) <= 700.0 / log_gamma
+                    and _is_count(pair[1]) for pair in bins)
+            and type(entry["sum"]) is float and is_finite_number(entry["sum"])
+            and _is_count(entry["count"])
+            and all(is_finite_number(entry[field]) or entry[field] is None
+                    and (field[0] == "p" or not (zero or bins))
+                    for field in ("min", "max", "p50", "p95", "p99")))
+
+
+def check_snapshot(snapshot):
+    """Raise :class:`ValueError` unless ``snapshot`` has the shape
+    :meth:`MetricsRegistry.snapshot` writes: entries with a string
+    name, a known kind and string labels; a finite counter or gauge
+    ``value``; histograms with every one of :data:`HISTOGRAM_FIELDS`,
+    a well-formed sketch payload, and a ``min``/``max`` once the
+    sketch holds an observation."""
+    entries = snapshot.get("metrics") if isinstance(snapshot, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("a metrics snapshot is an object with a "
+                         "'metrics' list")
+    for index, entry in enumerate(entries):
+        if (isinstance(entry, dict) and entry.get("kind") == "histogram"
+                and entry.get("sketch") is None):
+            raise _no_sketch(entry)
+        if not _valid_entry(entry):
+            raise ValueError(f"metric entry {index} is malformed")
 
 
 def merge_snapshots(snapshots):
@@ -303,28 +380,37 @@ def merge_snapshots(snapshots):
 
     Counters and sketch bins sum; gauges keep the last value seen
     (snapshots merge in the order given, which campaign code keeps in
-    grid order).  Histogram percentiles are recomputed from the merged
-    sketch, so the result is exactly — bit-identically — what one
-    registry observing all the samples would report, for any partition
-    of the observations across snapshots.  Histogram entries keep only
-    :data:`HISTOGRAM_FIELDS`; one without a sketch payload raises
-    :class:`ValueError` naming the metric.
+    grid order).  One pass: a histogram series found in two or more
+    snapshots folds into one :class:`DDSketch` (its ``sum`` adding in
+    snapshot order), and its payload and p50/p95/p99 are written once,
+    from the merged sketch — exactly what one registry observing all
+    the samples would report, for any partition of the observations.
+    A series found in one snapshot passes through as a copy; no input
+    is mutated.  Histogram entries keep only :data:`HISTOGRAM_FIELDS`.
+    A missing sketch payload, or a kind or sketch ``alpha`` differing
+    from the series' earlier entries, raises :class:`ValueError` naming
+    the metric and its labels.
     """
     merged = {}
+    folded = []
     for snapshot in snapshots:
         for entry in snapshot.get("metrics", ()):
             if entry["kind"] == "histogram" and entry.get("sketch") is None:
-                raise ValueError(
-                    f"cannot merge histogram {entry['name']!r}: the entry "
-                    f"has no sketch payload (written before histograms "
-                    f"carried one)")
+                raise _no_sketch(entry)
             key = (entry["name"], _label_key(entry["labels"]))
             if key in merged:
-                _merge_entry(merged[key], entry)
+                _merge_entry(merged[key], entry, folded)
             elif entry["kind"] == "histogram":
                 merged[key] = _copy_histogram(entry)
             else:
                 copied = dict(entry)
                 copied["labels"] = dict(copied["labels"])
                 merged[key] = copied
+    for entry in folded:
+        sketch = entry["sketch"]
+        entry["sketch"] = sketch.payload()
+        for q in (50, 95, 99):
+            estimate = sketch.quantile(q / 100.0)
+            entry[f"p{q}"] = (None if estimate is None else
+                              min(max(estimate, entry["min"]), entry["max"]))
     return {"metrics": [merged[key] for key in sorted(merged)]}

@@ -154,23 +154,3 @@ class DDSketch:
         return (f"<DDSketch alpha={self.alpha} n={self.count} "
                 f"bins={len(self.bins)}>")
 
-
-def merge_payloads(a, b):
-    """Merge two sketch payload dicts into a new payload (exact)."""
-    if a["alpha"] != b["alpha"]:
-        raise ValueError(
-            f"cannot merge sketch payloads: alpha {a['alpha']!r} != "
-            f"{b['alpha']!r}")
-    bins = {key: count for key, count in a["bins"]}
-    for key, count in b["bins"]:
-        bins[key] = bins.get(key, 0) + count
-    return {
-        "alpha": a["alpha"],
-        "zero": a["zero"] + b["zero"],
-        "bins": [[key, bins[key]] for key in sorted(bins)],
-    }
-
-
-def payload_quantile(payload, q):
-    """Quantile estimate straight from a payload dict (merge path)."""
-    return DDSketch.from_payload(payload).quantile(q)

@@ -16,8 +16,47 @@ import itertools
 import json
 
 from repro.analysis.stats import SummaryStats
-from repro.obs.metrics import merge_snapshots
+from repro.obs.metrics import (check_snapshot, is_finite_number,
+                                merge_snapshots)
 from repro.testbed.scenario import ScenarioSpec, run_scenario
+
+
+class CampaignFileError(ValueError):
+    """A file :meth:`Campaign.load` cannot read back: missing, not JSON,
+    or not the record :meth:`Campaign.save` writes."""
+
+
+def _is_str(value):
+    return isinstance(value, str)
+
+
+#: The fields of a saved cell record (result or quarantined failure)
+#: and the check each value must pass; ``env`` may be absent (WiFi).
+_CELL_FIELDS = {
+    "env": _is_str, "phone": _is_str, "tool": _is_str,
+    "rtt": is_finite_number, "seed": lambda value: type(value) is int,
+    "cross_traffic": lambda value: isinstance(value, bool),
+}
+_RESULT_FIELDS = dict(
+    _CELL_FIELDS,
+    rtts=lambda value: (isinstance(value, list)
+                        and all(map(is_finite_number, value))),
+    layers=lambda value: value is None or isinstance(value, dict))
+
+
+def _check_cell(record, fields, where):
+    """Raise :class:`CampaignFileError` unless ``record`` has ``fields``."""
+    if not isinstance(record, dict):
+        raise CampaignFileError(f"{where} is not an object")
+    record = dict({"env": "wifi", "layers": None}, **record)
+    for field, valid in fields.items():
+        if field not in record or not valid(record[field]):
+            raise CampaignFileError(f"{where} has no valid {field!r}")
+    if record.get("metrics") is not None:
+        try:
+            check_snapshot(record["metrics"])
+        except ValueError as exc:
+            raise CampaignFileError(f"{where}: {exc}") from None
 
 
 class CellResult:
@@ -235,8 +274,33 @@ class Campaign:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
+        """Read back a file :meth:`save` wrote.
+
+        Raises :class:`CampaignFileError` when the file is missing or
+        unreadable, is not JSON, or is not a campaign record: a cell
+        record lacking a field or holding one of the wrong type, or a
+        metrics snapshot :func:`~repro.obs.metrics.check_snapshot`
+        rejects (pre-sketch histograms included).
+        """
+        try:
+            with open(path, encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError, RecursionError) as exc:
+            raise CampaignFileError(f"cannot read {path}: {exc}") from None
+        if not (isinstance(payload, dict)
+                and all(type(payload.get(field)) is int
+                        for field in ("count", "base_seed"))
+                and isinstance(payload.get("results"), list)
+                and isinstance(payload.get("quarantine", []), list)
+                and isinstance(payload.get("envs", []), list)
+                and all(map(_is_str, payload.get("envs", [])))):
+            raise CampaignFileError(
+                f"{path} is not a campaign record: an object with integer "
+                f"'count' and 'base_seed' and a 'results' list")
+        for index, item in enumerate(payload["results"]):
+            _check_cell(item, _RESULT_FIELDS, f"result {index}")
+        for index, item in enumerate(payload.get("quarantine", [])):
+            _check_cell(item, _CELL_FIELDS, f"quarantined cell {index}")
         campaign = cls(count=payload["count"],
                        base_seed=payload["base_seed"],
                        envs=tuple(payload.get("envs", ("wifi",))))

@@ -10,9 +10,19 @@ Pins the PR's acceptance properties:
 * the ``repro report`` / ``campaign --report-out`` surfaces work.
 """
 
+import contextlib
+import functools
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.decompose import (
     decompose_campaign,
@@ -28,9 +38,10 @@ from repro.obs.attribution import (
     attribute_record,
     spans_by_probe,
 )
+from repro.obs.metrics import merge_snapshots
 from repro.obs.names import SPAN_SDIO_PROMOTION, SPAN_WIRE_NETEM
 from repro.obs.spans import SpanTracker
-from repro.testbed.campaign import Campaign
+from repro.testbed.campaign import Campaign, CampaignFileError
 from repro.testbed.experiments import ping_experiment, tool_experiment
 
 
@@ -177,6 +188,23 @@ class TestCampaignReport:
         assert 'component="unattributed"' in prom
 
 
+    def test_overall_is_the_merge_of_every_whole_snapshot(self):
+        # Only the component series are merged for the overall view;
+        # it must equal decomposing the merge of every series of every
+        # cell, on a campaign mixing WiFi and cellular cells.
+        campaign = Campaign(envs=("wifi", "cellular-lte"),
+                            phones=("nexus5", "nexus4"), rtts=(0.02,),
+                            tools=("ping", "acutemon"), count=3)
+        campaign.run(collect_metrics=True)
+        assert {result.env for result in campaign.results} \
+            == {"wifi", "cellular-lte"}
+        whole = decompose_snapshot(merge_snapshots(
+            [result.metrics for result in campaign.results]))
+        report = decompose_campaign(campaign)
+        assert json.dumps(report.overall.as_dict(), sort_keys=True) \
+            == json.dumps(whole.as_dict(), sort_keys=True)
+
+
 class TestReportCli:
     def test_campaign_report_out_then_report_command(self, tmp_path,
                                                      capsys):
@@ -209,3 +237,175 @@ class TestReportCli:
         capsys.readouterr()
         assert main(["report", str(campaign_path)]) == 1
         assert "no decomposition data" in capsys.readouterr().out
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_campaign_text():
+    """A small observed campaign (one WiFi, one cellular cell) as
+    :meth:`Campaign.save` writes it."""
+    campaign = Campaign(envs=("wifi", "cellular-lte"), phones=("nexus5",),
+                        rtts=(0.02,), tools=("ping",), count=2)
+    campaign.run(collect_metrics=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "campaign.json")
+        campaign.save(path)
+        return pathlib.Path(path).read_text(encoding="utf-8")
+
+
+def _component_entry(doc, cell):
+    return next(entry for entry in doc["results"][cell]["metrics"]["metrics"]
+                if entry["name"] == "probe_component_seconds"
+                and entry["labels"]["kind"] == "probe")
+
+
+def _drop_sketch(doc):
+    del _component_entry(doc, 1)["sketch"]
+
+
+def _other_alpha(doc):
+    _component_entry(doc, 1)["sketch"]["alpha"] = 0.02
+
+
+def _run_report(path):
+    """``repro report PATH`` in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+#: Inputs ``repro report`` rejects with exit 2: raw file text, or an
+#: edit of a saved campaign, and a fragment of the one-line error.
+BAD_INPUTS = {
+    "missing_file": (None, "No such file"),
+    "not_json": ("{not json", "cannot read"),
+    "json_list": ("[1,2]", "not a campaign record"),
+    "record_without_fields": ('{"results":[{"env":"wifi"}]}',
+                              "not a campaign record"),
+    "result_without_rtts": (lambda doc: doc["results"][0].pop("rtts"),
+                            "result 0 has no valid 'rtts'"),
+    "result_rtt_string": (lambda doc: doc["results"][1].update(rtt="20ms"),
+                          "result 1 has no valid 'rtt'"),
+    "result_not_object": (lambda doc: doc["results"].append([]),
+                          "result 2 is not an object"),
+    "quarantine_without_phone": (
+        lambda doc: doc.update(quarantine=[{"tool": "ping"}]),
+        "quarantined cell 0 has no valid 'phone'"),
+    "metric_kind_a_list": (
+        lambda doc: doc["results"][0]["metrics"]["metrics"][0].update(
+            kind=["histogram"]),
+        "result 0: metric entry 0 is malformed"),
+    "metrics_not_snapshot": (
+        lambda doc: doc["results"][0].update(metrics=[]),
+        "result 0: a metrics snapshot"),
+    "pre_sketch_histogram": (_drop_sketch,
+                             "'probe_component_seconds' {"),
+    "unmergeable_cells": (_other_alpha,
+                          "cannot merge histogram 'probe_component_seconds'"),
+}
+
+
+class TestReportBadInput:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exits_2_with_one_line_error(self, case, tmp_path):
+        content, fragment = BAD_INPUTS[case]
+        path = tmp_path / "campaign.json"
+        if callable(content):
+            doc = json.loads(_saved_campaign_text())
+            content(doc)
+            content = json.dumps(doc)
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        code, out, err = _run_report(path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert fragment in err
+
+    def test_load_raises_a_value_error_subclass(self, tmp_path):
+        path = tmp_path / "campaign.json"
+        path.write_text("[1,2]", encoding="utf-8")
+        with pytest.raises(CampaignFileError) as raised:
+            Campaign.load(path)
+        assert isinstance(raised.value, ValueError)
+        with pytest.raises(CampaignFileError):
+            Campaign.load(tmp_path / "missing.json")
+
+    def test_saved_campaign_reports_and_round_trips(self, tmp_path):
+        path = tmp_path / "campaign.json"
+        path.write_text(_saved_campaign_text(), encoding="utf-8")
+        code, out, err = _run_report(path)
+        assert (code, err) == (0, "")
+        assert "Delay decomposition" in out
+
+    def test_process_exit_code_and_no_traceback(self, tmp_path):
+        env = dict(os.environ)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                          else []))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "report",
+             str(tmp_path / "missing.json")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("error: cannot read")
+        assert "Traceback" not in completed.stderr
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=4)),
+    max_leaves=12)
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, as a key path."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _paths(child, path + (index,))
+
+
+@st.composite
+def _campaign_files(draw):
+    """Arbitrary JSON, campaign-shaped objects, or a saved campaign with
+    one node replaced by arbitrary JSON or deleted."""
+    shape = draw(st.sampled_from(("any", "shaped", "edited")))
+    if shape == "any":
+        return json.dumps(draw(_json_values))
+    if shape == "shaped":
+        return json.dumps(draw(st.fixed_dictionaries(
+            {"count": _json_values, "base_seed": _json_values,
+             "results": st.lists(_json_values, max_size=3)})))
+    doc = json.loads(_saved_campaign_text())
+    path = draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_json_values)
+    return json.dumps(doc)
+
+
+class TestReportFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(text=_campaign_files())
+    def test_any_json_file_exits_0_1_or_2(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "campaign.json"
+            path.write_text(text, encoding="utf-8")
+            # An uncaught exception here is the traceback a user sees.
+            code, out, err = _run_report(path)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == ""

@@ -22,7 +22,7 @@ from repro.obs import (
     write_chrome_trace,
     write_snapshot,
 )
-from repro.obs.metrics import HISTOGRAM_FIELDS
+from repro.obs.metrics import HISTOGRAM_FIELDS, check_snapshot
 from repro.sim.trace import TraceRecorder
 
 #: A snapshot written when histograms kept a fixed ``buckets``/``counts``
@@ -222,6 +222,72 @@ class TestHistogramEdgeCases:
                 merge_snapshots(snapshots)
 
 
+    def test_alpha_mismatch_raises_naming_the_metric(self):
+        registry = MetricsRegistry()
+        registry.observe("probe_du_seconds", 0.02, labels={"leg": "wire"})
+        other = json.loads(json.dumps(registry.snapshot()))
+        other["metrics"][0]["sketch"]["alpha"] = 0.02
+        with pytest.raises(ValueError, match=(
+                r"'probe_du_seconds' \{'leg': 'wire'\}: cannot merge "
+                r"sketches with alpha 0\.02 into 0\.01")):
+            merge_snapshots([registry.snapshot(), other])
+
+    def test_kind_mismatch_raises_naming_the_metric(self):
+        counter, gauge = MetricsRegistry(), MetricsRegistry()
+        counter.inc("cells_total", labels={"env": "wifi"})
+        gauge.set_gauge("cells_total", 3, labels={"env": "wifi"})
+        with pytest.raises(ValueError, match=(
+                r"'cells_total' \{'env': 'wifi'\}: kind gauge != counter")):
+            merge_snapshots([counter.snapshot(), gauge.snapshot()])
+
+    def test_check_snapshot_accepts_written_snapshots(self):
+        registry = _legacy_registry()
+        registry.histogram("empty_seconds")
+        check_snapshot(registry.snapshot())
+        check_snapshot(json.loads(_LEGACY_SNAPSHOT.read_text()))
+
+    #: Damage to a snapshot of ``_legacy_registry()`` plus an empty
+    #: histogram; its entries are, in order: gauge ``clock``, histograms
+    #: ``empty_seconds``, ``lat_seconds`` and ``lat_seconds{leg}``,
+    #: counter ``probes_total``.
+    DAMAGE = {
+        "no_metrics_list": lambda snap: snap.update(metrics={}),
+        "entry_not_object": lambda snap: snap["metrics"].append(7),
+        "unknown_kind": lambda snap: snap["metrics"][0].update(kind="x"),
+        "label_not_string": lambda snap: snap["metrics"][3]["labels"]
+        .update(leg=2),
+        "counter_value_string": lambda snap: snap["metrics"][4]
+        .update(value="3"),
+        "gauge_value_bool": lambda snap: snap["metrics"][0]
+        .update(value=True),
+        "pre_sketch": lambda snap: snap["metrics"][2].pop("sketch"),
+        "sum_nan": lambda snap: snap["metrics"][2].update(sum=float("nan")),
+        "count_negative": lambda snap: snap["metrics"][2].update(count=-1),
+        "min_missing_once_observed": lambda snap: snap["metrics"][2]
+        .update(min=None),
+        "field_missing": lambda snap: snap["metrics"][2].pop("p99"),
+        "alpha_out_of_range": lambda snap: snap["metrics"][2]["sketch"]
+        .update(alpha=1.5),
+        "alpha_too_small_for_a_gamma": lambda snap: snap["metrics"][2]
+        ["sketch"].update(alpha=1e-300),
+        "bin_key_past_float_range": lambda snap: snap["metrics"][2]
+        ["sketch"]["bins"].append([10 ** 6, 1]),
+        "bin_key_beyond_any_float": lambda snap: snap["metrics"][2]
+        ["sketch"]["bins"].append([10 ** 400, 1]),
+        "bin_count_not_int": lambda snap: snap["metrics"][2]["sketch"]
+        ["bins"].append([1, 2.5]),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_check_snapshot_rejects_damage(self, damage):
+        registry = _legacy_registry()
+        registry.histogram("empty_seconds")
+        snapshot = registry.snapshot()
+        self.DAMAGE[damage](snapshot)
+        with pytest.raises(ValueError):
+            check_snapshot(snapshot)
+
+
 class TestSnapshotAndMerge:
     def build(self):
         registry = MetricsRegistry()
@@ -340,6 +406,101 @@ class TestMixedKindMergeProperty:
             [json.loads(json.dumps(snapshot))])
         assert json.dumps(merged, sort_keys=True) \
             == json.dumps(merge_snapshots([snapshot]), sort_keys=True)
+
+
+def _pairwise_payload_merge(a, b):
+    bins = {key: count for key, count in a["bins"]}
+    for key, count in b["bins"]:
+        bins[key] = bins.get(key, 0) + count
+    return {"alpha": a["alpha"], "zero": a["zero"] + b["zero"],
+            "bins": [[key, bins[key]] for key in sorted(bins)]}
+
+
+def _pairwise_merge(snapshots):
+    """The reference: the pairwise fold ``merge_snapshots`` replaced.
+
+    Every merge of two entries builds a new sketch payload and re-reads
+    p50/p95/p99 from it; the one-pass fold must give the same bytes.
+    """
+    merged = {}
+    for snapshot in snapshots:
+        for entry in snapshot["metrics"]:
+            key = (entry["name"], tuple(sorted(entry["labels"].items())))
+            into = merged.get(key)
+            if into is None:
+                into = merged[key] = json.loads(json.dumps(
+                    {field: entry[field] for field in HISTOGRAM_FIELDS}
+                    if entry["kind"] == "histogram" else entry))
+            elif entry["kind"] == "counter":
+                into["value"] += entry["value"]
+            elif entry["kind"] == "gauge":
+                into["value"] = entry["value"]
+            else:
+                into["sketch"] = _pairwise_payload_merge(into["sketch"],
+                                                         entry["sketch"])
+                into["sum"] += entry["sum"]
+                into["count"] += entry["count"]
+                for field, pick in (("min", min), ("max", max)):
+                    values = [v for v in (into[field], entry[field])
+                              if v is not None]
+                    into[field] = pick(values) if values else None
+                sketch = DDSketch.from_payload(into["sketch"])
+                for q in (50, 95, 99):
+                    estimate = sketch.quantile(q / 100.0)
+                    into[f"p{q}"] = (
+                        None if estimate is None else
+                        min(max(estimate, into["min"]), into["max"]))
+    return {"metrics": [merged[key] for key in sorted(merged)]}
+
+
+#: Series the differential test draws from: each name keeps one kind;
+#: the two-label sets come in both insertion orders.
+_DIFF_LABELS = ({}, {"leg": "wire"}, {"leg": "air", "dir": "up"},
+                {"dir": "up", "leg": "air"})
+_DIFF_NAMES = (("probes_total", "counter"), ("clock", "gauge"),
+               ("lat_seconds", "histogram"), ("wait_seconds", "histogram"))
+_diff_values = st.one_of(
+    st.just(0.0), st.floats(min_value=1e-9, max_value=10.0,
+                            allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _diff_snapshots(draw):
+    snapshots = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        registry = MetricsRegistry()
+        for name, kind in _DIFF_NAMES:
+            for labels in draw(st.lists(st.sampled_from(_DIFF_LABELS),
+                                        max_size=3)):
+                if kind == "counter":
+                    registry.inc(name, draw(st.integers(0, 9)),
+                                 labels=labels)
+                elif kind == "gauge":
+                    registry.set_gauge(name, draw(_diff_values),
+                                       labels=labels)
+                else:
+                    # Empty, zero-bucket-only, single-observation and
+                    # wider histograms all come out of this draw.
+                    hist = registry.histogram(name, labels=labels)
+                    for value in draw(st.lists(_diff_values, max_size=4)):
+                        hist.observe(value)
+        snapshot = registry.snapshot()
+        for entry in snapshot["metrics"]:
+            if draw(st.booleans()):
+                entry["labels"] = dict(reversed(entry["labels"].items()))
+        snapshots.append(snapshot)
+    return snapshots
+
+
+class TestOnePassMergeMatchesPairwiseFold:
+    @given(snapshots=_diff_snapshots())
+    def test_same_bytes_and_inputs_untouched(self, snapshots):
+        before = json.dumps(snapshots)
+        merged = merge_snapshots(snapshots)
+        assert json.dumps(snapshots) == before
+        assert json.dumps(merged, sort_keys=True) \
+            == json.dumps(_pairwise_merge(snapshots), sort_keys=True)
+        assert json.dumps(snapshots) == before
 
 
 def _prometheus_le_counts(text, name):

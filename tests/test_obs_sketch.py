@@ -17,13 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.obs.sketch import (
-    DDSketch,
-    DEFAULT_ALPHA,
-    MIN_TRACKED_VALUE,
-    merge_payloads,
-    payload_quantile,
-)
+from repro.obs.sketch import DDSketch, DEFAULT_ALPHA, MIN_TRACKED_VALUE
 
 values = st.floats(min_value=1e-9, max_value=1e4,
                    allow_nan=False, allow_infinity=False)
@@ -74,8 +68,13 @@ class TestBasics:
         b = DDSketch(alpha=0.02)
         a.add(1.0)
         b.add(1.0)
+        before = a.payload()
+        with pytest.raises(ValueError, match="alpha 0.02 into 0.01"):
+            DDSketch.from_payload(a.payload()).merge(
+                DDSketch.from_payload(b.payload()))
         with pytest.raises(ValueError):
-            merge_payloads(a.payload(), b.payload())
+            a.merge(b)
+        assert a.payload() == before  # a rejected merge changes nothing
 
     def test_weighted_add(self):
         sketch = DDSketch()
@@ -141,25 +140,35 @@ class TestMergeExactness:
 
     @given(samples=st.lists(values, min_size=2, max_size=60))
     def test_payload_merge_matches_object_merge(self, samples):
+        # Merging sketches revived from JSON payloads (the campaign
+        # merge path) is exactly the in-memory merge.
         half = len(samples) // 2
         a, b = DDSketch(), DDSketch()
         for value in samples[:half]:
             a.add(value)
         for value in samples[half:]:
             b.add(value)
-        merged_payload = merge_payloads(a.payload(), b.payload())
+        revived = DDSketch.from_payload(json.loads(json.dumps(a.payload())))
+        revived.merge(DDSketch.from_payload(json.loads(json.dumps(
+            b.payload()))))
         a.merge(b)
-        assert merged_payload == a.payload()
+        assert revived.payload() == a.payload()
         for q in (0.0, 0.5, 0.95, 1.0):
-            assert payload_quantile(merged_payload, q) == a.quantile(q)
+            assert revived.quantile(q) == a.quantile(q)
 
-    def test_merge_payloads_does_not_mutate_inputs(self):
+    def test_merge_does_not_mutate_inputs(self):
+        # Reviving a payload copies its bins, and merge() changes only
+        # the receiving sketch: neither payload nor ``other`` moves.
         a, b = DDSketch(), DDSketch()
         a.add(1.0)
+        b.add(2.0)
         b.add(2.0)
         pa, pb = a.payload(), b.payload()
         before = (json.dumps(pa, sort_keys=True),
                   json.dumps(pb, sort_keys=True))
-        merge_payloads(pa, pb)
+        other = DDSketch.from_payload(pb)
+        merged = DDSketch.from_payload(pa).merge(other)
+        assert merged.count == 3
+        assert other.payload() == pb
         assert (json.dumps(pa, sort_keys=True),
                 json.dumps(pb, sort_keys=True)) == before

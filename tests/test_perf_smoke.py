@@ -482,6 +482,63 @@ def test_smoke_decomposition_rate():
     assert _rates["decomposition_cells_per_sec"] > 1
 
 
+def _series_cells(snapshots, keep=lambda entry: True):
+    """``{series key: cells carrying it}`` over per-cell snapshots."""
+    cells = {}
+    for snapshot in snapshots:
+        for entry in snapshot["metrics"]:
+            if keep(entry):
+                key = (entry["name"], json.dumps(entry["labels"],
+                                                 sort_keys=True))
+                cells[key] = cells.get(key, 0) + 1
+    return cells
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("phones", [("nexus5",), ("nexus5", "nexus4")])
+def test_smoke_report_merge_cost(phones):
+    """The report step merges only what it reads, and reads each merged
+    percentile once.
+
+    On a small observed campaign (WiFi and cellular cells), counted
+    exactly with ``callcount`` at two grid sizes:
+    ``decompose_campaign`` makes 3 ``DDSketch.quantile`` calls per
+    merged component series and ``(cells - 1) x series`` entry merges,
+    whatever the cell count; ``merged_metrics()`` makes 3 quantile
+    calls per histogram series found in two or more cells.  Re-reading
+    percentiles after every merge, or merging every series to read the
+    component ones, changes these counts deterministically.
+    """
+    from repro.analysis.decompose import decompose_campaign
+    from repro.obs.attribution import COMPONENTS
+
+    campaign = Campaign(envs=("wifi", "cellular-lte"), phones=phones,
+                        rtts=(0.02,), tools=("ping",), count=2)
+    campaign.run(collect_metrics=True)
+    snapshots = [result.metrics for result in campaign.results]
+    cells = len(snapshots)
+    assert cells == 2 * len(phones)
+    components = _series_cells(snapshots, lambda entry: (
+        entry["name"] == "probe_component_seconds"
+        and entry["labels"]["kind"] == "probe"))
+    # Every cell carries every component series.
+    assert sorted(components.values()) == [cells] * len(COMPONENTS)
+    shared_histograms = [key for key, n in _series_cells(
+        snapshots, lambda entry: entry["kind"] == "histogram").items()
+        if n >= 2]
+    assert len(shared_histograms) > len(COMPONENTS)
+
+    decompose = count_calls(decompose_campaign, campaign)
+    assert decompose.python["repro.obs.sketch.DDSketch.quantile"] \
+        == 3 * len(COMPONENTS)
+    assert decompose.python["repro.obs.metrics._merge_entry"] \
+        == (cells - 1) * len(COMPONENTS)
+
+    merged = count_calls(campaign.merged_metrics)
+    assert merged.python["repro.obs.sketch.DDSketch.quantile"] \
+        == 3 * len(shared_histograms)
+
+
 @pytest.mark.perf_smoke
 def test_smoke_analytic_predict_rate():
     """Closed-form prediction throughput (docs/ANALYTIC.md).
