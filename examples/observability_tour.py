@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Tour of the observability layer: metrics, spans, and exporters.
 
-One AcuteMon cell runs with ``observe=True``, which attaches three
-recorders to the cell's simulator (all off by default, one attribute
-check per call site when disabled):
+One AcuteMon cell runs with ``observe=True``, which switches on the
+two observation records of the cell's simulator (both off by default,
+one attribute check per call site when disabled):
 
-* ``sim.metrics`` — counters, gauges, and fixed-bucket latency
+* ``sim.metrics`` — counters, gauges, and sketch-backed latency
   histograms from the instrumented SDIO bus, PSM state machine,
   scheduler, driver, and measurement core,
 * ``sim.spans`` — named sim-time intervals (``sdio.promotion``,
-  ``psm.beacon_wait``, ``measurement.probe``, ...) that feed both the
-  histograms and the trace,
-* ``sim.trace`` — the structured event log.
+  ``psm.beacon_wait``, ``measurement.probe``, ...), each of which also
+  feeds a latency histogram.
 
 The script then prints the delay decomposition the registry captured
 and writes all three export formats (Prometheus text, JSON-lines,
@@ -53,7 +52,7 @@ def main():
 
     print(f"\nScheduler: {sim.events_fired} events fired, "
           f"{sim.events_canceled} cancelled, "
-          f"{len(sim.spans)} spans, {len(sim.trace.records)} trace records")
+          f"{len(sim.spans)} spans")
 
     print("\nCounters:")
     for metric in sim.metrics.metrics():

@@ -112,15 +112,21 @@ def cmd_campaign(args):
     from repro.analysis.decompose import decompose_campaign, write_report
     from repro.obs import write_snapshot
     from repro.testbed.campaign import Campaign
+    from repro.testbed.scenario import ScenarioError
 
     if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint PATH")
+        print("error: --resume requires --checkpoint PATH", file=sys.stderr)
         return 2
     campaign = Campaign(
         envs=tuple(args.env),
         phones=tuple(args.phones), rtts=tuple(r * 1e-3 for r in args.rtts),
         tools=tuple(args.tools), count=args.count, base_seed=args.seed,
     )
+    try:
+        list(campaign.cells())  # reject a bad grid before any cell runs
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     workers = args.workers if args.workers > 0 else None
     verb = "running" if workers == 1 and args.shards is None else "finished"
     campaign.run(
@@ -238,7 +244,7 @@ def cmd_obs(args):
     sim = result.testbed.sim
     print(f"observed one {args.tool} cell on {args.phone} @ "
           f"{args.rtt:.0f}ms: {sim.events_fired} events fired, "
-          f"{len(sim.spans)} spans, {len(sim.trace.records)} trace records")
+          f"{len(sim.spans)} spans")
     for metric in sim.metrics.metrics():
         if metric.kind != "histogram" or not metric.count:
             continue
@@ -278,17 +284,23 @@ def cmd_scenario(args):
         print("Phones: " + ", ".join(sorted(PHONES)))
         return
 
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as handle:
-            spec = ScenarioSpec.from_json(handle.read())
-    else:
-        spec = ScenarioSpec(
-            env=args.env, phone=args.phone, tool=args.tool,
-            emulated_rtt=args.rtt * 1e-3, count=args.count,
-            interval=args.interval, seed=args.seed,
-            cross_traffic=args.cross_traffic,
-            bus_sleep=not args.no_bus_sleep, observe=args.observe,
-        )
+    try:
+        if args.spec:
+            with open(args.spec, encoding="utf-8") as handle:
+                spec = ScenarioSpec.from_json(handle.read())
+        else:
+            spec = ScenarioSpec(
+                env=args.env, phone=args.phone, tool=args.tool,
+                emulated_rtt=args.rtt * 1e-3, count=args.count,
+                interval=args.interval, seed=args.seed,
+                cross_traffic=args.cross_traffic,
+                bus_sleep=not args.no_bus_sleep, observe=args.observe,
+            )
+    # OSError: an unreadable file; ValueError: not UTF-8, not JSON, or
+    # not a valid spec (ScenarioError).
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.save_spec:
         with open(args.save_spec, "w", encoding="utf-8") as handle:
             handle.write(spec.to_json(indent=2) + "\n")
@@ -307,8 +319,7 @@ def cmd_scenario(args):
     if spec.observe:
         sim = result.testbed.sim
         print(f"  observed: {sim.events_fired} events fired, "
-              f"{len(sim.spans)} spans, "
-              f"{len(sim.trace.records)} trace records")
+              f"{len(sim.spans)} spans")
 
 
 def cmd_lint(args):
@@ -490,7 +501,7 @@ def build_parser():
             run.add_argument("--no-bus-sleep", action="store_true",
                              help="disable SDIO bus sleep (WiFi only)")
             run.add_argument("--observe", action="store_true",
-                             help="attach metrics/span/trace recorders")
+                             help="record metrics and spans")
             run.add_argument("--spec", default=None, metavar="PATH",
                              help="load the scenario from a JSON spec "
                                   "file (overrides the flags above)")

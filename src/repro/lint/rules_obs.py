@@ -19,17 +19,17 @@ from repro.lint.registry import Rule, register_rule, source_lines
 GUARD_WINDOW = 6
 
 #: Observability call sites: the recorder attribute plus a recording
-#: method.  Matches ``sim.trace.record(...)``, ``self.metrics.inc(...)``
-#: and the like; plain method *definitions* never match.
+#: method.  Matches ``self.metrics.inc(...)``,
+#: ``sim.spans.record(...)`` and the like; plain method *definitions*
+#: never match.
 CALL_RE = re.compile(
-    r"\b(?:trace\.record"
-    r"|metrics\.(?:inc|observe|set_gauge|counter|gauge|histogram)"
+    r"\b(?:metrics\.(?:inc|observe|set_gauge|counter|gauge|histogram)"
     r"|spans\.(?:record|begin|end))\("
 )
 
 #: A guard is a check of the recorder's ``enabled`` flag specifically —
 #: other ``.enabled`` attributes (e.g. a PSM config) do not count.
-GUARD_RE = re.compile(r"\b(?:trace|metrics|spans)\.enabled\b")
+GUARD_RE = re.compile(r"\b(?:metrics|spans)\.enabled\b")
 
 
 @register_rule
@@ -40,7 +40,7 @@ class ObsGuardRule(Rule):
     category = "obs-guard"
     severity = "error"
     description = ("observability call site with no "
-                   "(trace|metrics|spans).enabled guard on the same line "
+                   "(metrics|spans).enabled guard on the same line "
                    f"or the {GUARD_WINDOW} lines above it")
     # The obs package implements the recorders (its internals run under
     # the recorders' own ``enabled`` checks); the lint package quotes

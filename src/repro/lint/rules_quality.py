@@ -110,7 +110,7 @@ class PrintInLibraryRule(Rule):
     category = "api"
     severity = "error"
     description = ("print() in library code — return strings or record "
-                   "through the trace/metrics layer; only the CLI prints")
+                   "through sim.metrics / sim.spans; only the CLI prints")
     exclude = ("cli.py", "__main__.py")
 
     def visit(self, tree, source, path):
@@ -122,6 +122,6 @@ class PrintInLibraryRule(Rule):
                 findings.append(self.finding(
                     path, node.lineno,
                     "print() in library code: return the text (the CLI "
-                    "prints) or record it via sim.trace so output stays "
-                    "capturable and deterministic", source))
+                    "prints) or record it via sim.metrics / sim.spans so "
+                    "output stays capturable and deterministic", source))
         return findings

@@ -1,17 +1,16 @@
 """Unified observability: metrics, timed spans, exporters.
 
-Every :class:`~repro.sim.scheduler.Simulator` carries three recording
-facilities, all disabled by default so the hot path stays one attribute
+Every :class:`~repro.sim.scheduler.Simulator` carries two observation
+records, both disabled by default so the hot path stays one attribute
 check per call site:
 
-* ``sim.trace`` — structured event records
-  (:class:`~repro.sim.trace.TraceRecorder`),
 * ``sim.metrics`` — counters / gauges / latency histograms
   (:class:`~repro.obs.metrics.MetricsRegistry`),
-* ``sim.spans`` — named sim-time intervals that feed both of the above
+* ``sim.spans`` — named sim-time intervals, each of which also feeds a
+  latency histogram in ``sim.metrics``
   (:class:`~repro.obs.spans.SpanTracker`).
 
-Flip them all on with :func:`enable_observability`, run the experiment,
+Flip both on with :func:`enable_observability`, run the experiment,
 then export through :mod:`repro.obs.export` (JSON-lines, Prometheus
 text, Chrome trace-event JSON).  See ``docs/OBSERVABILITY.md``.
 """
@@ -71,14 +70,10 @@ __all__ = [
 ]
 
 
-def enable_observability(sim, trace=True, metrics=True, spans=True):
-    """Switch a simulator's recording facilities on; returns ``sim``."""
-    if trace:
-        sim.trace.enabled = True
-    if metrics:
-        sim.metrics.enabled = True
-    if spans:
-        sim.spans.enabled = True
+def enable_observability(sim):
+    """Switch a simulator's metrics and spans on; returns ``sim``."""
+    sim.metrics.enabled = True
+    sim.spans.enabled = True
     return sim
 
 

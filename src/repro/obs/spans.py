@@ -1,21 +1,19 @@
-"""Timed spans: named sim-time intervals layered on trace + metrics.
+"""Timed spans: named sim-time intervals layered on metrics.
 
 A span is one interval of simulated time with a dotted name and optional
 fields — ``sdio.promotion`` (the bus coming up), ``psm.buffered`` (a
 downlink frame parked at the AP), ``measurement.probe`` (one user-level
-probe transaction).  Completing a span does three things at once:
+probe transaction).  Completing a span does two things at once:
 
 * stores the interval for timeline export
-  (:func:`repro.obs.export.to_chrome_trace`),
+  (:func:`repro.obs.export.to_chrome_trace`) and attribution
+  (:mod:`repro.obs.attribution`),
 * observes the duration in a latency histogram named after the span
   (``sdio.promotion`` → ``sdio_promotion_seconds``) in the attached
-  :class:`~repro.obs.metrics.MetricsRegistry`,
-* emits a record into the attached
-  :class:`~repro.sim.trace.TraceRecorder` under the span's first dotted
-  component as category (``sdio``, ``psm``, ``measurement``).
+  :class:`~repro.obs.metrics.MetricsRegistry`.
 
-The tracker is disabled by default; call sites guard exactly like trace
-call sites::
+The tracker is disabled by default; call sites guard exactly like
+metrics call sites (lint rule RL001)::
 
     if sim.spans.enabled:
         sim.spans.record("sdio.promotion", t0, t0 + delay, bus=self.name)
@@ -68,16 +66,14 @@ def span_metric_name(name):
 
 
 class SpanTracker:
-    """Collects :class:`Span` objects and fans them out to trace/metrics."""
+    """Collects :class:`Span` objects and feeds their durations to metrics."""
 
-    __slots__ = ("enabled", "metrics", "trace", "spans", "limit", "dropped",
+    __slots__ = ("enabled", "metrics", "spans", "limit", "dropped",
                  "probe_context", "_open", "_next_token")
 
-    def __init__(self, metrics=None, trace=None, enabled=False,
-                 limit=200_000):
+    def __init__(self, metrics=None, enabled=False, limit=200_000):
         self.enabled = enabled
         self.metrics = metrics
-        self.trace = trace
         self.spans = []
         self.limit = limit
         self.dropped = 0
@@ -121,10 +117,6 @@ class SpanTracker:
         metrics = self.metrics
         if metrics is not None and metrics.enabled:
             metrics.observe(span_metric_name(name), end - start)
-        trace = self.trace
-        if trace is not None and trace.enabled:
-            trace.record(end, span.category, f"span {name}",
-                         start=start, duration=end - start, **fields)
         return span
 
     def begin(self, name, start, **fields):

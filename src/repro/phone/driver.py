@@ -146,9 +146,6 @@ class SdioBus:
             if self.sim.metrics.enabled:
                 self.sim.metrics.inc(SDIO_SLEEPS_TOTAL,
                                      labels={"bus": self.name})
-            if self.sim.trace.enabled:
-                self.sim.trace.record(self.sim.now, "sdio", "bus sleep",
-                                      bus=self.name)
 
     def stop(self):
         """Stop the watchdog (simulation teardown)."""

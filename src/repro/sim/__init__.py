@@ -4,12 +4,13 @@ Everything in :mod:`repro` runs on top of this small, deterministic
 event-driven simulator.  The design goals are:
 
 * **Determinism** — two runs with the same seed produce bit-identical
-  traces.  All randomness flows through named :class:`~repro.sim.rng.RngRegistry`
-  streams; wall-clock time never enters the simulation.
+  event orders, metrics and spans.  All randomness flows through named
+  :class:`~repro.sim.rng.RngRegistry` streams; wall-clock time never
+  enters the simulation.
 * **Transparency** — the scheduler is one binary heap with an exact
-  ``(time, seq)`` total order (see :mod:`repro.sim.scheduler`); a
-  :class:`~repro.sim.trace.TraceRecorder` can capture every interesting
-  transition for tests and debugging.
+  ``(time, seq)`` total order (see :mod:`repro.sim.scheduler`); every
+  simulator carries a metrics registry and a span tracker
+  (:mod:`repro.obs`) that record what happened and why.
 * **Callback style** — components schedule plain callables.  Periodic
   work uses :meth:`~repro.sim.scheduler.Simulator.schedule_periodic`
   trains (batched on the fast path); helper classes
@@ -23,7 +24,6 @@ from repro.sim.events import Event, PeriodicEvent
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Simulator
 from repro.sim.timers import PeriodicTimer, Timer
-from repro.sim.trace import TraceRecorder
 from repro.sim.units import (
     KIBIBYTE,
     MEBIBYTE,
@@ -49,7 +49,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timer",
-    "TraceRecorder",
     "KIBIBYTE",
     "MEBIBYTE",
     "TU",

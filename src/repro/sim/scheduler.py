@@ -53,7 +53,6 @@ from repro.obs.spans import SpanTracker
 from repro.sim.errors import SchedulerError, SimTimeError
 from repro.sim.events import _SEQ, Event, PeriodicEvent
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
 
 _INF = math.inf
 #: Cap on a train's adaptive batch size (ticks fired per heap pop).
@@ -100,10 +99,9 @@ class Simulator:
     * the pending-event heap (see the module docstring),
     * a :class:`~repro.sim.rng.RngRegistry` so components can draw from
       named, independently seeded random streams,
-    * a :class:`~repro.sim.trace.TraceRecorder` for structured tracing,
-    * a :class:`~repro.obs.metrics.MetricsRegistry` and a
-      :class:`~repro.obs.spans.SpanTracker` (both disabled by default;
-      see :func:`repro.obs.enable_observability`).
+    * its observation records, a :class:`~repro.obs.metrics.MetricsRegistry`
+      and a :class:`~repro.obs.spans.SpanTracker` (both disabled by
+      default; see :func:`repro.obs.enable_observability`).
 
     Typical use::
 
@@ -118,7 +116,7 @@ class Simulator:
     :meth:`pending` and :meth:`peek` only.
     """
 
-    def __init__(self, seed=0, trace=None, metrics=None, spans=None):
+    def __init__(self, seed=0):
         self._now = 0.0
         self._heap = []
         self._canceled_in_heap = 0
@@ -127,12 +125,8 @@ class Simulator:
         self.events_fired = 0
         self.events_canceled = 0
         self.rng = RngRegistry(seed)
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry(enabled=False))
-        self.spans = (spans if spans is not None
-                      else SpanTracker(metrics=self.metrics,
-                                       trace=self.trace, enabled=False))
+        self.metrics = MetricsRegistry(enabled=False)
+        self.spans = SpanTracker(metrics=self.metrics)
 
     @property
     def now(self):

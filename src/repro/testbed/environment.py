@@ -178,12 +178,11 @@ class Environment:
 
     # -- observability hooks --------------------------------------------------
 
-    def observe(self, trace=True, metrics=True, spans=True):
-        """Enable this environment's recording facilities; returns self."""
+    def observe(self):
+        """Enable this environment's metrics and spans; returns self."""
         from repro.obs import enable_observability
 
-        enable_observability(self.sim, trace=trace, metrics=metrics,
-                             spans=spans)
+        enable_observability(self.sim)
         return self
 
     def metrics_snapshot(self, include_volatile=False):

@@ -113,8 +113,8 @@ def tool_experiment(tool_name, phone_key="nexus5", emulated_rtt=30e-3,
 
     Returns an :class:`ExperimentResult`; for non-AcuteMon tools its
     ``layers`` stay meaningful only where the tool's probes traverse the
-    instrumented stack.  Pass ``observe=True`` to attach the metrics
-    registry, span tracker and trace recorder to the cell's simulator.
+    instrumented stack.  Pass ``observe=True`` to enable the metrics
+    registry and span tracker of the cell's simulator.
     """
     spec = ScenarioSpec(
         env=env, phone=phone_key, tool=tool_name, emulated_rtt=emulated_rtt,

@@ -171,10 +171,6 @@ class AccessPoint:
                             labels={"ap": self.name})
         if sim.spans.enabled:
             self._buffered_at[id(frame)] = sim.now
-        if sim.trace.enabled:
-            sim.trace.record(sim.now, "psm", "frame buffered",
-                             ap=self.name, aid=record.aid,
-                             depth=len(record.buffer))
 
     def _release_buffered(self, record, frame):
         """Span bookkeeping for one frame leaving the PS buffer."""

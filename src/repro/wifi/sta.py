@@ -262,9 +262,6 @@ class Station(Radio):
             sim.metrics.inc(PSM_TRANSITIONS_TOTAL,
                             labels={"sta": self.name, "to": new_state,
                                     "reason": reason})
-        if sim.trace.enabled:
-            sim.trace.record(sim.now, "psm", f"{old}->{new_state}",
-                             sta=self.name, reason=reason)
         if new_state == PowerState.DOZE:
             self._doze_started = sim.now
         elif self._doze_started is not None:

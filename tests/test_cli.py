@@ -1,11 +1,21 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
+from tests.test_decompose import _json_values
 
 FIXTURE = (pathlib.Path(__file__).resolve().parent / "data"
            / "lint_fixture.py")
@@ -202,8 +212,9 @@ class TestCommands:
 
     def test_campaign_resume_without_checkpoint_errors(self, capsys):
         assert main(["campaign", "--resume"]) == 2
-        assert "--resume requires --checkpoint" \
-            in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --resume requires --checkpoint PATH\n"
 
     def test_campaign_shards_with_workers(self, capsys):
         # Two shards on a pool capped at two of the four workers.
@@ -308,3 +319,133 @@ class TestCommands:
         second = capsys.readouterr().out
         # Same spec, same seed: the reported medians agree exactly.
         assert first.splitlines()[-2:] == second.splitlines()[-2:]
+
+
+def _run(argv):
+    """``repro ARGV`` in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+#: ``--spec`` file contents ``repro scenario run`` rejects with exit 2
+#: (``None``: no file), and a fragment of the one-line error.
+BAD_SPEC_FILES = {
+    "missing_file": (None, "No such file"),
+    "not_json": (b"{not json", "Expecting property name"),
+    "not_utf8": (b"\xff\xfe{", "codec can't decode"),
+    "not_an_object": (b"[1,2]", "must be a JSON object"),
+    "negative_count": (b'{"env":"wifi","phone":"nexus5","tool":"ping",'
+                       b'"count":-3}', "count must be >= 1"),
+    "unknown_field": (b'{"tool":"ping","probes":3}',
+                      "unknown scenario field"),
+    "nan_rtt": (b'{"emulated_rtt":NaN}', "must be finite"),
+}
+
+#: Command lines that exit 2 with a one-line error before any cell runs.
+BAD_COMMANDS = {
+    "campaign_nan_rtt": (["campaign", "--rtts", "nan"], "must be finite"),
+    "campaign_negative_rtt": (["campaign", "--rtts", "-5"],
+                              "emulated_rtt must be >= 0.0"),
+    "campaign_zero_count": (["--count", "0", "campaign"],
+                            "count must be >= 1"),
+    "scenario_nan_rtt": (["scenario", "run", "--rtt", "nan"],
+                         "must be finite"),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", sorted(BAD_SPEC_FILES))
+    def test_bad_spec_file_exits_2_with_one_line_error(self, case,
+                                                       tmp_path):
+        content, fragment = BAD_SPEC_FILES[case]
+        path = tmp_path / "spec.json"
+        if content is not None:
+            path.write_bytes(content)
+        code, out, err = _run(["scenario", "run", "--spec", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert fragment in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_COMMANDS))
+    def test_bad_arguments_exit_2_with_one_line_error(self, case):
+        argv, fragment = BAD_COMMANDS[case]
+        code, out, err = _run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert fragment in err
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "run", "--spec", "missing.json"],
+        ["campaign", "--rtts", "nan"],
+    ], ids=["scenario_missing_spec", "campaign_nan_rtt"])
+    def test_process_exit_code_and_no_traceback(self, argv, tmp_path):
+        env = dict(os.environ)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                          else []))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], cwd=tmp_path,
+            env=env, capture_output=True, text=True, timeout=120)
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("error: ")
+        assert "Traceback" not in completed.stderr
+
+
+#: A valid spec the fuzz edits one field of.
+_BASE_SPEC = {"env": "wifi", "phone": "nexus5", "tool": "ping",
+              "emulated_rtt": 0.03, "count": 2, "interval": 0.05,
+              "seed": 3, "cross_traffic": False, "bus_sleep": True,
+              "settle": 0.5, "observe": False, "env_params": {},
+              "tool_params": {}}
+
+
+@st.composite
+def _spec_files(draw):
+    """Raw bytes, arbitrary JSON, or a valid spec with one field
+    replaced by arbitrary JSON, deleted, or joined by an unknown one."""
+    shape = draw(st.sampled_from(("bytes", "any", "edited")))
+    if shape == "bytes":
+        return draw(st.binary(max_size=64))
+    if shape == "any":
+        return json.dumps(draw(_json_values)).encode("utf-8")
+    doc = dict(_BASE_SPEC)
+    key = draw(st.sampled_from(sorted(doc) + ["unknown"]))
+    if key in doc and draw(st.booleans()):
+        del doc[key]
+    else:
+        doc[key] = draw(_json_values)
+    return json.dumps(doc).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def small_result():
+    from repro.testbed.scenario import ScenarioSpec, run_scenario
+
+    return run_scenario(ScenarioSpec(**dict(_BASE_SPEC, observe=True)))
+
+
+class TestSpecFileFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(content=_spec_files())
+    def test_any_spec_file_exits_0_or_2(self, small_result, content):
+        """A spec file either loads or is rejected with one ``error:``
+        line; it never ends in a traceback.  Accepted specs do not run
+        here (a drawn ``count`` can be 10**18): a small real result
+        stands in for the cell, so the fuzz covers loading, validation
+        and the summary printed after the run."""
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch("repro.testbed.scenario.run_scenario",
+                           return_value=small_result):
+            path = pathlib.Path(tmp) / "spec.json"
+            path.write_bytes(content)
+            # An uncaught exception here is the traceback a user sees.
+            code, out, err = _run(["scenario", "run", "--spec", str(path)])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert out == ""
+        else:
+            assert err == "" and "user RTT" in out

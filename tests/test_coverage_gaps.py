@@ -3,8 +3,6 @@
 import pytest
 
 from repro.net.addresses import ip
-from repro.sim.scheduler import Simulator
-from repro.sim.trace import TraceRecorder
 from tests.conftest import make_wifi_cell
 
 
@@ -42,19 +40,19 @@ class TestWifiHost:
             station.send_packet(packet)
 
 
-class TestTraceIntegration:
-    def test_sdio_sleep_traced(self):
+class TestObservedCounters:
+    def test_sdio_sleep_counted(self):
+        from repro.obs.names import SDIO_SLEEPS_TOTAL
         from repro.testbed.topology import Testbed
 
-        testbed = Testbed(seed=91)
-        testbed.sim.trace = TraceRecorder(enabled=True)
-        testbed.add_phone("nexus5")
+        testbed = Testbed(seed=91).observe()
+        phone = testbed.add_phone("nexus5")
         testbed.run(1.0)
-        assert testbed.sim.trace.count("sdio", message="bus sleep") >= 1
-
-    def test_trace_disabled_by_default(self):
-        sim = Simulator(seed=1)
-        assert not sim.trace.enabled
+        bus = phone.driver.bus
+        sleeps = testbed.sim.metrics.get(SDIO_SLEEPS_TOTAL,
+                                         labels={"bus": bus.name})
+        assert sleeps.value >= 1
+        assert sleeps.value == bus.sleep_count
 
 
 class TestAcuteMonVariants:

@@ -23,7 +23,6 @@ from repro.obs import (
     write_snapshot,
 )
 from repro.obs.metrics import HISTOGRAM_FIELDS, check_snapshot
-from repro.sim.trace import TraceRecorder
 
 #: A snapshot written when histograms kept a fixed ``buckets``/``counts``
 #: array next to the sketch, by :func:`_legacy_registry`'s observations.
@@ -563,19 +562,16 @@ class TestPrometheusFromSketch:
 
 class TestSpanTracker:
     def build(self):
-        metrics = MetricsRegistry()
-        trace = TraceRecorder()
-        return SpanTracker(metrics=metrics, trace=trace, enabled=True)
+        return SpanTracker(metrics=MetricsRegistry(), enabled=True)
 
-    def test_record_feeds_metrics_and_trace(self):
+    def test_record_feeds_metrics(self):
         spans = self.build()
-        spans.record("sdio.promotion", 1.0, 1.012, bus="sdio0")
+        span = spans.record("sdio.promotion", 1.0, 1.012, bus="sdio0")
         hist = spans.metrics.get(span_metric_name("sdio.promotion"))
         assert hist.count == 1
         assert hist.sum == pytest.approx(0.012)
-        (record,) = spans.trace.select(category="sdio")
-        assert record.message == "span sdio.promotion"
-        assert record.fields["duration"] == pytest.approx(0.012)
+        assert spans.spans == [span]
+        assert span.fields == {"bus": "sdio0"}
 
     def test_begin_end_and_discard(self):
         spans = self.build()

@@ -455,6 +455,74 @@ def test_smoke_sketch_observe_overhead():
     _rates["sketch_observe_overhead_pct"] = overhead
 
 
+#: One completed span without metrics: the span, its bounded store.
+_SPAN_RECORD_PYTHON_CALLS = {"repro.obs.spans.SpanTracker.record": 1,
+                             "repro.obs.spans.Span.__init__": 1}
+_SPAN_RECORD_C_CALLS = {"len": 1, "list.append": 1}
+_SPAN_RECORD_LINES = {"repro.obs.spans.SpanTracker.record": 7,
+                      "repro.obs.spans.Span.__init__": 4}
+#: ... and with metrics on: its duration observed in the span's
+#: histogram, found through the registry's get-or-create.
+_SPAN_RECORD_OBSERVED_PYTHON_CALLS = {
+    **_SPAN_RECORD_PYTHON_CALLS,
+    "repro.obs.spans.span_metric_name": 1,
+    "repro.obs.metrics.MetricsRegistry.observe": 1,
+    "repro.obs.metrics.MetricsRegistry.histogram": 1,
+    "repro.obs.metrics.MetricsRegistry._get": 1,
+    "repro.obs.metrics._label_key": 1,
+    **_OBSERVE_PYTHON_CALLS,
+}
+_SPAN_RECORD_OBSERVED_C_CALLS = {
+    **_SPAN_RECORD_C_CALLS, "str.replace": 1, "isinstance": 1,
+    "math.log": 1, "math.ceil": 1, "dict.get": 2,
+}
+_SPAN_RECORD_OBSERVED_LINES = {
+    "repro.obs.spans.SpanTracker.record": 8,
+    "repro.obs.spans.Span.__init__": 4,
+    "repro.obs.spans.span_metric_name": 1,
+    "repro.obs.metrics.MetricsRegistry.observe": 1,
+    "repro.obs.metrics.MetricsRegistry.histogram": 1,
+    "repro.obs.metrics.MetricsRegistry._get": 5,
+    "repro.obs.metrics._label_key": 2,
+    **_OBSERVE_LINES,
+}
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("observed", [True, False],
+                         ids=["metrics", "no_metrics"])
+def test_smoke_span_record_cost(observed):
+    """One ``SpanTracker.record`` does exactly the work pinned above.
+
+    Spans and metrics are the only observation records: a completed
+    span is stored and, with metrics on, observed in its histogram, and
+    nothing else.  A third sink (a fan-out to another recorder, even
+    one left disabled) adds lines to every span of every observed cell
+    and fails this gate deterministically (tests/callcount.py).
+    """
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.spans import SpanTracker
+
+    ends = [1e-4 * (1 + (index % 997)) for index in range(1000)]
+    metrics = MetricsRegistry(enabled=True) if observed else None
+    spans = SpanTracker(metrics=metrics, enabled=True)
+    record = functools.partial(spans.record, "sdio.promotion", 0.0)
+    record(min(ends) / 2)  # create the histogram and fix [min, max]
+    record(max(ends) * 2)  # so every record below takes the same path
+    per_record = calls_per_op(record, ends)
+    if observed:
+        assert dict(per_record.python) == _SPAN_RECORD_OBSERVED_PYTHON_CALLS
+        assert dict(per_record.c) == _SPAN_RECORD_OBSERVED_C_CALLS
+        assert dict(per_record.lines) == _SPAN_RECORD_OBSERVED_LINES
+        assert (per_record.calls, per_record.c_calls) == (9, 8)
+    else:
+        assert dict(per_record.python) == _SPAN_RECORD_PYTHON_CALLS
+        assert dict(per_record.c) == _SPAN_RECORD_C_CALLS
+        assert dict(per_record.lines) == _SPAN_RECORD_LINES
+        assert (per_record.calls, per_record.c_calls) == (2, 2)
+    assert len(spans) == len(ends) + 2
+
+
 @pytest.mark.perf_smoke
 def test_smoke_decomposition_rate():
     """End-to-end decomposition: observed cells -> attribution ->

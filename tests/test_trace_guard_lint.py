@@ -39,7 +39,7 @@ def test_lint_catches_unguarded_call(tmp_path, capsys):
     bad.parent.mkdir()
     bad.write_text(
         "def f(sim):\n"
-        "    sim.trace.record(sim.now, 'x', 'unguarded')\n"
+        "    sim.spans.record('x.y', 0.0, sim.now)\n"
         "    sim.metrics.inc('y_total')\n",
         encoding="utf-8")
     assert [(line, rule) for line, rule, _ in _obs_findings(tmp_path)] \
@@ -52,11 +52,24 @@ def test_lint_accepts_guard_and_pragma(tmp_path):
     good = tmp_path / "module.py"
     good.write_text(
         "def f(sim):\n"
-        "    if sim.trace.enabled:\n"
-        "        sim.trace.record(sim.now, 'x', 'guarded')\n"
+        "    if sim.spans.enabled:\n"
+        "        sim.spans.record('x.y', 0.0, sim.now)\n"
         "    sim.metrics.inc('y_total')  # obs: caller-guarded\n",
         encoding="utf-8")
     assert _obs_findings(tmp_path) == []
+
+
+def test_trace_enabled_is_not_a_guard(tmp_path):
+    """Only the ``metrics``/``spans`` recorders' flags guard a call: a
+    check of some other object's ``trace.enabled`` does not."""
+    bad = tmp_path / "module.py"
+    bad.write_text(
+        "def f(sim, x):\n"
+        "    if x.trace.enabled:\n"
+        "        sim.metrics.inc('y_total')\n",
+        encoding="utf-8")
+    assert [(line, rule) for line, rule, _ in _obs_findings(tmp_path)] \
+        == [(3, "RL001")]
 
 
 def test_pragma_recognised_with_flexible_spelling(tmp_path):
