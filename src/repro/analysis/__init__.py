@@ -41,7 +41,6 @@ from repro.analysis.decompose import (
 from repro.analysis.render import Table, render_boxplot_row, render_cdf
 from repro.analysis.report import MarkdownReport, campaign_report
 from repro.analysis.stats import SummaryStats, mean_ci
-from repro.analysis.timeline import ProbeTimeline, probe_timeline
 
 __all__ = [
     "AnalyticError",
@@ -49,7 +48,6 @@ __all__ = [
     "Cdf",
     "DecompositionReport",
     "MarkdownReport",
-    "ProbeTimeline",
     "SliceDecomposition",
     "campaign_report",
     "decompose_campaign",
@@ -63,7 +61,6 @@ __all__ = [
     "SummaryStats",
     "Table",
     "mean_ci",
-    "probe_timeline",
     "predict_for_profile",
     "predictive_delay_bound",
     "predictive_wake_bound",

@@ -7,6 +7,7 @@ for quick interactive exploration.
 """
 
 import argparse
+import os
 import statistics
 import sys
 
@@ -112,7 +113,6 @@ def cmd_campaign(args):
     from repro.analysis.decompose import decompose_campaign, write_report
     from repro.obs import write_snapshot
     from repro.testbed.campaign import Campaign
-    from repro.testbed.scenario import ScenarioError
 
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint PATH", file=sys.stderr)
@@ -122,21 +122,30 @@ def cmd_campaign(args):
         phones=tuple(args.phones), rtts=tuple(r * 1e-3 for r in args.rtts),
         tools=tuple(args.tools), count=args.count, base_seed=args.seed,
     )
-    try:
-        list(campaign.cells())  # reject a bad grid before any cell runs
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     workers = args.workers if args.workers > 0 else None
     verb = "running" if workers == 1 and args.shards is None else "finished"
-    campaign.run(
-        workers=workers,
-        collect_metrics=bool(args.metrics_out or args.report_out),
-        checkpoint=args.checkpoint, resume=args.resume,
-        cell_timeout=args.cell_timeout, retries=args.retries,
-        retry_backoff=args.retry_backoff,
-        shards=args.shards, store=args.store,
-        progress=lambda spec: print(f"  {verb} {spec.describe()}..."))
+    reported = []
+
+    def progress(spec):
+        reported.append(spec)
+        print(f"  {verb} {spec.describe()}...")
+
+    # ``Campaign.run`` checks the grid and the run options before any
+    # cell runs: a ValueError ahead of the first progress line is bad
+    # input, not a failed run.
+    try:
+        campaign.run(
+            workers=workers,
+            collect_metrics=bool(args.metrics_out or args.report_out),
+            checkpoint=args.checkpoint, resume=args.resume,
+            cell_timeout=args.cell_timeout, retries=args.retries,
+            retry_backoff=args.retry_backoff,
+            shards=args.shards, store=args.store, progress=progress)
+    except ValueError as exc:
+        if reported:
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     table = Table(["Env", "Phone", "RTT", "Tool", "median (ms)",
                    "error (ms)", "n"],
                   title="Campaign results")
@@ -326,10 +335,7 @@ def cmd_lint(args):
     import pathlib
 
     import repro
-    from repro.lint import (
-        Baseline, LintResult, apply_baseline, load_baseline, render,
-        run_lint, save_baseline,
-    )
+    from repro.lint import LintResult, render, run_lint
 
     if args.paths:
         roots = [pathlib.Path(path) for path in args.paths]
@@ -343,33 +349,25 @@ def cmd_lint(args):
     for index, root in enumerate(roots):
         result.merge(run_lint(
             root, include_project_rules=include_project and index == 0))
-    if args.update_baseline:
-        if not args.baseline:
-            print("--update-baseline requires --baseline PATH")
-            return 2
-        save_baseline(args.baseline, Baseline.from_findings(
-            result.findings, reason="grandfathered via --update-baseline; "
-                                    "add a real reason"))
-        print(f"wrote baseline with {len(result.findings)} entrie(s) to "
-              f"{args.baseline}")
-        return 0
-    if args.baseline:
-        apply_baseline(result, load_baseline(args.baseline))
     print(render(result, args.format))
     return result.exit_code
 
 
 def cmd_analytic(args):
-    from repro.analysis.analytic import predict_for_profile
+    from repro.analysis.analytic import AnalyticError, predict_for_profile
     from repro.sim.units import tu
 
-    prediction = predict_for_profile(
-        args.phone,
-        beacon_interval=tu(args.beacon_interval_tu),
-        offered_load=args.load,
-        base_rtt=args.rtt * 1e-3,
-        listen_interval=args.listen_interval,
-    )
+    try:
+        prediction = predict_for_profile(
+            args.phone,
+            beacon_interval=tu(args.beacon_interval_tu),
+            offered_load=args.load,
+            base_rtt=args.rtt * 1e-3,
+            listen_interval=args.listen_interval,
+        )
+    except AnalyticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"Closed-form PSM predictions for {prediction['phone']} "
           "(docs/ANALYTIC.md)")
     table = Table(["Quantity", "Value"], title=None)
@@ -537,13 +535,8 @@ def build_parser():
                                   "the installed repro package source; "
                                   "explicit paths skip the registry rule)")
             cmd.add_argument("--format", default="text",
-                             choices=("text", "json", "sarif"),
+                             choices=("text", "json"),
                              help="report format (default text)")
-            cmd.add_argument("--baseline", default=None, metavar="PATH",
-                             help="JSON baseline of grandfathered findings")
-            cmd.add_argument("--update-baseline", action="store_true",
-                             help="write the current findings to "
-                                  "--baseline and exit 0")
         if name == "campaign":
             cmd.add_argument("--env", nargs="+", default=["wifi"],
                              choices=environment_keys(),
@@ -606,9 +599,35 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    # Commands return an exit code or None; ``lint`` is the one that
-    # meaningfully fails.
-    return COMMANDS[args.command][0](args) or 0
+    # Commands return an exit code or None (success).
+    try:
+        code = COMMANDS[args.command][0](args) or 0
+        sys.stdout.flush()
+    except BrokenPipeError:
+        if not _stdout_broken():
+            raise
+        # The reader went away (``repro ... | head``).  Point stdout at
+        # devnull so the interpreter's final flush cannot raise again,
+        # and exit non-zero without a traceback, as the Python docs
+        # recommend for SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _stdout_broken():
+    """Whether stdout is a pipe whose reader has gone: such a pipe polls
+    as an error.  A broken pipe raised by any other stream leaves stdout
+    healthy; without ``poll`` (or a real stdout) it is never stdout's."""
+    import select
+
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+    except (AttributeError, OSError, ValueError):
+        return False
+    return any(events & select.POLLERR for _fd, events in poller.poll(0))
 
 
 if __name__ == "__main__":

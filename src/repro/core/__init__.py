@@ -16,7 +16,6 @@
 """
 
 from repro.core.acutemon import AcuteMon, AcuteMonConfig
-from repro.core.auto import AutoAcuteMon
 from repro.core.calibrated import OverheadCalibrator
 from repro.core.calibration import TimerCalibrator
 from repro.core.measurement import ProbeCollector, ProbeRecord
@@ -26,7 +25,6 @@ from repro.core.warmup import WarmupPlan, WarmupPolicy
 __all__ = [
     "AcuteMon",
     "AcuteMonConfig",
-    "AutoAcuteMon",
     "OverheadCalibrator",
     "OverheadSet",
     "ProbeCollector",

@@ -13,29 +13,25 @@ turns those conventions into checked rules:
   isolation (a crashing rule becomes an ``RL000`` finding).
 * :mod:`repro.lint.pragmas` — ``# lint: disable=RLxxx`` line pragmas
   and the ``# obs: caller-guarded`` observability pragma.
-* :mod:`repro.lint.baseline` — JSON baseline for grandfathered
-  findings, matched by line-independent fingerprints.
-* :mod:`repro.lint.report` — text / JSON / SARIF reporters.
+* :mod:`repro.lint.report` — text / JSON reporters.
 * rule packs: :mod:`~repro.lint.rules_obs` (RL001/RL002),
   :mod:`~repro.lint.rules_determinism` (RL101–RL105, RL107),
   :mod:`~repro.lint.rules_names` (RL106),
   :mod:`~repro.lint.rules_quality` (RL201–RL203),
   :mod:`~repro.lint.rules_registry` (RL301).
 
-Run it as ``repro lint [--format json|sarif] [--baseline PATH]``; the
+Run it as ``repro lint [--format text|json]``.  A reviewed
+``# lint: disable=`` pragma is the only way to exempt a finding; the
 rule catalog and the workflow live in docs/STATIC_ANALYSIS.md.
 """
 
-from repro.lint.baseline import Baseline, load_baseline, save_baseline
-from repro.lint.engine import (
-    LintResult, apply_baseline, lint_file, run_lint,
-)
+from repro.lint.engine import LintResult, lint_file, run_lint
 from repro.lint.findings import Finding, internal_finding
 from repro.lint.registry import (
     RULES, ProjectRule, Rule, all_rules, register_rule,
 )
 from repro.lint.report import (
-    render, render_json, render_sarif, render_text, rule_descriptors,
+    render, render_json, render_text, rule_descriptors,
 )
 
 # Importing the rule packs registers the built-in rules.
@@ -46,23 +42,18 @@ from repro.lint import rules_quality  # noqa: F401  (registers RL2xx)
 from repro.lint import rules_registry  # noqa: F401  (registers RL301)
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintResult",
     "ProjectRule",
     "RULES",
     "Rule",
     "all_rules",
-    "apply_baseline",
     "internal_finding",
     "lint_file",
-    "load_baseline",
     "register_rule",
     "render",
     "render_json",
-    "render_sarif",
     "render_text",
     "rule_descriptors",
     "run_lint",
-    "save_baseline",
 ]

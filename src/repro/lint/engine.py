@@ -2,9 +2,8 @@
 
 Per file the engine reads and parses the source exactly once, hands the
 same ``(tree, source, path)`` triple to every applicable file rule,
-then applies per-line ``# lint: disable=`` pragmas and the optional
-JSON baseline.  Project rules (registry contract) run once per
-invocation.  Rules are *isolated*: a rule that raises is reported as an
+then applies per-line ``# lint: disable=`` pragmas.  Project rules
+(registry contract) run once per invocation.  Rules are *isolated*: a rule that raises is reported as an
 ``RL000`` internal-error finding on that file and the run continues —
 one buggy rule must not hide every other rule's findings.
 """
@@ -24,8 +23,6 @@ class LintResult:
 
     findings: list = dataclasses.field(default_factory=list)
     suppressed: list = dataclasses.field(default_factory=list)
-    baselined: list = dataclasses.field(default_factory=list)
-    stale_baseline: list = dataclasses.field(default_factory=list)
     files_scanned: int = 0
     rules_run: tuple = ()
 
@@ -37,8 +34,6 @@ class LintResult:
         """Fold another result in (multi-root CLI invocations)."""
         self.findings += other.findings
         self.suppressed += other.suppressed
-        self.baselined += other.baselined
-        self.stale_baseline += other.stale_baseline
         self.files_scanned += other.files_scanned
         self.rules_run = tuple(sorted(set(self.rules_run)
                                       | set(other.rules_run)))
@@ -94,13 +89,11 @@ def lint_file(path, rules, relative_to=None):
     return findings, suppressed
 
 
-def run_lint(root, rules=None, baseline=None, include_project_rules=True):
+def run_lint(root, rules=None, include_project_rules=True):
     """Lint one tree (or file) and return a :class:`LintResult`.
 
     ``rules`` defaults to every registered rule; pass an explicit list
-    to run a subset (the rule-pack tests do).  ``baseline`` is a
-    loaded :class:`~repro.lint.baseline.Baseline`; matched findings move
-    to ``result.baselined`` and never fail the run.
+    to run a subset (the rule-pack tests do).
     """
     root = pathlib.Path(root).resolve()
     selected = all_rules() if rules is None else list(rules)
@@ -125,15 +118,4 @@ def run_lint(root, rules=None, baseline=None, include_project_rules=True):
                     ".", f"project rule {rule.id} "
                          f"({type(rule).__name__}) crashed: {exc!r}"))
     result.findings.sort(key=lambda f: f.sort_key())
-    if baseline is not None:
-        apply_baseline(result, baseline)
-    return result
-
-
-def apply_baseline(result, baseline):
-    """Move baseline-matched findings to ``result.baselined`` in place."""
-    active, baselined, stale = baseline.match(result.findings)
-    result.findings = active
-    result.baselined += baselined
-    result.stale_baseline += stale
     return result

@@ -1,19 +1,15 @@
 """Finding: the unit of output every lint rule produces.
 
-A finding pins a rule violation to a file and line, carries the
-stripped source line as a snippet, and derives a *fingerprint* — a
-stable hash of ``(rule, path, snippet)`` that deliberately excludes the
-line number, so baseline entries survive unrelated edits that shift
-code up or down (see :mod:`repro.lint.baseline`).
+A finding pins a rule violation to a file and line and carries the
+stripped source line as a snippet.
 """
 
 import dataclasses
-import hashlib
 
 #: Finding severities, most severe first.  ``error`` findings fail the
 #: run; ``warning`` findings are reported but advisory (the engine still
-#: exits non-zero on them by default — the split exists for reporters
-#: and SARIF levels, not for a soft-fail mode).
+#: exits non-zero on them by default — the split exists for reporters,
+#: not for a soft-fail mode).
 SEVERITIES = ("error", "warning")
 
 #: Rule id reserved for the engine itself: unparseable files and rules
@@ -27,7 +23,7 @@ class Finding:
     """One rule violation at one location.
 
     ``path`` is POSIX-style and relative to the lint root, so reports
-    and baselines are machine-independent.
+    are machine-independent.
     """
 
     rule_id: str
@@ -42,12 +38,6 @@ class Finding:
         if self.severity not in SEVERITIES:
             raise ValueError(f"unknown severity {self.severity!r}")
 
-    @property
-    def fingerprint(self):
-        """Line-number-independent identity hash for baseline matching."""
-        material = f"{self.rule_id}|{self.path}|{self.snippet}"
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
-
     def sort_key(self):
         return (self.path, self.line, self.rule_id, self.message)
 
@@ -61,7 +51,6 @@ class Finding:
             "category": self.category,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
 
     def describe(self):

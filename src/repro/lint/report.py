@@ -1,9 +1,9 @@
-"""Reporters: text for humans, JSON for pipelines, SARIF for code hosts.
+"""Reporters: text for humans, JSON for pipelines.
 
-All three render the same :class:`~repro.lint.engine.LintResult`; the
-JSON and SARIF documents are stable (sorted findings, fixed key order
-via the finding dicts) so they can be golden-file tested and diffed in
-CI.  A CI-style invocation:
+Both render the same :class:`~repro.lint.engine.LintResult`; the JSON
+document is stable (sorted findings, fixed key order via the finding
+dicts) so it can be golden-file tested and diffed in CI.  A CI-style
+invocation:
 
     repro lint --format json | python -m json.tool
 """
@@ -14,11 +14,6 @@ from repro.lint.findings import INTERNAL_RULE_ID
 from repro.lint.registry import RULES
 
 TOOL_NAME = "repro.lint"
-
-#: SARIF version pinned by the schema URI below.
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                "master/Schemata/sarif-schema-2.1.0.json")
 
 
 def _tool_version():
@@ -43,29 +38,21 @@ def summary_counts(result):
         "files_scanned": result.files_scanned,
         "findings": len(result.findings),
         "suppressed": len(result.suppressed),
-        "baselined": len(result.baselined),
-        "stale_baseline": len(result.stale_baseline),
     }
 
 
 def render_text(result):
     """Human-oriented report, one line per finding plus a verdict."""
     lines = [finding.describe() for finding in result.findings]
-    for entry in result.stale_baseline:
-        lines.append(f"stale baseline entry: {entry.rule} {entry.path} "
-                     f"{entry.fingerprint} — violation fixed; delete the "
-                     "entry")
     counts = summary_counts(result)
     if result.findings:
         lines.append(f"{counts['findings']} finding(s) in "
                      f"{counts['files_scanned']} file(s)"
-                     f" ({counts['suppressed']} suppressed, "
-                     f"{counts['baselined']} baselined)")
+                     f" ({counts['suppressed']} suppressed)")
     else:
         lines.append(f"lint clean: {counts['files_scanned']} file(s), "
                      f"rules {', '.join(result.rules_run)}"
-                     f" ({counts['suppressed']} suppressed, "
-                     f"{counts['baselined']} baselined)")
+                     f" ({counts['suppressed']} suppressed)")
     return "\n".join(lines)
 
 
@@ -77,67 +64,18 @@ def render_json(result):
         "summary": summary_counts(result),
         "findings": [finding.to_dict() for finding in result.findings],
         "suppressed": [finding.to_dict() for finding in result.suppressed],
-        "baselined": [finding.to_dict() for finding in result.baselined],
-        "stale_baseline": [entry.to_dict()
-                           for entry in result.stale_baseline],
     }
     return json.dumps(payload, indent=2)
-
-
-def render_sarif(result):
-    """Minimal SARIF 2.1.0 log: one run, one result per finding."""
-    driver_rules = [
-        {
-            "id": row["id"],
-            "shortDescription": {"text": row["description"]},
-            "defaultConfiguration": {"level": row["severity"]},
-            "properties": {"category": row["category"]},
-        }
-        for row in rule_descriptors()
-    ]
-    rule_index = {row["id"]: i
-                  for i, row in enumerate(rule_descriptors())}
-    results = [
-        {
-            "ruleId": finding.rule_id,
-            "ruleIndex": rule_index.get(finding.rule_id, -1),
-            "level": finding.severity,
-            "message": {"text": finding.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path},
-                    "region": {"startLine": max(1, finding.line)},
-                },
-            }],
-            "partialFingerprints": {"reproLint/v1": finding.fingerprint},
-        }
-        for finding in result.findings
-    ]
-    log = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {"driver": {
-                "name": TOOL_NAME,
-                "version": _tool_version(),
-                "informationUri": "docs/STATIC_ANALYSIS.md",
-                "rules": driver_rules,
-            }},
-            "results": results,
-        }],
-    }
-    return json.dumps(log, indent=2)
 
 
 RENDERERS = {
     "text": render_text,
     "json": render_json,
-    "sarif": render_sarif,
 }
 
 
 def render(result, fmt="text"):
-    """Render ``result`` in the named format (text, json, sarif)."""
+    """Render ``result`` in the named format (text, json)."""
     try:
         return RENDERERS[fmt](result)
     except KeyError:

@@ -5,7 +5,7 @@ fields — ``sdio.promotion`` (the bus coming up), ``psm.buffered`` (a
 downlink frame parked at the AP), ``measurement.probe`` (one user-level
 probe transaction).  Completing a span does two things at once:
 
-* stores the interval for timeline export
+* stores the interval for Chrome-trace export
   (:func:`repro.obs.export.to_chrome_trace`) and attribution
   (:mod:`repro.obs.attribution`),
 * observes the duration in a latency histogram named after the span

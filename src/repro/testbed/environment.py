@@ -196,6 +196,47 @@ class Environment:
 # -- registry -----------------------------------------------------------------
 
 
+def keyword_params(target, supplied=()):
+    """The parameter names ``target`` takes by keyword, minus ``supplied``.
+
+    This is what a params dict may carry when a builder forwards it
+    into ``target`` after filling the ``supplied`` names itself.  A
+    class whose ``__init__`` takes ``**kwargs`` passes them on to its
+    base class, so the base's names count too.
+    """
+    # Imported here: only specs that carry params need it, and importing
+    # it with this module adds about 1 MB to every campaign process.
+    import inspect
+
+    if isinstance(target, type):
+        functions = [vars(cls)["__init__"] for cls in target.__mro__
+                     if "__init__" in vars(cls)]
+    else:
+        functions = [target]
+    names = set()
+    for function in functions:
+        params = inspect.signature(function).parameters.values()
+        names.update(param.name for param in params if param.kind in (
+            param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY))
+        if not any(param.kind is param.VAR_KEYWORD for param in params):
+            break
+    return frozenset(names - {"self", *supplied})
+
+
+def builder_params(builder, supplied):
+    """The params keys a registered builder takes.
+
+    A builder that forwards its params dict elsewhere names the keys
+    itself, as a zero-arg ``builder.params`` (called only when a spec
+    carries params, so it may import the target's module); any other
+    builder takes its own keyword parameters minus the ``supplied``
+    ones, which for a ``**params`` builder is no key at all.
+    """
+    declared = getattr(builder, "params", None)
+    return frozenset(declared() if declared is not None
+                     else keyword_params(builder, supplied))
+
+
 class EnvironmentEntry:
     """One registered environment: key, builder, docs, capabilities."""
 
@@ -228,6 +269,10 @@ def register_environment(key, builder, description="",
     at most once — unknown or duplicated tags raise ``ValueError``
     instead of registering an environment whose scenario knobs silently
     never match.
+
+    :class:`~repro.testbed.scenario.ScenarioSpec` rejects any
+    ``env_params`` key the builder does not take (see
+    :func:`builder_params`) before a cell is built.
     """
     tags = list(capabilities)
     duplicates = sorted({tag for tag in tags if tags.count(tag) > 1})
@@ -272,28 +317,41 @@ def build_environment(key, seed=0, emulated_rtt=0.0, **env_params):
 # Builders import lazily so this module stays import-cycle free (the
 # testbed modules import the Environment base class from here).
 
-#: RRC config fields an ``env_params`` dict may override (JSON scalars).
+#: RRC config fields an ``env_params`` dict may override (JSON scalars);
+#: the only keys a cellular environment takes.
 _RRC_OVERRIDABLE = ("t1", "t2", "fach_threshold", "dch_rate_bps",
                     "fach_rate_bps")
 
 
-def _build_wifi(seed=0, emulated_rtt=0.0, **env_params):
+def _testbed():
     from repro.testbed.topology import Testbed
 
-    return Testbed(seed=seed, emulated_rtt=emulated_rtt, **env_params)
+    return Testbed
 
 
-def _build_twt(seed=0, emulated_rtt=0.0, **env_params):
+def _twt_testbed():
     from repro.testbed.powersave import TwtTestbed
 
-    return TwtTestbed(seed=seed, emulated_rtt=emulated_rtt, **env_params)
+    return TwtTestbed
 
 
-def _build_predictive_sleep(seed=0, emulated_rtt=0.0, **env_params):
+def _predictive_sleep_testbed():
     from repro.testbed.powersave import PredictiveSleepTestbed
 
-    return PredictiveSleepTestbed(seed=seed, emulated_rtt=emulated_rtt,
-                                  **env_params)
+    return PredictiveSleepTestbed
+
+
+def _testbed_builder(testbed_class):
+    """``build(seed=, emulated_rtt=, **env_params)`` for the class
+    ``testbed_class()`` returns; ``build.params`` names the keys that
+    class takes."""
+    def build(seed=0, emulated_rtt=0.0, **env_params):
+        return testbed_class()(seed=seed, emulated_rtt=emulated_rtt,
+                               **env_params)
+
+    build.params = lambda: keyword_params(testbed_class(),
+                                          ("seed", "emulated_rtt"))
+    return build
 
 
 def _cellular_builder(rrc_preset):
@@ -310,24 +368,25 @@ def _cellular_builder(rrc_preset):
                                rrc_config=rrc_config,
                                attach_default_phone=False, **env_params)
 
+    build.params = lambda: _RRC_OVERRIDABLE
     return build
 
 
 register_environment(
-    "wifi", _build_wifi,
+    "wifi", _testbed_builder(_testbed),
     description="Figure 2 WLAN: DCF channel, AP with adaptive PSM, "
                 "SDIO bus-sleep phones, three monitor-mode sniffers",
     capabilities=WIFI_CAPABILITIES,
 )
 register_environment(
-    "wifi-twt", _build_twt,
+    "wifi-twt", _testbed_builder(_twt_testbed),
     description="The WLAN with TWT-scheduled phones: service-period "
                 "wakes on a drifting local clock, beacon resyncs, "
                 "missed-SP recovery (802.11ax-flavoured)",
     capabilities=TWT_CAPABILITIES,
 )
 register_environment(
-    "wifi-predictive-sleep", _build_predictive_sleep,
+    "wifi-predictive-sleep", _testbed_builder(_predictive_sleep_testbed),
     description="The WLAN with predictive-sleep phones: EAPS-style "
                 "EWMA wake prediction, mispredict penalty path, "
                 "hard fallback-timeout wake cap",

@@ -36,6 +36,7 @@ hung cells at a single choke point.  See ``docs/RESILIENCE.md``.
 """
 
 import json
+import math
 import os
 import pathlib
 import threading
@@ -74,33 +75,49 @@ class FaultPolicy:
         ``backoff * 2**i``.  The schedule is a pure function of the
         policy — no jitter — so fault handling never introduces
         nondeterminism.
+
+    Every wait must fit ``threading.TIMEOUT_MAX`` (about 292 years):
+    NaN, infinite or larger budgets, and a backoff schedule whose last
+    sleep exceeds it, raise ``ValueError`` here instead of failing every
+    cell of a run.
     """
 
     __slots__ = ("cell_timeout", "retries", "backoff")
 
     def __init__(self, cell_timeout=None, retries=0, backoff=0.0):
+        # The chained comparisons are False for NaN, so they reject it.
         if cell_timeout is not None:
             if (isinstance(cell_timeout, bool)
                     or not isinstance(cell_timeout, (int, float))
-                    or cell_timeout <= 0):
+                    or not 0 < cell_timeout <= threading.TIMEOUT_MAX):
                 raise ValueError(
-                    f"cell_timeout must be a positive number or None, "
-                    f"got {cell_timeout!r}")
+                    f"cell_timeout must be a positive finite number or "
+                    f"None, got {cell_timeout!r}")
         if isinstance(retries, bool) or not isinstance(retries, int) \
                 or retries < 0:
             raise ValueError(f"retries must be an int >= 0, got {retries!r}")
         if isinstance(backoff, bool) \
-                or not isinstance(backoff, (int, float)) or backoff < 0:
+                or not isinstance(backoff, (int, float)) \
+                or not 0 <= backoff <= threading.TIMEOUT_MAX:
             raise ValueError(
-                f"backoff must be a number >= 0, got {backoff!r}")
+                f"backoff must be a finite number >= 0, got {backoff!r}")
         self.cell_timeout = cell_timeout
         self.retries = retries
         self.backoff = backoff
+        if retries and self.delay(retries - 1) > threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"backoff {backoff!r} with {retries} retries sleeps "
+                f"longer than {threading.TIMEOUT_MAX:g}s before the last "
+                "retry")
 
-    def delays(self):
-        """The deterministic sleep before each retry: ``backoff * 2**i``."""
-        return tuple(self.backoff * (2 ** attempt)
-                     for attempt in range(self.retries))
+    def delay(self, attempt):
+        """The deterministic sleep after failed attempt ``attempt``
+        (0-based): ``backoff * 2**attempt``, ``inf`` past the float
+        range."""
+        try:
+            return math.ldexp(self.backoff, attempt)
+        except OverflowError:
+            return math.inf
 
     def to_dict(self):
         """JSON-ready payload (crosses the worker process boundary)."""
@@ -379,7 +396,6 @@ def run_cell_with_policy(spec, policy=None, collect_metrics=False):
     time so chaos injectors (and only chaos injectors) can replace it.
     """
     policy = FaultPolicy() if policy is None else policy
-    delays = policy.delays()
     timeouts = 0
     last_error = None
     last_traceback = ""
@@ -400,7 +416,7 @@ def run_cell_with_policy(spec, policy=None, collect_metrics=False):
         else:
             return result, {"attempts": attempt + 1, "timeouts": timeouts}
         if attempt < policy.retries:
-            time.sleep(delays[attempt])
+            time.sleep(policy.delay(attempt))
     failure = CellFailure.from_spec(
         spec, last_error, traceback_text=last_traceback,
         attempts=policy.retries + 1, timeouts=timeouts)

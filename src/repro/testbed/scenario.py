@@ -18,6 +18,7 @@ name, and every registered tool drives through the same
 ``run_sync(count)`` contract.  See ``docs/ARCHITECTURE.md``.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -30,7 +31,9 @@ from repro.testbed.environment import (
     CAP_BUS_SLEEP,
     CAP_CROSS_TRAFFIC,
     build_environment,
+    builder_params,
     environment_entry,
+    keyword_params,
 )
 from repro.tools.httping import HttpingTool
 from repro.tools.javaping import JavaPingTool
@@ -77,9 +80,26 @@ TOOLS = {}
 
 
 def register_tool(key, builder, side="phone", description=""):
-    """Register a tool builder; re-registering a key replaces it."""
+    """Register a tool builder; re-registering a key replaces it.
+
+    A builder that forwards ``spec.tool_params`` names the keys it takes
+    as ``builder.params`` (see
+    :func:`~repro.testbed.environment.builder_params`); any other
+    ``tool_params`` key fails :meth:`ScenarioSpec.validate`.
+    """
     TOOLS[key] = ToolEntry(key, builder, side, description)
     return builder
+
+
+#: The names a builder's caller fills, per registry; never params keys.
+_SUPPLIED = {"env_params": ("seed", "emulated_rtt"),
+             "tool_params": ("spec", "env", "phone", "collector")}
+
+
+@functools.lru_cache(maxsize=None)
+def _accepted_params(builder, name):
+    """:func:`builder_params` of a ``name`` builder, looked up once."""
+    return builder_params(builder, _SUPPLIED[name])
 
 
 def tool_entry(key):
@@ -102,6 +122,8 @@ def _phone_tool(tool_cls):
         return tool_cls(phone, collector, env.server_ip,
                         interval=spec.interval, **spec.tool_params)
 
+    build.params = lambda: keyword_params(
+        tool_cls, ("phone", "collector", "target_ip", "interval"))
     return build
 
 
@@ -110,9 +132,17 @@ def _build_acutemon(spec, env, phone, collector):
     return AcuteMon(phone, collector, env.server_ip, config=config)
 
 
+_build_acutemon.params = lambda: keyword_params(AcuteMonConfig,
+                                                ("probe_count",))
+
+
 def _build_ping2(spec, env, phone, collector):
     return Ping2Tool(env.server_host, phone.ip_addr,
                      interval=spec.interval, **spec.tool_params)
+
+
+_build_ping2.params = lambda: keyword_params(
+    Ping2Tool, ("server_host", "phone_ip", "interval"))
 
 
 register_tool(
@@ -232,8 +262,11 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"environment {self.env!r} has no SDIO bus to keep awake "
                 f"(capabilities: {sorted(entry.capabilities)})")
-        for name in ("env_params", "tool_params"):
+        for name, registry_entry in (("env_params", entry),
+                                     ("tool_params", TOOLS[self.tool])):
             params = getattr(self, name)
+            if not params:
+                continue
             if not all(isinstance(key, str) for key in params):
                 raise ScenarioError(f"{name} keys must be strings")
             try:
@@ -241,6 +274,12 @@ class ScenarioSpec:
             except (TypeError, ValueError, RecursionError) as exc:
                 raise ScenarioError(
                     f"{name} must be JSON-serializable: {exc}") from None
+            accepted = _accepted_params(registry_entry.builder, name)
+            unknown = sorted(set(params) - accepted)
+            if unknown:
+                raise ScenarioError(
+                    f"{name} key(s) {unknown} not taken by "
+                    f"{registry_entry.key!r}; known: {sorted(accepted)}")
         return self
 
     def _env_entry(self):

@@ -21,7 +21,6 @@ from repro.tools.javaping import JavaPingTool
 from repro.tools.mobiperf import MobiPerfTool
 from repro.tools.ping import PingTool
 from repro.tools.ping2 import Ping2Tool
-from repro.tools.traceroute import TracerouteTool
 
 __all__ = [
     "HttpingTool",
@@ -31,5 +30,4 @@ __all__ = [
     "Ping2Tool",
     "PingTool",
     "RttSample",
-    "TracerouteTool",
 ]

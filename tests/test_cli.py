@@ -104,10 +104,9 @@ class TestParser:
 
     def test_lint_options(self):
         args = build_parser().parse_args(
-            ["lint", "src", "--format", "sarif", "--baseline", "b.json"])
+            ["lint", "src", "--format", "json"])
         assert args.paths == ["src"]
-        assert args.format == "sarif"
-        assert args.baseline == "b.json"
+        assert args.format == "json"
         assert build_parser().parse_args(["lint"]).paths == []
         with pytest.raises(SystemExit):
             build_parser().parse_args(["lint", "--format", "xml"])
@@ -295,19 +294,6 @@ class TestCommands:
             "RL105", "RL106", "RL107", "RL201", "RL202", "RL203",
         }
 
-    def test_lint_update_baseline_round_trip(self, capsys, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", str(FIXTURE), "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        assert "wrote baseline" in capsys.readouterr().out
-        assert main(["lint", str(FIXTURE), "--baseline",
-                     str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "lint clean" in out and "18 baselined" in out
-
-    def test_lint_update_baseline_requires_path(self, capsys):
-        assert main(["lint", str(FIXTURE), "--update-baseline"]) == 2
-
     def test_scenario_spec_save_and_load(self, capsys, tmp_path):
         spec_path = tmp_path / "cell.json"
         assert main(["--count", "3", "scenario", "run", "--tool", "ping",
@@ -341,6 +327,13 @@ BAD_SPEC_FILES = {
     "unknown_field": (b'{"tool":"ping","probes":3}',
                       "unknown scenario field"),
     "nan_rtt": (b'{"emulated_rtt":NaN}', "must be finite"),
+    "unknown_env_param": (b'{"env":"wifi","phone":"nexus5","tool":"ping",'
+                          b'"count":2,"env_params":{"bogus":1}}',
+                          "env_params key(s) ['bogus'] not taken by 'wifi'"),
+    "unknown_tool_param": (b'{"env":"wifi","phone":"nexus5","tool":"ping",'
+                           b'"count":2,"tool_params":{"bogus":1}}',
+                           "tool_params key(s) ['bogus'] not taken by "
+                           "'ping'"),
 }
 
 #: Command lines that exit 2 with a one-line error before any cell runs.
@@ -352,6 +345,22 @@ BAD_COMMANDS = {
                             "count must be >= 1"),
     "scenario_nan_rtt": (["scenario", "run", "--rtt", "nan"],
                          "must be finite"),
+    "campaign_zero_shards": (["campaign", "--shards", "0"],
+                             "shard_count must be None or an int >= 1"),
+    "campaign_negative_retries": (["campaign", "--retries", "-1"],
+                                  "retries must be an int >= 0"),
+    "campaign_negative_timeout": (["campaign", "--cell-timeout", "-1"],
+                                  "cell_timeout must be a positive"),
+    "campaign_nan_timeout": (["campaign", "--cell-timeout", "nan"],
+                             "cell_timeout must be a positive finite"),
+    "campaign_negative_backoff": (["campaign", "--retry-backoff", "-1"],
+                                  "backoff must be a finite number"),
+    "campaign_inf_backoff": (["campaign", "--retry-backoff", "inf"],
+                             "backoff must be a finite number"),
+    "analytic_nan_rtt": (["analytic", "--rtt", "nan"],
+                         "base_rtt must be a non-negative finite"),
+    "analytic_negative_load": (["analytic", "--load", "-1"],
+                               "offered_load must be a non-negative"),
 }
 
 
@@ -379,19 +388,55 @@ class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ["scenario", "run", "--spec", "missing.json"],
         ["campaign", "--rtts", "nan"],
-    ], ids=["scenario_missing_spec", "campaign_nan_rtt"])
+        ["campaign", "--cell-timeout", "nan"],
+    ], ids=["scenario_missing_spec", "campaign_nan_rtt",
+            "campaign_nan_timeout"])
     def test_process_exit_code_and_no_traceback(self, argv, tmp_path):
-        env = dict(os.environ)
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                          else []))
         completed = subprocess.run(
             [sys.executable, "-m", "repro", *argv], cwd=tmp_path,
-            env=env, capture_output=True, text=True, timeout=120)
+            env=_subprocess_env(), capture_output=True, text=True,
+            timeout=120)
         assert completed.returncode == 2
         assert completed.stderr.startswith("error: ")
         assert "Traceback" not in completed.stderr
+
+    def test_closed_stdout_pipe_exits_without_traceback(self, tmp_path):
+        """``repro ... | head -1``: the reader has gone away.  Its end of
+        the pipe is closed before the child starts, so the child's first
+        write meets the broken pipe however the two are scheduled."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "phones"], cwd=tmp_path,
+                env=_subprocess_env(), stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (completed.returncode, completed.stderr) == (1, "")
+
+    def test_broken_pipe_elsewhere_still_raises(self, capsys):
+        """Only a broken stdout is the reader going away; a broken pipe
+        from any other stream inside a command is not swallowed."""
+        def command(_args):
+            print("partial output")
+            raise BrokenPipeError("worker pipe")
+
+        with mock.patch.dict("repro.cli.COMMANDS",
+                             {"phones": (command, "stub")}):
+            with pytest.raises(BrokenPipeError, match="worker pipe"):
+                main(["phones"])
+        assert capsys.readouterr().out == "partial output\n"
+
+
+def _subprocess_env():
+    """The environment for ``python -m repro`` run from any directory."""
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                      else []))
+    return env
 
 
 #: A valid spec the fuzz edits one field of.
@@ -449,3 +494,67 @@ class TestSpecFileFuzz:
             assert out == ""
         else:
             assert err == "" and "user RTT" in out
+
+
+#: A number as a command-line word: any int or float (NaN, infinities
+#: and huge magnitudes included), or a word that is no number.
+_NUMBER_WORDS = st.one_of(st.integers().map(str), st.floats().map(repr),
+                          st.sampled_from(["", "x", "1e999", "-0", "0x10"]))
+
+
+def _run_exit_code(argv):
+    """``_run`` that also maps argparse's usage error to its exit code."""
+    try:
+        return _run(argv)
+    except SystemExit as exc:
+        return exc.code, "", ""
+
+
+def _stub_fabric_run(runner, **_kwargs):
+    """``FabricRunner.run`` without simulating a cell.  ``Campaign.run``
+    still builds the runner and the fault policy, so the option checks
+    it makes before dispatch stay under the fuzz."""
+    campaign = runner.campaign
+    campaign.results, campaign.quarantine = [], []
+    campaign.run_metrics = {"metrics": []}
+    return campaign.results
+
+
+class TestRunOptionFuzz:
+    """``campaign``'s run options and ``analytic``'s numbers either run
+    or exit 2 with one ``error:`` line; none ends in a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(options=st.dictionaries(
+        st.sampled_from(["--workers", "--shards", "--retries",
+                         "--cell-timeout", "--retry-backoff"]),
+        _NUMBER_WORDS, min_size=1))
+    def test_campaign_run_options(self, options):
+        from repro.testbed.fabric import FabricRunner
+
+        argv = ["campaign"] + [f"{flag}={word}"
+                               for flag, word in options.items()]
+        with mock.patch.object(FabricRunner, "run", autospec=True,
+                               side_effect=_stub_fabric_run) as run:
+            code, out, err = _run_exit_code(argv)
+        assert code in (0, 2)
+        if code == 0:
+            assert run.call_count == 1 and "Campaign results" in out
+        else:
+            assert run.call_count == 0
+            assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(options=st.dictionaries(
+        st.sampled_from(["--rtt", "--load", "--listen-interval",
+                         "--beacon-interval-tu"]),
+        _NUMBER_WORDS, min_size=1))
+    def test_analytic_numbers(self, options):
+        argv = ["analytic"] + [f"{flag}={word}"
+                               for flag, word in options.items()]
+        code, out, err = _run_exit_code(argv)
+        assert code in (0, 2)
+        if code == 0:
+            assert err == "" and "mean delay" in out
+        elif err.startswith("error: "):
+            assert err.count("\n") == 1

@@ -1,6 +1,6 @@
 """The codebase itself passes its own lint (tier-1 acceptance gate).
 
-``repro lint`` must report zero non-baselined findings on ``src/``, and
+``repro lint`` must report zero findings on ``src/``, and
 the only in-tree suppressions must be the two documented wall-clock
 reads in the observed scheduler path.
 """

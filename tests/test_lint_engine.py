@@ -1,7 +1,7 @@
 """Framework tests for the :mod:`repro.lint` engine.
 
-Covers the plugin machinery itself — pragma handling, baseline
-round-trips, rule scoping, and rule isolation (a crashing rule reports
+Covers the plugin machinery itself — pragma handling, rule scoping,
+and rule isolation (a crashing rule reports
 an RL000 internal-error finding instead of killing the run) — plus the
 seeded fixture in ``tests/data/lint_fixture.py`` that exercises every
 built-in rule id.
@@ -11,10 +11,7 @@ import pathlib
 
 import pytest
 
-from repro.lint import (
-    Baseline, Finding, ProjectRule, RULES, Rule, load_baseline,
-    register_rule, run_lint, save_baseline,
-)
+from repro.lint import ProjectRule, RULES, Rule, register_rule, run_lint
 from repro.lint.pragmas import disabled_ids, has_obs_pragma
 from repro.lint.registry import logical_parts
 
@@ -65,12 +62,11 @@ class TestFixtureRulePack:
         assert (33, "RL203") in {(f.line, f.rule_id)
                                  for f in result.findings}
 
-    def test_findings_carry_snippets_and_fingerprints(self):
+    def test_findings_carry_snippets(self):
         result = lint_fixture()
         by_rule = {f.rule_id: f for f in result.findings}
         assert "schedule(-0.5" in by_rule["RL103"].snippet
-        assert len({f.fingerprint for f in result.findings}) \
-            == len(result.findings)
+        assert all(f.snippet for f in result.findings)
 
 
 class TestPragmas:
@@ -113,47 +109,6 @@ class TestPragmas:
 
     def test_obs_pragma_requires_exact_words(self):
         assert not has_obs_pragma("foo()  # obs caller guarded")
-
-
-class TestBaseline:
-    def test_round_trip_suppresses_everything(self, tmp_path):
-        result = lint_fixture()
-        baseline = Baseline.from_findings(result.findings,
-                                          reason="fixture grandfathering")
-        path = tmp_path / "baseline.json"
-        save_baseline(path, baseline)
-        reloaded = load_baseline(path)
-        assert len(reloaded.entries) == len(result.findings)
-        assert all(entry.reason == "fixture grandfathering"
-                   for entry in reloaded.entries)
-        rebased = lint_fixture(baseline=reloaded)
-        assert not rebased.findings
-        assert len(rebased.baselined) == len(result.findings)
-        assert not rebased.stale_baseline
-
-    def test_stale_entries_surface_when_violation_fixed(self):
-        result = lint_fixture()
-        extra = Finding("RL203", "lint_fixture.py", 99,
-                        "was fixed", snippet="print('gone')")
-        baseline = Baseline.from_findings(result.findings + [extra])
-        rebased = lint_fixture(baseline=baseline)
-        assert not rebased.findings
-        assert [entry.fingerprint for entry in rebased.stale_baseline] \
-            == [extra.fingerprint]
-
-    def test_multiset_matching_needs_one_entry_per_finding(self):
-        result = lint_fixture()
-        one_entry_each = Baseline.from_findings(result.findings[:1])
-        rebased = lint_fixture(baseline=one_entry_each)
-        assert len(rebased.baselined) == 1
-        assert len(rebased.findings) == len(result.findings) - 1
-
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": 99, "findings": []}',
-                        encoding="utf-8")
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(path)
 
 
 class _CrashingRule(Rule):

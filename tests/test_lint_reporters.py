@@ -1,4 +1,4 @@
-"""Reporter schema tests: text/JSON/SARIF golden-file round-trips.
+"""Reporter schema tests: text/JSON golden-file round-trips.
 
 The goldens in ``tests/data/`` pin the exact reports the seeded fixture
 produces.  If a rule message or report field changes deliberately,
@@ -10,8 +10,7 @@ regenerate them:
     res = run_lint('tests/data/lint_fixture.py',
                    include_project_rules=False)
     for fmt, name in (("text", "lint_fixture.expected.txt"),
-                      ("json", "lint_fixture.expected.json"),
-                      ("sarif", "lint_fixture.expected.sarif")):
+                      ("json", "lint_fixture.expected.json")):
         pathlib.Path("tests/data", name).write_text(
             render(res, fmt) + "\n", encoding="utf-8")
     EOF
@@ -22,11 +21,7 @@ import pathlib
 
 import pytest
 
-from repro.lint import (
-    RULES, render, render_json, render_sarif, render_text,
-    rule_descriptors, run_lint,
-)
-from repro.lint.report import SARIF_VERSION
+from repro.lint import RULES, render, render_json, render_text, run_lint
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 FIXTURE = DATA / "lint_fixture.py"
@@ -53,17 +48,12 @@ class TestGoldenFiles:
         # itself (stable key order, no float drift).
         assert json.dumps(json.loads(rendered), indent=2) == rendered
 
-    def test_sarif_golden_round_trip(self, fixture_result):
-        rendered = render_sarif(fixture_result)
-        assert rendered + "\n" == _golden("lint_fixture.expected.sarif")
-        assert json.dumps(json.loads(rendered), indent=2) == rendered
-
 
 class TestJsonSchema:
     def test_document_shape(self, fixture_result):
         doc = json.loads(render_json(fixture_result))
         assert set(doc) == {"tool", "rules", "summary", "findings",
-                            "suppressed", "baselined", "stale_baseline"}
+                            "suppressed"}
         assert doc["tool"]["name"] == "repro.lint"
         assert doc["summary"]["files_scanned"] == 1
         assert doc["summary"]["findings"] == len(doc["findings"])
@@ -73,11 +63,9 @@ class TestJsonSchema:
         doc = json.loads(render_json(fixture_result))
         for row in doc["findings"] + doc["suppressed"]:
             assert set(row) == {"rule", "path", "line", "severity",
-                                "category", "message", "snippet",
-                                "fingerprint"}
+                                "category", "message", "snippet"}
             assert row["path"] == "lint_fixture.py"
             assert row["line"] >= 1
-            assert len(row["fingerprint"]) == 16
 
     def test_rule_catalog_covers_all_registered_rules(self, fixture_result):
         doc = json.loads(render_json(fixture_result))
@@ -87,42 +75,12 @@ class TestJsonSchema:
         assert all(row["description"] for row in doc["rules"])
 
 
-class TestSarifSchema:
-    def test_log_shape(self, fixture_result):
-        log = json.loads(render_sarif(fixture_result))
-        assert log["version"] == SARIF_VERSION
-        assert len(log["runs"]) == 1
-        driver = log["runs"][0]["tool"]["driver"]
-        assert driver["name"] == "repro.lint"
-        assert [rule["id"] for rule in driver["rules"]] \
-            == [row["id"] for row in rule_descriptors()]
-
-    def test_results_reference_driver_rules(self, fixture_result):
-        log = json.loads(render_sarif(fixture_result))
-        driver_rules = log["runs"][0]["tool"]["driver"]["rules"]
-        for result in log["runs"][0]["results"]:
-            assert driver_rules[result["ruleIndex"]]["id"] \
-                == result["ruleId"]
-            assert result["level"] in ("error", "warning")
-            location = result["locations"][0]["physicalLocation"]
-            assert location["artifactLocation"]["uri"] == "lint_fixture.py"
-            assert location["region"]["startLine"] >= 1
-            assert result["partialFingerprints"]["reproLint/v1"]
-
-    def test_result_count_matches_findings(self, fixture_result):
-        log = json.loads(render_sarif(fixture_result))
-        assert len(log["runs"][0]["results"]) \
-            == len(fixture_result.findings)
-
-
 class TestRenderDispatch:
     def test_named_formats(self, fixture_result):
         assert render(fixture_result, "text") \
             == render_text(fixture_result)
         assert render(fixture_result, "json") \
             == render_json(fixture_result)
-        assert render(fixture_result, "sarif") \
-            == render_sarif(fixture_result)
 
     def test_unknown_format_rejected(self, fixture_result):
         with pytest.raises(ValueError, match="unknown report format"):

@@ -39,11 +39,12 @@ class TestFaultPolicy:
         policy = FaultPolicy()
         assert policy.cell_timeout is None
         assert policy.retries == 0
-        assert policy.delays() == ()
+        assert policy.backoff == 0.0
 
     def test_deterministic_exponential_backoff(self):
         policy = FaultPolicy(retries=4, backoff=0.5)
-        assert policy.delays() == (0.5, 1.0, 2.0, 4.0)
+        assert [policy.delay(attempt) for attempt in range(4)] == \
+            [0.5, 1.0, 2.0, 4.0]
 
     def test_round_trips_through_dict(self):
         policy = FaultPolicy(cell_timeout=2.5, retries=3, backoff=0.1)

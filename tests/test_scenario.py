@@ -108,6 +108,8 @@ class TestValidation:
         ("env_params", [("t1", 3.0)]),
         ("tool_params", 0),
         ("tool_params", {"timeout": math.inf}),
+        ("env_params", {"bogus": 1}),
+        ("tool_params", {"bogus": 1}),
     ])
     def test_bad_field_values(self, field, value):
         with pytest.raises(ScenarioError):
@@ -193,10 +195,10 @@ class TestSerialization:
         assert spec != spec.replace(seed=1)
 
     def test_params_are_copied_in(self):
-        params = {"t1": 3.0}
+        params = {"rtt_jitter": 3.0}
         spec = ScenarioSpec(env_params=params)
-        params["t1"] = 99.0
-        assert spec.env_params == {"t1": 3.0}
+        params["rtt_jitter"] = 99.0
+        assert spec.env_params == {"rtt_jitter": 3.0}
 
 
 class TestFingerprint:
@@ -205,10 +207,12 @@ class TestFingerprint:
     FULL = dict(env="wifi", phone="nexus4", tool="acutemon",
                 emulated_rtt=0.05, count=7, interval=0.5, seed=42,
                 cross_traffic=False, bus_sleep=True, settle=0.25,
-                observe=True, env_params={"queue_depth": 8},
-                tool_params={"probe_method": "udp"})
+                observe=True, env_params={}, tool_params={})
 
     #: One valid mutation per spec field; each must move the fingerprint.
+    #: FULL's params stay empty so that the ``env`` and ``tool``
+    #: mutations stay valid: the WiFi and cellular builders share no
+    #: key, and neither do AcuteMon's and ping's.
     MUTATIONS = [
         ("env", "cellular-lte"),
         ("phone", "nexus5"),
@@ -221,7 +225,7 @@ class TestFingerprint:
         ("bus_sleep", False),
         ("settle", 0.5),
         ("observe", False),
-        ("env_params", {"queue_depth": 9}),
+        ("env_params", {"rtt_jitter": 0.001}),
         ("tool_params", {"probe_method": "tcp"}),
     ]
 
@@ -255,8 +259,8 @@ class TestFingerprint:
             == spec.fingerprint()
 
     def test_params_key_order_does_not_matter(self):
-        first = ScenarioSpec(env_params={"a": 1, "b": 2})
-        second = ScenarioSpec(env_params={"b": 2, "a": 1})
+        first = ScenarioSpec(env_params={"rtt_jitter": 1, "path_loss": 2})
+        second = ScenarioSpec(env_params={"path_loss": 2, "rtt_jitter": 1})
         assert first.fingerprint() == second.fingerprint()
 
     def test_canonical_json_is_sorted_and_compact(self):

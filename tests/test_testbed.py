@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.acutemon import AcuteMon, AcuteMonConfig
+from repro.core.measurement import ProbeCollector
 from repro.testbed.experiments import (
     acutemon_experiment,
     ping2_experiment,
@@ -129,3 +131,32 @@ class TestExperimentRunners:
         second = ping_experiment("nexus5", emulated_rtt=0.03, interval=0.01,
                                  count=10, seed=10)
         assert first.layers["du"] != second.layers["du"]
+
+
+def acutemon_rtts(seed, probe_count, probe_method="tcp_syn",
+                  probe_timeout=1.0, **testbed_kwargs):
+    """Run one default-config AcuteMon measurement; its user RTTs."""
+    testbed = Testbed(seed=seed, **testbed_kwargs)
+    phone = testbed.add_phone("nexus5")
+    collector = ProbeCollector(phone)
+    testbed.settle(0.5)
+    config = AcuteMonConfig(probe_count=probe_count,
+                            probe_method=probe_method,
+                            probe_timeout=probe_timeout)
+    monitor = AcuteMon(phone, collector, testbed.server_ip, config=config)
+    monitor.run_sync()
+    return monitor.rtts()
+
+
+class TestTestbedPathKnobs:
+    def test_rtt_jitter_spreads_measurements(self):
+        rtts = acutemon_rtts(85, 30, emulated_rtt=0.030, rtt_jitter=0.005)
+        assert len(rtts) == 30
+        spread = max(rtts) - min(rtts)
+        assert spread > 0.004  # jitter dominates the usual ~1 ms spread
+
+    def test_path_loss_costs_probes_or_retransmits(self):
+        rtts = acutemon_rtts(86, 15, probe_method="icmp", probe_timeout=0.3,
+                             emulated_rtt=0.030, path_loss=0.2)
+        # ICMP probes have no retransmission: ~20% simply vanish.
+        assert len(rtts) < 15
