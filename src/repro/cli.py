@@ -202,6 +202,10 @@ def cmd_campaign(args):
 def cmd_cache(args):
     from repro.testbed.store import ResultStore
 
+    if not os.path.isdir(args.store):
+        print(f"error: --store {args.store!r} is not an existing directory",
+              file=sys.stderr)
+        return 2
     store = ResultStore(args.store)
     if args.cache_command == "stats":
         stats = store.stats()
@@ -211,7 +215,12 @@ def cmd_cache(args):
         if stats["skipped"]:
             print(f"  {stats['skipped']} unreadable/stale line(s) skipped")
         return 0
-    summary = store.gc()
+    try:
+        summary = store.gc()
+    except OSError as exc:  # e.g. <store>/segments is not a directory
+        print(f"error: cannot compact {args.store!r}: {exc}",
+              file=sys.stderr)
+        return 2
     print(f"gc: kept {summary['live']} live cell(s), removed "
           f"{summary['removed_segments']} segment(s), dropped "
           f"{summary['dropped']} stale or superseded record(s)")
@@ -331,28 +340,6 @@ def cmd_scenario(args):
               f"{len(sim.spans)} spans")
 
 
-def cmd_lint(args):
-    import pathlib
-
-    import repro
-    from repro.lint import LintResult, render, run_lint
-
-    if args.paths:
-        roots = [pathlib.Path(path) for path in args.paths]
-        # Explicit paths get the static rules only: the registry
-        # contract is process-global, not a property of those files.
-        include_project = False
-    else:
-        roots = [pathlib.Path(repro.__file__).resolve().parents[1]]
-        include_project = True
-    result = LintResult()
-    for index, root in enumerate(roots):
-        result.merge(run_lint(
-            root, include_project_rules=include_project and index == 0))
-    print(render(result, args.format))
-    return result.exit_code
-
-
 def cmd_analytic(args):
     from repro.analysis.analytic import AnalyticError, predict_for_profile
     from repro.sim.units import tu
@@ -421,8 +408,6 @@ COMMANDS = {
     "analytic": (cmd_analytic, "closed-form PSM delay predictions for a "
                                "phone profile (docs/ANALYTIC.md)"),
     "phones": (cmd_phones, "list the modelled phone profiles"),
-    "lint": (cmd_lint, "static-analysis engine: determinism, obs-guard, "
-                       "API and registry contracts (docs/STATIC_ANALYSIS.md)"),
 }
 
 
@@ -529,14 +514,6 @@ def build_parser():
                              help="report format (default text)")
             cmd.add_argument("--out", default=None, metavar="PATH",
                              help="write the report instead of printing")
-        if name == "lint":
-            cmd.add_argument("paths", nargs="*", metavar="PATH",
-                             help="files or directories to lint (default: "
-                                  "the installed repro package source; "
-                                  "explicit paths skip the registry rule)")
-            cmd.add_argument("--format", default="text",
-                             choices=("text", "json"),
-                             help="report format (default text)")
         if name == "campaign":
             cmd.add_argument("--env", nargs="+", default=["wifi"],
                              choices=environment_keys(),

@@ -3,7 +3,7 @@
 One :class:`MetricsRegistry` attaches to each
 :class:`~repro.sim.scheduler.Simulator` (``sim.metrics``).  It is
 disabled by default so the hot path costs a single attribute check; call
-sites guard on ``enabled`` before the call (lint rule RL001)::
+sites guard on ``enabled`` before the call (invariant RL001)::
 
     if sim.metrics.enabled:
         sim.metrics.inc(SDIO_WAKES_TOTAL, labels={"bus": self.name})

@@ -1,6 +1,6 @@
 """The declared name table for every metric and span the model emits.
 
-Lint rule RL106 (``repro.lint.rules_names``) bans inline string
+Invariant RL106 (tests/test_source_invariants.py) bans inline string
 literals at ``metrics.*``/``spans.*`` call sites: names must be
 constants imported from this module.  That keeps the vocabulary — in
 particular the delay-decomposition component names the report pipeline

@@ -13,7 +13,7 @@ probe transaction).  Completing a span does two things at once:
   :class:`~repro.obs.metrics.MetricsRegistry`.
 
 The tracker is disabled by default; call sites guard exactly like
-metrics call sites (lint rule RL001)::
+metrics call sites (invariant RL001)::
 
     if sim.spans.enabled:
         sim.spans.record("sdio.promotion", t0, t0 + delay, bus=self.name)

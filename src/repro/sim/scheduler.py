@@ -111,7 +111,7 @@ class Simulator:
         sim.run(until=10.0)
 
     ``_heap`` and ``_canceled_in_heap`` (the lazy-cancellation count) are
-    private to this module and :mod:`repro.sim.events` — lint rule RL105
+    private to this module and :mod:`repro.sim.events` — invariant RL105
     rejects outside access, so call sites read queue state through
     :meth:`pending` and :meth:`peek` only.
     """

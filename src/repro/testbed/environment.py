@@ -197,7 +197,9 @@ class Environment:
 
 
 def keyword_params(target, supplied=()):
-    """The parameter names ``target`` takes by keyword, minus ``supplied``.
+    """``{name: default}`` of the parameters ``target`` takes by keyword,
+    minus ``supplied`` (a parameter with no default maps to
+    ``inspect.Parameter.empty``).
 
     This is what a params dict may carry when a builder forwards it
     into ``target`` after filling the ``supplied`` names itself.  A
@@ -213,28 +215,33 @@ def keyword_params(target, supplied=()):
                      if "__init__" in vars(cls)]
     else:
         functions = [target]
-    names = set()
+    defaults = {}
     for function in functions:
         params = inspect.signature(function).parameters.values()
-        names.update(param.name for param in params if param.kind in (
-            param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY))
+        for param in params:
+            if param.kind in (param.POSITIONAL_OR_KEYWORD,
+                              param.KEYWORD_ONLY):
+                defaults.setdefault(param.name, param.default)
         if not any(param.kind is param.VAR_KEYWORD for param in params):
             break
-    return frozenset(names - {"self", *supplied})
+    for name in ("self", *supplied):
+        defaults.pop(name, None)
+    return defaults
 
 
 def builder_params(builder, supplied):
-    """The params keys a registered builder takes.
+    """``{key: default}`` of the params a registered builder takes.
 
-    A builder that forwards its params dict elsewhere names the keys
+    A builder that forwards its params dict elsewhere names them
     itself, as a zero-arg ``builder.params`` (called only when a spec
     carries params, so it may import the target's module); any other
     builder takes its own keyword parameters minus the ``supplied``
-    ones, which for a ``**params`` builder is no key at all.
+    ones, which for a ``**params`` builder is no key at all.  The type
+    of a default is the type a spec's value must have.
     """
     declared = getattr(builder, "params", None)
-    return frozenset(declared() if declared is not None
-                     else keyword_params(builder, supplied))
+    return (declared() if declared is not None
+            else keyword_params(builder, supplied))
 
 
 class EnvironmentEntry:
@@ -271,8 +278,9 @@ def register_environment(key, builder, description="",
     never match.
 
     :class:`~repro.testbed.scenario.ScenarioSpec` rejects any
-    ``env_params`` key the builder does not take (see
-    :func:`builder_params`) before a cell is built.
+    ``env_params`` key the builder does not take, or a value of another
+    type than the key's default (see :func:`builder_params`), before a
+    cell is built.
     """
     tags = list(capabilities)
     duplicates = sorted({tag for tag in tags if tags.count(tag) > 1})
@@ -368,7 +376,13 @@ def _cellular_builder(rrc_preset):
                                rrc_config=rrc_config,
                                attach_default_phone=False, **env_params)
 
-    build.params = lambda: _RRC_OVERRIDABLE
+    def params():
+        from repro.cellular.rrc import RrcConfig
+
+        defaults = keyword_params(RrcConfig)
+        return {field: defaults[field] for field in _RRC_OVERRIDABLE}
+
+    build.params = params
     return build
 
 

@@ -14,7 +14,7 @@ together:
   final line — which the tolerant reader skips like any other unusable
   line.  It is the only code that reads or appends cell records: the
   persistent :class:`~repro.testbed.store.ResultStore` is a directory
-  of journals.  Lint rule ``RL104`` flags journal writes that bypass
+  of journals.  Invariant ``RL104`` flags journal writes that bypass
   the helper.
 * **Content-addressed cell cache** — :meth:`CheckpointJournal.load`
   returns ``{fingerprint: result payload}``; a resumed campaign skips
@@ -220,7 +220,7 @@ def append_journal_record(handle, record):
     One record becomes exactly one ``write()`` of a complete JSONL line
     followed by a ``flush()``, so the journal can only ever be torn at
     its final line — once data reaches the OS it survives a process
-    crash, and the tolerant loader discards a torn tail.  Lint rule
+    crash, and the tolerant loader discards a torn tail.  Invariant
     ``RL104`` flags journal/checkpoint writes that bypass this helper.
 
     Key order is preserved verbatim (no ``sort_keys``): a resumed cell

@@ -85,7 +85,8 @@ def register_tool(key, builder, side="phone", description=""):
     A builder that forwards ``spec.tool_params`` names the keys it takes
     as ``builder.params`` (see
     :func:`~repro.testbed.environment.builder_params`); any other
-    ``tool_params`` key fails :meth:`ScenarioSpec.validate`.
+    ``tool_params`` key, or a value of another type than the key's
+    default, fails :meth:`ScenarioSpec.validate`.
     """
     TOOLS[key] = ToolEntry(key, builder, side, description)
     return builder
@@ -96,10 +97,20 @@ _SUPPLIED = {"env_params": ("seed", "emulated_rtt"),
              "tool_params": ("spec", "env", "phone", "collector")}
 
 
+#: The value types a params key takes, by the type of the builder
+#: parameter's default.  A key whose default JSON cannot express (a
+#: ``PhyParams``, ``None``) is not settable from a spec.
+_PARAM_TYPES = {bool: (bool,), int: (int,), float: (int, float),
+                str: (str,)}
+
+
 @functools.lru_cache(maxsize=None)
 def _accepted_params(builder, name):
-    """:func:`builder_params` of a ``name`` builder, looked up once."""
-    return builder_params(builder, _SUPPLIED[name])
+    """``{key: value types}`` a ``name`` builder's params may carry,
+    looked up once."""
+    return {key: _PARAM_TYPES[type(default)] for key, default
+            in builder_params(builder, _SUPPLIED[name]).items()
+            if type(default) in _PARAM_TYPES}
 
 
 def tool_entry(key):
@@ -275,11 +286,19 @@ class ScenarioSpec:
                 raise ScenarioError(
                     f"{name} must be JSON-serializable: {exc}") from None
             accepted = _accepted_params(registry_entry.builder, name)
-            unknown = sorted(set(params) - accepted)
+            unknown = sorted(params.keys() - accepted.keys())
             if unknown:
                 raise ScenarioError(
                     f"{name} key(s) {unknown} not taken by "
                     f"{registry_entry.key!r}; known: {sorted(accepted)}")
+            for key, value in sorted(params.items()):
+                types = accepted[key]
+                if (not isinstance(value, types)
+                        or (isinstance(value, bool) and bool not in types)):
+                    raise ScenarioError(
+                        f"{name}[{key!r}] must be "
+                        f"{' or '.join(t.__name__ for t in types)} for "
+                        f"{registry_entry.key!r}, got {value!r}")
         return self
 
     def _env_entry(self):

@@ -29,7 +29,7 @@ misses the cache and the cell re-executes.  :meth:`~ResultStore.gc`
 compacts the live records into one fresh segment and drops unusable and
 superseded records.
 
-Lint rule ``RL107`` keeps the journal's module the only place that
+Invariant ``RL107`` keeps the journal's module the only place that
 opens record files directly; everything else goes through the classes.
 """
 

@@ -1,8 +1,8 @@
-"""Seeded fixture: one violation per lint rule, plus pragma interplay.
+"""Seeded fixture: one violation per source invariant, plus pragmas.
 
-Linted by tests/test_lint_engine.py and tests/test_lint_reporters.py;
-the golden reports in this directory pin the expected output.  Line
-numbers matter — edit only together with the goldens.
+Checked with every rule by tests/test_source_invariants.py, whose
+FIXTURE_EXPECTED pins each (line, rule) this file breaks.  Line
+numbers matter — edit only together with FIXTURE_EXPECTED.
 """
 
 import random

@@ -17,10 +17,6 @@ from hypothesis import strategies as st
 from repro.cli import build_parser, main
 from tests.test_decompose import _json_values
 
-FIXTURE = (pathlib.Path(__file__).resolve().parent / "data"
-           / "lint_fixture.py")
-
-
 class TestParser:
     def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):
@@ -101,15 +97,6 @@ class TestParser:
     def test_scenario_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario"])
-
-    def test_lint_options(self):
-        args = build_parser().parse_args(
-            ["lint", "src", "--format", "json"])
-        assert args.paths == ["src"]
-        assert args.format == "json"
-        assert build_parser().parse_args(["lint"]).paths == []
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["lint", "--format", "xml"])
 
     def test_campaign_fabric_options(self):
         args = build_parser().parse_args(
@@ -282,18 +269,6 @@ class TestCommands:
         assert "probes: 4" in out
         assert "user RTT" in out
 
-    def test_lint_clean_on_package_source(self, capsys):
-        assert main(["lint"]) == 0
-        assert "lint clean" in capsys.readouterr().out
-
-    def test_lint_fixture_fails_with_expected_rules(self, capsys):
-        assert main(["lint", str(FIXTURE), "--format", "json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert {row["rule"] for row in doc["findings"]} == {
-            "RL001", "RL002", "RL101", "RL102", "RL103", "RL104",
-            "RL105", "RL106", "RL107", "RL201", "RL202", "RL203",
-        }
-
     def test_scenario_spec_save_and_load(self, capsys, tmp_path):
         spec_path = tmp_path / "cell.json"
         assert main(["--count", "3", "scenario", "run", "--tool", "ping",
@@ -334,6 +309,12 @@ BAD_SPEC_FILES = {
                            b'"count":2,"tool_params":{"bogus":1}}',
                            "tool_params key(s) ['bogus'] not taken by "
                            "'ping'"),
+    "wrong_type_env_param": (b'{"env":"wifi","tool":"ping","count":2,'
+                             b'"env_params":{"sniffer_count":"a"}}',
+                             "env_params['sniffer_count'] must be int"),
+    "non_json_env_param": (b'{"env":"wifi","tool":"ping","count":2,'
+                           b'"env_params":{"phy":1}}',
+                           "env_params key(s) ['phy'] not taken by 'wifi'"),
 }
 
 #: Command lines that exit 2 with a one-line error before any cell runs.
@@ -558,3 +539,66 @@ class TestRunOptionFuzz:
             assert err == "" and "mean delay" in out
         elif err.startswith("error: "):
             assert err.count("\n") == 1
+
+
+@st.composite
+def _stores(draw):
+    """``(kind, build)``: a ``--store`` path that is missing, a file, or
+    a directory whose ``segments`` entry is absent, a file, or holds
+    segment files of arbitrary bytes or JSON lines."""
+    kind = draw(st.sampled_from(("missing", "file", "dir")))
+    layout = draw(st.sampled_from(("none", "file", "segments")))
+    blobs = draw(st.lists(st.one_of(
+        st.binary(max_size=64),
+        st.lists(_json_values, max_size=3).map(
+            lambda rows: "".join(json.dumps(row) + "\n"
+                                 for row in rows).encode("utf-8"))),
+        max_size=3))
+
+    def build(path):
+        if kind == "file":
+            path.write_bytes(b"".join(blobs))
+        elif kind == "dir":
+            path.mkdir()
+            if layout == "file":
+                (path / "segments").write_bytes(b"")
+            elif layout == "segments":
+                (path / "segments").mkdir()
+                for index, blob in enumerate(blobs):
+                    (path / "segments" / f"seg-1-{index:08d}.jsonl") \
+                        .write_bytes(blob)
+
+    return kind, build
+
+
+class TestCacheFuzz:
+    @pytest.mark.parametrize("subcommand", ["stats", "gc"])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_store_must_be_a_directory(self, subcommand, kind, tmp_path):
+        store = tmp_path / "store"
+        if kind == "file":
+            store.write_text("{}\n", encoding="utf-8")
+        code, out, err = _run(["cache", subcommand, "--store", str(store)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: --store {str(store)!r} is not an existing "
+                       "directory\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(subcommand=st.sampled_from(["stats", "gc"]), store=_stores())
+    def test_any_store_exits_0_or_2(self, subcommand, store):
+        """``cache`` either reports on the store or exits 2 with one
+        ``error:`` line; a path that is no directory is always 2."""
+        kind, build = store
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "store"
+            build(path)
+            code, out, err = _run(["cache", subcommand, "--store",
+                                   str(path)])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert out == ""
+        else:
+            assert kind == "dir" and err == ""
+            assert out.startswith("store " if subcommand == "stats"
+                                  else "gc: ")

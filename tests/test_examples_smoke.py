@@ -21,7 +21,6 @@ FAST_EXAMPLES = (
     "energy_budget.py",
     "observability_tour.py",
     "scenario_sweep.py",
-    "lint_ci.py",
 )
 
 

@@ -19,8 +19,8 @@ import pathlib
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 
-#: Modules no result reaches: the command line, the lint engine, and
-#: four modules waiting for ROADMAP item 2's specs to wire them in.
+#: Modules no result reaches: the command line and four modules
+#: waiting for ROADMAP item 2's specs to wire them in.
 UNREACHED = {
     "repro.__main__",
     "repro.cli",
@@ -29,7 +29,6 @@ UNREACHED = {
     "repro.phone.tcpdump",
     "repro.sniffer.rtt",
 }
-UNREACHED_PACKAGES = ("repro.lint.",)
 
 
 def _module_name(path):
@@ -129,9 +128,7 @@ def test_unreached_modules_are_exactly_the_pinned_list():
     walker = _Walker()
     modules = {name for name in walker.files if not walker.is_package(name)}
     unreached = modules - walker.reached(_roots())
-    expected = UNREACHED | {name for name in modules
-                            if name.startswith(UNREACHED_PACKAGES)}
-    assert sorted(unreached) == sorted(expected), (
+    assert sorted(unreached) == sorted(UNREACHED), (
         "a module outside the pinned list is unreached (delete it or wire "
         "it into a result), or a pinned one is now reached (drop it from "
         "UNREACHED)")

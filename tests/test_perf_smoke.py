@@ -795,22 +795,24 @@ def test_smoke_cache_warm_speedup(tmp_path):
 
 @pytest.mark.perf_smoke
 def test_smoke_lint_full_repo_under_budget():
-    """A full-repo ``repro lint`` run must stay under 5 seconds.
+    """The source-invariant walk must stay under 5 seconds.
 
-    The engine is wired into tier-1 (tests/test_lint_clean.py), so its
-    latency is tier-1 latency: this gate keeps rule authors honest about
-    per-file cost.  The budget covers every registered rule including
-    the dynamic registry contract (RL301), on the whole ``src/`` tree,
-    with a generous margin over the current cost.
+    tests/test_source_invariants.py runs it in tier-1, so its latency is
+    tier-1 latency: this gate keeps rule authors honest about per-file
+    cost.  The budget covers every rule, the registry contract (RL301)
+    included, on the whole ``src/repro`` tree, with a generous margin
+    over the current cost.
     """
-    from repro.lint import run_lint
+    from tests.test_source_invariants import registry_problems, scan
 
-    src = _REPO_ROOT / "src"
     start = time.perf_counter()
-    result = run_lint(src)
+    results = scan()
+    problems = registry_problems()
     elapsed = time.perf_counter() - start
-    assert result.files_scanned > 90
-    assert not result.findings
+    assert len(results) > 90
+    assert not [finding for findings, _ in results.values()
+                for finding in findings]
+    assert not problems
     _rates["lint_full_repo_seconds"] = elapsed
     assert elapsed < 5.0
 

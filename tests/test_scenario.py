@@ -110,6 +110,12 @@ class TestValidation:
         ("tool_params", {"timeout": math.inf}),
         ("env_params", {"bogus": 1}),
         ("tool_params", {"bogus": 1}),
+        ("env_params", {"sniffer_count": "a"}),
+        ("env_params", {"sniffer_count": 2.0}),
+        ("env_params", {"send_time_exceeded": 1}),
+        ("env_params", {"rtt_jitter": True}),
+        ("env_params", {"phy": 1}),
+        ("tool_params", {"probe_method": 3}),
     ])
     def test_bad_field_values(self, field, value):
         with pytest.raises(ScenarioError):
