@@ -25,6 +25,7 @@ class CellularInterface:
         self.rrc = rrc
         self.rng = rng if rng is not None else sim.rng.stream(f"cell:{name}")
         self.name = name
+        self._cell_ul_label = f"cell-ul:{self.name}"
         self.tower = None
         self.deliver_up = None
         self.packets_tx = 0
@@ -48,7 +49,7 @@ class CellularInterface:
                    + self.rrc.latency())
         self.rrc.touch()
         self.sim.schedule(airtime, self.tower.receive_uplink, packet,
-                          label=f"cell-ul:{self.name}")
+                          label=self._cell_ul_label)
 
     def receive_downlink(self, packet):
         """Tower delivery toward the phone stack."""
@@ -72,6 +73,7 @@ class CellTower:
                  send_time_exceeded=True):
         self.sim = sim
         self.name = name
+        self._cell_dl_label = f"cell-dl:{self.name}"
         self.router = Router(sim, name=f"{name}.router", rng=rng,
                              send_time_exceeded=send_time_exceeded)
         self._phones = {}  # ip -> CellularInterface
@@ -116,7 +118,7 @@ class CellTower:
         airtime = (bytes_to_bits(packet.wire_size) / rrc.rate_bps()
                    + rrc.latency())
         self.sim.schedule(airtime, interface.receive_downlink, packet,
-                          label=f"cell-dl:{self.name}")
+                          label=self._cell_dl_label)
 
     def __repr__(self):
         return f"<CellTower {self.name} phones={len(self._phones)}>"

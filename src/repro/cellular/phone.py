@@ -22,6 +22,8 @@ class CellularPhone:
         self.profile = profile
         self.ip_addr = ip_addr
         self.name = name or f"{profile.key}-cell"
+        self._app_send_label = f"app-send:{self.name}"
+        self._app_recv_label = f"app-recv:{self.name}"
         self.rng = rng if rng is not None else sim.rng.stream(
             f"cellphone:{self.name}")
         self.runtime = runtime
@@ -50,7 +52,7 @@ class CellularPhone:
 
     def user_send(self, fn):
         t_user = self.sim.now
-        self.sim.schedule(self.app_cost(), fn, label=f"app-send:{self.name}")
+        self.sim.schedule(self.app_cost(), fn, label=self._app_send_label)
         return t_user
 
     def user_wrap(self, callback):
@@ -62,7 +64,7 @@ class CellularPhone:
                 callback(*args)
 
             self.sim.schedule(self.app_cost(), fire,
-                              label=f"app-recv:{self.name}")
+                              label=self._app_recv_label)
 
         return wrapped
 

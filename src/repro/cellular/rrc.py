@@ -82,6 +82,7 @@ class RrcMachine:
         self.config = config if config is not None else RrcConfig()
         self.rng = rng if rng is not None else sim.rng.stream(f"rrc:{name}")
         self.name = name
+        self._rrc_promo_label = f"rrc-promo:{self.name}"
         self.state = RrcState.IDLE
         self.on_state_change = None
         self.promotions = 0
@@ -169,7 +170,7 @@ class RrcMachine:
         else:
             delay += self.config.promo_fach_dch.draw(self.rng)
         self.sim.schedule(delay, self._finish_promotion,
-                          label=f"rrc-promo:{self.name}")
+                          label=self._rrc_promo_label)
 
     def _finish_promotion(self):
         self._promoting = False

@@ -94,6 +94,11 @@ class AcuteMon:
         self.target_ip = target_ip
         self.config = config if config is not None else AcuteMonConfig()
         self.name = name
+        self._mt_start_label = f"{self.name}-mt-start"
+        self._bg_label = f"{self.name}-bg"
+        self._timeout_label = f"{self.name}-timeout"
+        self._gap_label = f"{self.name}-gap"
+        self._next_label = f"{self.name}-next"
         self.results = []
         self.background_sent = 0
         self.warmups_sent = 0
@@ -137,7 +142,7 @@ class AcuteMon:
             if self.config.background_enabled:
                 self._start_background_train()
             self.sim.schedule(self.config.dpre, self._begin_measurement,
-                              label=f"{self.name}-mt-start")
+                              label=self._mt_start_label)
         else:
             if self.config.background_enabled:
                 self._start_background_train()
@@ -180,7 +185,7 @@ class AcuteMon:
         # self-rescheduling callback; _finish() cancels the train.
         self._bg_event = self.sim.schedule_periodic(
             self.config.db, self._background_tick, rearm_after=True,
-            label=f"{self.name}-bg",
+            label=self._bg_label,
         )
 
     def _background_tick(self):
@@ -252,7 +257,7 @@ class AcuteMon:
         self._pending = (record, t0)
         self._probe_timer = self.sim.schedule(
             self.config.probe_timeout, self._probe_timed_out, record.probe_id,
-            label=f"{self.name}-timeout",
+            label=self._timeout_label,
         )
 
     def _connect_probe(self, record, meta):
@@ -300,9 +305,9 @@ class AcuteMon:
                                  labels={"outcome": "ok"})
         if self.config.probe_gap > 0:
             self.sim.schedule(self.config.probe_gap, self._next_probe,
-                              label=f"{self.name}-gap")
+                              label=self._gap_label)
         else:
-            self.sim.call_soon(self._next_probe, label=f"{self.name}-next")
+            self.sim.call_soon(self._next_probe, label=self._next_label)
 
     def _probe_timed_out(self, probe_id):
         self._probe_timer = None

@@ -13,16 +13,13 @@ ETHERNET_OVERHEAD = 38  # preamble + SFD + header + FCS + minimum IFG, bytes
 class EthernetFrame:
     """An Ethernet frame carrying one IP packet."""
 
-    __slots__ = ("dst_mac", "src_mac", "packet")
+    __slots__ = ("dst_mac", "src_mac", "packet", "wire_size")
 
     def __init__(self, dst_mac, src_mac, packet):
         self.dst_mac = dst_mac
         self.src_mac = src_mac
         self.packet = packet
-
-    @property
-    def wire_size(self):
-        return ETHERNET_OVERHEAD + self.packet.wire_size
+        self.wire_size = ETHERNET_OVERHEAD + packet.wire_size
 
     def __repr__(self):
         return f"EthernetFrame({self.src_mac} -> {self.dst_mac} {self.packet!r})"
@@ -46,6 +43,7 @@ class EthernetInterface:
         self.link = None
         self.egress = queue if queue is not None else DropTailQueue()
         self.name = name
+        self._eth_tx_label = f"eth-tx:{self.name}"
         self._transmitting = False
         self._taps = []
         self.frames_sent = 0
@@ -80,7 +78,7 @@ class EthernetInterface:
             tap(frame, "tx")
         tx_time = self.link.transmit(self, frame)
         self.frames_sent += 1
-        self._sim.schedule(tx_time, self._transmit_done, label=f"eth-tx:{self.name}")
+        self._sim.schedule(tx_time, self._transmit_done, label=self._eth_tx_label)
 
     def _transmit_done(self):
         self._transmitting = False

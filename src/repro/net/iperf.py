@@ -28,6 +28,7 @@ class UdpFlow:
         self.payload_size = payload_size
         self.rng = rng
         self.name = name
+        self._iperf_label = f"iperf:{self.name}"
         self.src_port = stack.allocate_port()
         self.packets_sent = 0
         self._running = False
@@ -45,7 +46,7 @@ class UdpFlow:
         self._running = True
         phase = self.rng.uniform(0, self.interval) if (self.rng and jitter_first) else 0.0
         self._event = self.sim.schedule(phase, self._send_one,
-                                        label=f"iperf:{self.name}")
+                                        label=self._iperf_label)
 
     def stop(self):
         self._running = False
@@ -62,7 +63,7 @@ class UdpFlow:
         )
         self.packets_sent += 1
         self._event = self.sim.schedule(self.interval, self._send_one,
-                                        label=f"iperf:{self.name}")
+                                        label=self._iperf_label)
 
 
 class UdpLoadGenerator:

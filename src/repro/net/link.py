@@ -21,6 +21,7 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.propagation_delay = propagation_delay
         self.name = name
+        self._link_deliver_label = f"link-deliver:{self.name}"
         self._ends = [None, None]
 
     def attach(self, interface):
@@ -57,7 +58,7 @@ class Link:
                 tx_time + self.propagation_delay,
                 peer.receive_from_link,
                 frame,
-                label=f"link-deliver:{self.name}",
+                label=self._link_deliver_label,
             )
         return tx_time
 

@@ -57,6 +57,7 @@ class NetemQdisc:
         self.rng = rng
         self.maintain_order = maintain_order
         self.name = name
+        self._netem_label = f"netem:{self.name}"
         self.stats = NetemStats()
         self._last_release = 0.0
 
@@ -85,4 +86,4 @@ class NetemQdisc:
             # Emulated wired-path delay: one leg of the probe's nRTT.
             sim.spans.record(SPAN_WIRE_NETEM, sim.now, release,
                              netem=self.name, probe_id=packet.probe_id)
-        sim.at(release, forward, packet, label=f"netem:{self.name}")
+        sim.at(release, forward, packet, label=self._netem_label)

@@ -189,7 +189,8 @@ class TcpSegment:
 class Packet:
     """An IPv4 datagram travelling through the simulation."""
 
-    __slots__ = ("src", "dst", "ttl", "payload", "meta", "stamps", "created_at")
+    __slots__ = ("src", "dst", "ttl", "payload", "meta", "stamps", "created_at",
+                 "wire_size")
 
     DEFAULT_TTL = 64
 
@@ -203,6 +204,8 @@ class Packet:
         self.meta = dict(meta) if meta else {}
         self.stamps = {}
         self.created_at = created_at
+        #: IP datagram length in bytes (header + transport payload).
+        self.wire_size = IPV4_HEADER_LEN + payload.wire_size
 
     @property
     def protocol(self):
@@ -212,11 +215,6 @@ class Packet:
     def probe_id(self):
         """Probe-transaction id, or ``None`` for non-probe traffic."""
         return self.meta.get("probe_id")
-
-    @property
-    def wire_size(self):
-        """IP datagram length in bytes (header + transport payload)."""
-        return IPV4_HEADER_LEN + self.payload.wire_size
 
     def stamp(self, point, time):
         """Record the first traversal time at a vantage point.

@@ -42,6 +42,8 @@ class Router:
                  forwarding_delay=20e-6):
         self.sim = sim
         self.name = name
+        self._route_label = f"route:{self.name}"
+        self._ttl_exceeded_label = f"ttl-exceeded:{self.name}"
         self.send_time_exceeded = send_time_exceeded
         self.forwarding_delay = forwarding_delay
         self.ports = []
@@ -133,7 +135,7 @@ class Router:
         target = next_hop if next_hop is not None else packet.dst
         if self.forwarding_delay:
             self.sim.schedule(self.forwarding_delay, port.transmit, packet, target,
-                              label=f"route:{self.name}")
+                              label=self._route_label)
         else:
             port.transmit(packet, target)
 
@@ -154,7 +156,7 @@ class Router:
         )
         self.sim.schedule(
             self.forwarding_delay, self.route_packet, error,
-            label=f"ttl-exceeded:{self.name}",
+            label=self._ttl_exceeded_label,
         )
 
     def _stack_egress(self, packet):

@@ -72,6 +72,7 @@ class IpStack:
         self.sim = sim
         self.local_ip = local_ip
         self.name = name or str(local_ip)
+        self._echo_reply_label = f"echo-reply:{self.name}"
         self._transmit = transmit
         self.rng = rng
         self.proc_delay = proc_delay
@@ -159,7 +160,7 @@ class IpStack:
             meta=dict(request.meta), created_at=self.sim.now,
         )
         self.sim.schedule(self.response_delay(), self.send, reply,
-                          label=f"echo-reply:{self.name}")
+                          label=self._echo_reply_label)
 
     def _deliver_udp(self, packet):
         binding = self._udp_bindings.get(packet.payload.dst_port)

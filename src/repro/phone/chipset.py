@@ -3,7 +3,10 @@
 §3.2.1 of the paper traces the Broadcom ``bcmdhd`` driver: a watchdog
 fires every ``dhd_watchdog_ms`` (10 ms); each tick with no bus activity
 increments ``idlecount``; at ``idletime`` (5) the SDIO bus demotes.  The
-resulting idle window ``Tis`` is 50 ms on the Nexus 5.  Waking the bus
+resulting idle window ``Tis`` is 50 ms on the Nexus 5.  The simulated
+bus (:class:`repro.phone.driver.SdioBus`) schedules only the demotion
+tick on that watchdog grid, a deadline ``idletime`` ticks past the last
+activity, so an idle phone costs one event per state change.  Waking the bus
 costs a *promotion delay* that the paper measured at up to ~14 ms
 (Table 3).  Qualcomm's ``wcnss`` driver "shares a similar mechanism"
 over the SMD interface with a shorter wake cost; the paper folds both

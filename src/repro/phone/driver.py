@@ -11,15 +11,20 @@ This mirrors the call structure the paper traced in Figures 4 and 5:
   and runs ``dhdsdio_readframes``; frames are queued for the **rxframe
   thread** which calls ``netif_rx_ni``.  ``dvrecv`` is the time from
   ``dhdsdio_isr`` to ``dhd_rxf_enqueue``.
-* A watchdog fires every ``dhd_watchdog_ms``; ``idlecount`` ticks up
+* A watchdog ticks every ``dhd_watchdog_ms``; ``idlecount`` counts up
   while the bus sees no activity, and at ``idletime`` the bus demotes
   (sleeps).  Waking it back up costs the promotion delay ``Tprom``.
+  :class:`SdioBus` keeps the watchdog's tick grid but schedules only
+  the tick that can demote: one deadline event at ``idletime`` ticks
+  past the tick that cleared the last activity, with the same
+  demotion instants as a watchdog firing every tick.
 
 The driver records every ``dvsend``/``dvrecv`` sample — the simulated
 equivalent of the paper's timestamping kernel patch — so Table 3 is a
 matter of reading ``driver.samples``.
 """
 
+import math
 from collections import deque
 
 from repro.obs.names import (
@@ -53,7 +58,25 @@ class DriverSample:
 
 
 class SdioBus:
-    """The host-to-chipset bus with the idlecount/idletime sleep policy."""
+    """The host-to-chipset bus with the idlecount/idletime sleep policy.
+
+    The dhd watchdog ticks on a fixed grid: tick ``k`` is at
+    ``anchor + k * period`` for ``k >= 1``, where ``anchor`` is the
+    bus's creation time and ``period`` is ``dhd_watchdog_ms``.  A tick
+    that saw activity since the previous one clears the activity flag;
+    every later idle tick counts up ``idlecount``, and the tick that
+    reaches ``idletime`` demotes the bus.  So with the last activity
+    cleared by tick ``k_a`` (the first tick at or after it) the bus
+    demotes at tick ``k_a + idletime``.
+
+    Only that tick is simulated: :meth:`mark_activity` records ``k_a``,
+    and one one-shot deadline event waits at tick ``k_a + idletime``.
+    When it fires it re-arms at the later tick if activity has moved
+    ``k_a`` on since it was armed, and otherwise demotes.  The demotion
+    instants are those of a watchdog firing every tick.  Tie rule: a
+    tick at exactly the instant of an activity (or of
+    :meth:`set_sleep_enabled`) counts as after it.
+    """
 
     def __init__(self, sim, chipset, rng, sleep_enabled=True, name="sdio"):
         self.sim = sim
@@ -65,32 +88,81 @@ class SdioBus:
         #: Optional ``callback(old_state, new_state)`` observer (used by
         #: the energy meter).
         self.on_transition = None
-        self.idlecount = 0
-        self._activity_since_tick = True
         self.sleep_count = 0
         self.wake_count = 0
         self._slept_at = None
-        # The dhd watchdog is a scheduler-native periodic train — the
-        # densest timer in the model (10 ms, per bus), so it rides the
-        # scheduler's batched fast path.
-        self._watchdog = sim.schedule_periodic(
-            chipset.watchdog_period, self._watchdog_tick,
-            label=f"watchdog:{name}",
-        )
+        self._anchor = sim.now
+        self._period = chipset.watchdog_period
+        self._idletime = chipset.idletime
+        self._label = f"watchdog:{name}"
+        # The bus starts with its activity flag set, so tick 1 clears it.
+        self._active_tick = 1
+        self._active_at = self._tick_time(1)
+        self._deadline = None
+        self._deadline_tick = 0
+        if sleep_enabled:
+            self._arm(self._active_tick + self._idletime)
 
     @property
     def asleep(self):
         return self.state == BUS_ASLEEP
 
+    def _tick_time(self, k):
+        # The same arithmetic as a train anchored at ``anchor``.
+        return self._anchor + k * self._period
+
+    def _tick_at_or_after(self, now):
+        """The first grid tick ``k >= 1`` at or after ``now``."""
+        k = max(1, math.ceil((now - self._anchor) / self._period))
+        while self._tick_time(k) < now:
+            k += 1
+        while k > 1 and self._tick_time(k - 1) >= now:
+            k -= 1
+        return k
+
+    def _arm(self, tick):
+        self._deadline_tick = tick
+        self._deadline = self.sim.at(self._tick_time(tick), self._expire,
+                                     label=self._label)
+
     def mark_activity(self):
-        """Bus traffic observed: reset the idle bookkeeping."""
-        self._activity_since_tick = True
-        self.idlecount = 0
+        """Bus traffic observed: the idle count restarts at tick ``k_a``."""
+        now = self.sim.now
+        if now > self._active_at:
+            self._active_tick = k = self._tick_at_or_after(now)
+            self._active_at = self._tick_time(k)
+        if self._deadline is None and self.sleep_enabled:
+            self._arm(self._active_tick + self._idletime)
+
+    def _expire(self):
+        """The deadline tick: re-arm if activity moved it, else demote."""
+        self._deadline = None
+        if not self.sleep_enabled:
+            return
+        tick = self._active_tick + self._idletime
+        if tick > self._deadline_tick:
+            self._arm(tick)
+            return
+        if self.state == BUS_AWAKE:
+            self._transition(BUS_ASLEEP)
+            self.sleep_count += 1
+            self._slept_at = self.sim.now
+            if self.sim.metrics.enabled:
+                self.sim.metrics.inc(SDIO_SLEEPS_TOTAL,
+                                     labels={"bus": self.name})
 
     def set_sleep_enabled(self, enabled):
         """Toggle the sleep feature (the paper's driver patch for Table 3)."""
+        was_enabled = self.sleep_enabled
         self.sleep_enabled = enabled
-        if not enabled and self.asleep:
+        if enabled:
+            if not was_enabled and self._deadline is None:
+                # The first idle check is the next tick (ties count as
+                # after the toggle).  A deadline still pending from
+                # before the toggle is at or after that tick already.
+                self._arm(max(self._active_tick + self._idletime,
+                              self._tick_at_or_after(self.sim.now)))
+        elif self.asleep:
             # An always-on bus comes up for free at the next access; model
             # the toggle as an immediate wake.
             self._transition(BUS_AWAKE)
@@ -129,30 +201,8 @@ class SdioBus:
                              bus=self.name)
         return delay
 
-    def _watchdog_tick(self):
-        if self._activity_since_tick:
-            self._activity_since_tick = False
-            self.idlecount = 0
-            return
-        self.idlecount += 1
-        if (
-            self.idlecount >= self.chipset.idletime
-            and self.sleep_enabled
-            and self.state == BUS_AWAKE
-        ):
-            self._transition(BUS_ASLEEP)
-            self.sleep_count += 1
-            self._slept_at = self.sim.now
-            if self.sim.metrics.enabled:
-                self.sim.metrics.inc(SDIO_SLEEPS_TOTAL,
-                                     labels={"bus": self.name})
-
-    def stop(self):
-        """Stop the watchdog (simulation teardown)."""
-        self._watchdog.cancel()
-
     def __repr__(self):
-        return f"<SdioBus {self.name} {self.state} idlecount={self.idlecount}>"
+        return f"<SdioBus {self.name} {self.state} sleeps={self.sleep_count}>"
 
 
 class WnicDriver:
@@ -169,6 +219,8 @@ class WnicDriver:
         self.chipset = chipset
         self.rng = rng
         self.name = name
+        self._dpc_label = f"dpc:{self.name}"
+        self._rxframe_label = f"rxframe:{self.name}"
         self.tx_complete = tx_complete
         self.rx_complete = rx_complete
         self.bus = SdioBus(sim, chipset, rng, sleep_enabled=sleep_enabled,
@@ -221,7 +273,7 @@ class WnicDriver:
         ).draw(self.rng)
         self.sim.schedule(
             wake + cost, self._dpc_done, kind, packet, entry_time, wake > 0,
-            label=f"dpc:{self.name}",
+            label=self._dpc_label,
         )
 
     def _dpc_done(self, kind, packet, entry_time, wake_paid):
@@ -245,7 +297,7 @@ class WnicDriver:
             self.sim.schedule(
                 self.chipset.rxframe_cost.draw(self.rng),
                 self._rxframe_deliver, packet,
-                label=f"rxframe:{self.name}",
+                label=self._rxframe_label,
             )
         self._dpc_busy = False
         if self._dpc_queue:

@@ -20,6 +20,8 @@ class KernelLayer:
         self.tx_cost = tx_cost
         self.rx_cost = rx_cost
         self.name = name
+        self._kernel_tx_label = f"kernel-tx:{self.name}"
+        self._kernel_rx_label = f"kernel-rx:{self.name}"
         self.driver = None  # wired by the Phone
         self.deliver_up = None  # wired by the Phone (toward the stack)
         self._taps = []
@@ -37,7 +39,7 @@ class KernelLayer:
         self.packets_tx += 1
         self.sim.schedule(
             self.tx_cost.draw(self.rng), self._tx_tap, packet,
-            label=f"kernel-tx:{self.name}",
+            label=self._kernel_tx_label,
         )
 
     def _tx_tap(self, packet):
@@ -55,5 +57,5 @@ class KernelLayer:
             tap(packet, "rx")
         self.sim.schedule(
             self.rx_cost.draw(self.rng), self.deliver_up, packet,
-            label=f"kernel-rx:{self.name}",
+            label=self._kernel_rx_label,
         )

@@ -35,6 +35,8 @@ class Phone:
         self.profile = profile
         self.ip_addr = ip_addr
         self.name = name or profile.key
+        self._app_send_label = f"app-send:{self.name}"
+        self._app_recv_label = f"app-recv:{self.name}"
         self.rng = rng if rng is not None else sim.rng.stream(f"phone:{self.name}")
         self.runtime = runtime
 
@@ -84,7 +86,7 @@ class Phone:
         """App-level send: returns ``tou`` and runs ``fn`` after the
         runtime cost."""
         t_user = self.sim.now
-        self.sim.schedule(self.app_cost(), fn, label=f"app-send:{self.name}")
+        self.sim.schedule(self.app_cost(), fn, label=self._app_send_label)
         return t_user
 
     def user_wrap(self, callback):
@@ -98,7 +100,7 @@ class Phone:
                 callback(*args)
 
             self.sim.schedule(self.app_cost(), fire,
-                              label=f"app-recv:{self.name}")
+                              label=self._app_recv_label)
 
         return wrapped
 

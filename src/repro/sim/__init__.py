@@ -16,7 +16,7 @@ event-driven simulator.  The design goals are:
   trains (batched on the fast path); helper classes
   (:class:`~repro.sim.timers.Timer`,
   :class:`~repro.sim.timers.PeriodicTimer`) cover the recurring patterns
-  used by drivers (watchdogs) and access points (beacons).
+  used by stations (PSM timeouts) and cellular modems (RRC demotion).
 """
 
 from repro.sim.errors import SchedulerError, SimTimeError, SimulationError

@@ -11,8 +11,10 @@ them keeps :meth:`Simulator.pending` O(1).
 Periodic trains
 ---------------
 
-Most steady-state events are periodic — SDIO watchdog ticks, beacon
-intervals, AcuteMon background packets.
+Most steady-state events are periodic — beacon intervals, a dozing
+station's TBTT wakes, AcuteMon background packets.  (The SDIO watchdog
+is not a train: the bus schedules only its demotion deadline on the
+watchdog's tick grid, see :class:`repro.phone.driver.SdioBus`.)
 :meth:`Simulator.schedule_periodic` arms a
 :class:`~repro.sim.events.PeriodicEvent` — one allocation for the whole
 train; each tick re-stamps ``(time, seq)`` in place.  For an

@@ -1,10 +1,10 @@
 """Restartable and periodic timers.
 
-Device models in this code base are full of idle timeouts — the SDIO
-demotion watchdog, the adaptive-PSM timeout, TCP retransmission — all of
-which follow the same "arm, maybe restart, maybe cancel" pattern that
+Device models in this code base are full of idle timeouts — the
+adaptive-PSM timeout, the RRC demotion timer, TCP retransmission — all
+of which follow the same "arm, maybe restart, maybe cancel" pattern that
 :class:`Timer` captures.  :class:`PeriodicTimer` covers strictly periodic
-behaviour such as 802.11 beacon generation and the driver watchdog tick.
+behaviour such as 802.11 beacon generation.
 """
 
 

@@ -78,7 +78,11 @@ class WirelessSniffer:
         #: :func:`repro.sniffer.merge.align_clocks` before merging.
         self.clock_offset = clock_offset
         self.rng = rng
-        self.records = []
+        # Captures are kept as plain (time, end_time, frame, status)
+        # tuples and wrapped in FrameRecords only when ``records`` is
+        # read: most runs never read them.
+        self._captured = []
+        self._records = []
         self.frames_missed = 0
         self._pcap = None
         if pcap_path is not None:
@@ -94,10 +98,21 @@ class WirelessSniffer:
             self.frames_missed += 1
             return
         stamped = tx_start + self.clock_offset
-        self.records.append(FrameRecord(stamped, tx_end + self.clock_offset,
-                                        frame, status, sniffer=self.name))
+        self._captured.append((stamped, tx_end + self.clock_offset, frame,
+                               status))
         if self._pcap is not None and hasattr(frame, "encode"):
             self._pcap.write(stamped, frame.encode())
+
+    @property
+    def records(self):
+        """Every captured transmission as a :class:`FrameRecord`, in
+        capture order."""
+        if self._captured:
+            name = self.name
+            self._records.extend([FrameRecord(*capture, sniffer=name)
+                                  for capture in self._captured])
+            self._captured = []
+        return self._records
 
     # -- convenience filters ------------------------------------------------
 
@@ -116,7 +131,8 @@ class WirelessSniffer:
         return [r for r in self.records if r.probe_id == probe_id]
 
     def clear(self):
-        self.records = []
+        self._captured = []
+        self._records = []
 
     def close(self):
         if self._pcap is not None:

@@ -352,13 +352,16 @@ def _predictive_sleep_testbed():
 def _testbed_builder(testbed_class):
     """``build(seed=, emulated_rtt=, **env_params)`` for the class
     ``testbed_class()`` returns; ``build.params`` names the keys that
-    class takes."""
+    class takes, and ``build.check(**env_params)`` runs its range checks
+    without building anything."""
     def build(seed=0, emulated_rtt=0.0, **env_params):
         return testbed_class()(seed=seed, emulated_rtt=emulated_rtt,
                                **env_params)
 
     build.params = lambda: keyword_params(testbed_class(),
                                           ("seed", "emulated_rtt"))
+    build.check = lambda **env_params: testbed_class().check_params(
+        **env_params)
     return build
 
 

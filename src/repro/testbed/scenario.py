@@ -299,6 +299,12 @@ class ScenarioSpec:
                         f"{name}[{key!r}] must be "
                         f"{' or '.join(t.__name__ for t in types)} for "
                         f"{registry_entry.key!r}, got {value!r}")
+        check = getattr(entry.builder, "check", None)
+        if check is not None and self.env_params:
+            try:
+                check(**self.env_params)
+            except ValueError as exc:
+                raise ScenarioError(f"env_params: {exc}") from None
         return self
 
     def _env_entry(self):

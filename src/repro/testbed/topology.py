@@ -54,11 +54,12 @@ class Testbed(Environment):
     emulated_rtt:
         Additional RTT injected at the measurement server (seconds).
     sniffer_count / sniffer_loss:
-        Number of monitor-mode sniffers and their individual capture-loss
-        probability.  The paper uses three sniffers so that the merged
-        capture is effectively lossless.
+        Number of monitor-mode sniffers (0 to 3) and their individual
+        capture-loss probability (0 to 1).  The paper uses three
+        sniffers so that the merged capture is effectively lossless.
     beacon_interval_tu:
-        AP beacon interval in Time Units (default 100 TU = 102.4 ms).
+        AP beacon interval in Time Units, at least 1 (default 100 TU =
+        102.4 ms).
     """
 
     key = "wifi"
@@ -75,6 +76,9 @@ class Testbed(Environment):
                  path_loss=0.0):
         from repro.wifi.phy import PhyParams
 
+        self.check_params(sniffer_count=sniffer_count,
+                          sniffer_loss=sniffer_loss,
+                          beacon_interval_tu=beacon_interval_tu)
         self.sim = Simulator(seed=seed)
         self._rtt_jitter = rtt_jitter
         self._path_loss = path_loss
@@ -111,6 +115,25 @@ class Testbed(Environment):
         self.phones = []
         self.load_generator = None
         self._loadgen_host = None
+
+    @staticmethod
+    def check_params(sniffer_count=3, sniffer_loss=0.0, beacon_interval_tu=100,
+                     **_other):
+        """Reject out-of-range testbed parameters before anything is built.
+
+        Raises ``ValueError`` naming the parameter; other keyword
+        arguments are ignored, so a scenario's whole ``env_params`` can
+        be passed.
+        """
+        if not beacon_interval_tu >= 1:
+            raise ValueError(
+                f"beacon_interval_tu must be >= 1, got {beacon_interval_tu!r}")
+        if not 0 <= sniffer_count <= 3:
+            raise ValueError(
+                f"sniffer_count must be within [0, 3], got {sniffer_count!r}")
+        if not 0.0 <= sniffer_loss <= 1.0:
+            raise ValueError(
+                f"sniffer_loss must be within [0, 1], got {sniffer_loss!r}")
 
     # -- wired-core conveniences ----------------------------------------------
 

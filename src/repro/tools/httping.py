@@ -24,6 +24,8 @@ class HttpingTool(MeasurementTool):
     def __init__(self, phone, collector, target_ip, port=80, interval=1.0,
                  request_size=HTTP_REQUEST_SIZE, timeout=1.0, name="httping"):
         super().__init__(phone, collector, target_ip, name=name)
+        self._timeout_label = f"{self.name}-timeout"
+        self._next_label = f"{self.name}-next"
         self.port = port
         self.interval = interval
         self.request_size = request_size
@@ -53,7 +55,7 @@ class HttpingTool(MeasurementTool):
         self._pending = (record.probe_id, t0)
         self._timeout_event = self.sim.schedule(
             self.timeout, self._probe_timeout, record.probe_id,
-            label=f"{self.name}-timeout",
+            label=self._timeout_label,
         )
 
     def _on_response(self, _conn, _nbytes, meta):
@@ -82,7 +84,7 @@ class HttpingTool(MeasurementTool):
 
     def _schedule_next(self, last_start):
         next_at = max(last_start + self.interval, self.sim.now)
-        self.sim.at(next_at, self._send_probe, label=f"{self.name}-next")
+        self.sim.at(next_at, self._send_probe, label=self._next_label)
 
     def _abort(self):
         if self.running:

@@ -25,6 +25,8 @@ class JavaPingTool(MeasurementTool):
     def __init__(self, phone, collector, target_ip, port=DEFAULT_CLOSED_PORT,
                  interval=1.0, timeout=1.0, name="javaping"):
         super().__init__(phone, collector, target_ip, name=name)
+        self._timeout_label = f"{self.name}-timeout"
+        self._next_label = f"{self.name}-next"
         self.port = port
         self.interval = interval
         self.timeout = timeout
@@ -47,7 +49,7 @@ class JavaPingTool(MeasurementTool):
         self._pending = (record.probe_id, t0)
         self._timeout_event = self.sim.schedule(
             self.timeout, self._probe_timeout, record.probe_id,
-            label=f"{self.name}-timeout",
+            label=self._timeout_label,
         )
 
     def _connect(self, probe_id, meta):
@@ -87,7 +89,7 @@ class JavaPingTool(MeasurementTool):
 
     def _schedule_next(self, last_start):
         next_at = max(last_start + self.interval, self.sim.now)
-        self.sim.at(next_at, self._send_probe, label=f"{self.name}-next")
+        self.sim.at(next_at, self._send_probe, label=self._next_label)
 
     def _cleanup(self):
         if self._timeout_event is not None:

@@ -33,6 +33,8 @@ class PingTool(MeasurementTool):
     def __init__(self, phone, collector, target_ip, interval=1.0,
                  payload_size=DEFAULT_PAYLOAD, timeout=1.0, name="ping"):
         super().__init__(phone, collector, target_ip, name=name)
+        self._send_label = f"{self.name}-send"
+        self._deadline_label = f"{self.name}-deadline"
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.interval = interval
@@ -52,10 +54,10 @@ class PingTool(MeasurementTool):
             self.ident, self.phone.user_wrap(self._on_reply))
         for index in range(count):
             self.sim.schedule(index * self.interval, self._send_one, index,
-                              label=f"{self.name}-send")
+                              label=self._send_label)
         self._finish_event = self.sim.schedule(
             (count - 1) * self.interval + self.timeout, self._deadline,
-            label=f"{self.name}-deadline",
+            label=self._deadline_label,
         )
 
     def _send_one(self, index):

@@ -27,6 +27,8 @@ class Ping2Tool:
         self.interval = interval
         self.timeout = timeout
         self.name = name
+        self._timeout_label = f"{self.name}-timeout"
+        self._round_label = f"{self.name}-round"
         self.samples = []
         self.first_ping_rtts = []
         self.running = False
@@ -77,7 +79,7 @@ class Ping2Tool:
         )
         self._timeout_event = self.sim.schedule(
             self.timeout, self._stage_timeout, probe_id,
-            label=f"{self.name}-timeout",
+            label=self._timeout_label,
         )
 
     def _on_reply(self, packet):
@@ -110,7 +112,7 @@ class Ping2Tool:
 
     def _schedule_next_round(self):
         self.sim.schedule(self.interval, self._start_round,
-                          label=f"{self.name}-round")
+                          label=self._round_label)
 
     def _finish(self):
         self.running = False

@@ -23,6 +23,9 @@ from repro.sim.units import tu
 from repro.wifi.channel import Radio
 from repro.wifi.frames import BeaconFrame, DataFrame, NullDataFrame, PsPollFrame
 
+#: The TIM of a beacon when no station has frames buffered.
+_NO_TIM = frozenset()
+
 
 class _ApRadio(Radio):
     """The AP's radio; defers frame handling to the owning AP."""
@@ -126,9 +129,12 @@ class AccessPoint:
     # -- beaconing ---------------------------------------------------------------
 
     def _beacon_tick(self):
-        tim = frozenset(
-            record.aid for record in self._stations.values() if record.buffer
-        )
+        tim = _NO_TIM
+        for record in self._stations.values():
+            if record.buffer:
+                tim = frozenset(other.aid for other in self._stations.values()
+                                if other.buffer)
+                break
         self._beacon_seq = (self._beacon_seq + 1) & 0xFFF
         beacon = BeaconFrame(
             self.radio.mac, self.beacon_interval_tu, tim_aids=tim,

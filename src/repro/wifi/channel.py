@@ -131,6 +131,17 @@ class WifiChannel:
         self._busy_until = 0.0
         self._round_event = None
         self._monitors = []
+        #: Airtime by ``(wire size, rate)``; the PHY's arithmetic, once.
+        self._airtimes = {}
+        #: SIFS + ACK: what an acked frame keeps the medium busy past
+        #: its own airtime.
+        self._ack_exchange = self.phy.sifs + self.phy.ack_time()
+        self._difs = self.phy.difs
+        self._slot_time = self.phy.slot_time
+        self._round_label = f"dcf-round:{name}"
+        self._deliver_label = f"wifi-deliver:{name}"
+        self._ack_label = f"wifi-ack:{name}"
+        self._noack_label = f"wifi-noack:{name}"
 
     # -- topology ----------------------------------------------------------
 
@@ -161,17 +172,22 @@ class WifiChannel:
         self._schedule_round()
 
     def _schedule_round(self):
-        if not self._contenders:
+        contenders = self._contenders
+        if not contenders:
             return
         start = max(self.sim.now, self._busy_until)
-        min_backoff = min(c.backoff for c in self._contenders.values())
-        resolve_at = start + self.phy.difs + min_backoff * self.phy.slot_time
+        if len(contenders) == 1:
+            (contender,) = contenders.values()
+            min_backoff = contender.backoff
+        else:
+            min_backoff = min(c.backoff for c in contenders.values())
+        resolve_at = start + self._difs + min_backoff * self._slot_time
         if self._round_event is not None:
             if self._round_event.time <= resolve_at:
                 return
             self._round_event.cancel()
         self._round_event = self.sim.at(resolve_at, self._resolve,
-                                        label=f"dcf-round:{self.name}")
+                                        label=self._round_label)
 
     def _resolve(self):
         self._round_event = None
@@ -179,6 +195,11 @@ class WifiChannel:
             return
         if self.sim.now < self._busy_until:
             self._schedule_round()
+            return
+        if len(self._contenders) == 1:
+            # A lone contender wins with its backoff as drawn.
+            (contender,) = self._contenders.values()
+            self._transmit(contender)
             return
         contenders = list(self._contenders.values())
         priority = [c for c in contenders if c.priority]
@@ -199,30 +220,34 @@ class WifiChannel:
         frame = contender.frame
         radio = contender.radio
         del self._contenders[radio]
-        phy = self.phy
+        sim = self.sim
+        now = sim.now
+        is_data = isinstance(frame, DataFrame)
+        size = frame.wire_size
         rate = radio.transmit_rate(frame)
-        air = phy.airtime(frame.wire_size, rate)
+        air = self._airtimes.get((size, rate))
+        if air is None:
+            air = self._airtimes[size, rate] = self.phy.airtime(size, rate)
         # ERP protection (CTS-to-self) precedes data frames in b/g mode.
-        protection = phy.protection_time if isinstance(frame, DataFrame) else 0.0
-        tx_start = self.sim.now + protection
+        protection = self.phy.protection_time if is_data else 0.0
+        tx_start = now + protection
         tx_end = tx_start + air
         busy = protection + air + (
-            phy.sifs + phy.ack_time() if frame.needs_ack else 0.0
+            self._ack_exchange if frame.needs_ack else 0.0
         )
-        self._busy_until = self.sim.now + busy
+        self._busy_until = now + busy
         self.stats.transmissions += 1
         self.stats.busy_time += busy
-        if isinstance(frame, DataFrame):
+        if is_data:
             frame.packet.stamp("phy", tx_start)
-            sim = self.sim
             if sim.spans.enabled and frame.packet.probe_id is not None:
                 sim.spans.record(SPAN_WLAN_AIRTIME, tx_start, tx_end,
                                  probe_id=frame.packet.probe_id,
-                                 bytes=frame.wire_size)
+                                 bytes=size)
         for monitor in self._monitors:
             monitor(frame, tx_start, tx_end, "ok")
-        self.sim.at(tx_end, self._deliver, contender, tx_start,
-                    label=f"wifi-deliver:{self.name}")
+        sim.at(tx_end, self._deliver, contender, tx_start,
+               label=self._deliver_label)
 
     def _deliver(self, contender, tx_start):
         frame = contender.frame
@@ -239,11 +264,11 @@ class WifiChannel:
             receiver.frame_delivered(frame)
             # ACK consumes SIFS + ACK airtime; sender learns success then.
             self.sim.at(self._busy_until, self._acked, sender, frame,
-                        label=f"wifi-ack:{self.name}")
+                        label=self._ack_label)
         else:
             # No ACK will come: retry after the ACK timeout (~busy window).
             self.sim.at(self._busy_until, self._failed, contender,
-                        label=f"wifi-noack:{self.name}")
+                        label=self._noack_label)
 
     def _acked(self, sender, frame):
         sender.frame_transmitted(frame)

@@ -18,6 +18,8 @@ FCS_LEN = 4
 LLC_SNAP_LEN = 8
 NULL_FRAME_SIZE = MAC_HEADER_LEN + FCS_LEN
 ACK_FRAME_SIZE = 10 + FCS_LEN
+#: Every beacon's destination; addresses are never mutated.
+_BROADCAST = MacAddress.broadcast()
 
 # Frame control (type, subtype) pairs.
 TYPE_MGMT = 0
@@ -136,26 +138,30 @@ class NullDataFrame(WifiFrame):
 class BeaconFrame(WifiFrame):
     """A beacon: timing reference plus the TIM of buffered stations."""
 
-    __slots__ = ("bssid", "beacon_interval_tu", "tim_aids", "ssid", "timestamp")
+    __slots__ = ("bssid", "beacon_interval_tu", "tim_aids", "ssid", "timestamp",
+                 "wire_size")
 
     frame_type = TYPE_MGMT
     subtype = SUBTYPE_BEACON
+    #: Always sent to the broadcast address, so never acknowledged.
+    is_broadcast = True
+    needs_ack = False
 
     def __init__(self, src_mac, beacon_interval_tu, tim_aids=(), ssid="testbed",
                  timestamp=0.0, seq=0):
-        super().__init__(MacAddress.broadcast(), src_mac, seq=seq)
+        super().__init__(_BROADCAST, src_mac, seq=seq)
         self.bssid = src_mac
         self.beacon_interval_tu = beacon_interval_tu
-        self.tim_aids = frozenset(tim_aids)
+        if type(tim_aids) is not frozenset:
+            tim_aids = frozenset(tim_aids)
+        self.tim_aids = tim_aids
         self.ssid = ssid
         self.timestamp = timestamp
-
-    @property
-    def wire_size(self):
         # header + fixed fields (12) + SSID IE + rates IE (10) + TIM IE
         # (2-byte IE header + count/period/control + bitmap).
-        tim_len = 5 + max(1, (max(self.tim_aids) // 8 + 1) if self.tim_aids else 1)
-        return MAC_HEADER_LEN + 12 + (2 + len(self.ssid)) + 10 + tim_len + FCS_LEN
+        tim_len = 5 + max(1, (max(tim_aids) // 8 + 1) if tim_aids else 1)
+        self.wire_size = (MAC_HEADER_LEN + 12 + (2 + len(ssid)) + 10 + tim_len
+                          + FCS_LEN)
 
     def encode(self):
         header = self._mac_header(self.bssid)

@@ -101,6 +101,7 @@ class Station(Radio):
         self.on_packet = None  # callable(packet): upper-layer delivery
         self.on_state_change = None  # callable(old, new, reason)
         self._psm_timer = Timer(sim, self._psm_timeout, label=f"psm:{name}")
+        self._tbtt_wake_label = f"tbtt-wake:{self.name}"
         self._listening_for_beacon = False
         self._fetching = False  # static mode: mid PS-Poll retrieval
         self._tbtt_train = None  # periodic wake train while dozing
@@ -308,7 +309,7 @@ class Station(Radio):
         wake_at = max(wake_at, self.sim.now)
         self._tbtt_train = self.sim.schedule_periodic(
             period, self._begin_beacon_listen, first=wake_at,
-            label=f"tbtt-wake:{self.name}",
+            label=self._tbtt_wake_label,
         )
 
     def _cancel_beacon_listen(self):

@@ -315,6 +315,18 @@ BAD_SPEC_FILES = {
     "non_json_env_param": (b'{"env":"wifi","tool":"ping","count":2,'
                            b'"env_params":{"phy":1}}',
                            "env_params key(s) ['phy'] not taken by 'wifi'"),
+    "zero_beacon_interval": (b'{"env":"wifi","tool":"ping","count":2,'
+                             b'"env_params":{"beacon_interval_tu":0}}',
+                             "beacon_interval_tu must be >= 1"),
+    "negative_sniffer_count": (b'{"env":"wifi","tool":"ping","count":2,'
+                               b'"env_params":{"sniffer_count":-1}}',
+                               "sniffer_count must be within [0, 3]"),
+    "too_many_sniffers": (b'{"env":"wifi","tool":"ping","count":2,'
+                          b'"env_params":{"sniffer_count":5}}',
+                          "sniffer_count must be within [0, 3]"),
+    "sniffer_loss_above_one": (b'{"env":"wifi","tool":"ping","count":2,'
+                               b'"env_params":{"sniffer_loss":2.0}}',
+                               "sniffer_loss must be within [0, 1]"),
 }
 
 #: Command lines that exit 2 with a one-line error before any cell runs.

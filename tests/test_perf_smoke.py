@@ -630,6 +630,67 @@ def test_smoke_analytic_predict_rate():
     assert _rates["analytic_predict_calls_per_sec"] > 50_000
 
 
+#: Events a settled nexus5 WiFi testbed fires while it idles for 10
+#: simulated seconds (seed 1): 98 beacon intervals of four events each,
+#: the beacon, its DCF round, its delivery and the dozing station's
+#: TBTT wake.  The SDIO bus demoted while the testbed settled and has
+#: no event pending; the 10-ms watchdog train it replaced fired 1,000
+#: more here (1,392).
+_IDLE_WIFI_EVENTS = 392
+#: ``(Python calls, line events)`` of one 3-probe nexus5 WiFi ping cell
+#: (30 ms, seed 5) through ``run_cell``, plain and observed.
+#: Before the watchdog deadline: (4,345, 26,160) and (5,850, 34,265).
+_PING_CELL_COST = {False: (3_089, 18_013), True: (4_576, 25_791)}
+
+
+def _ping_cell():
+    from repro.testbed.scenario import ScenarioSpec
+
+    return ScenarioSpec(env="wifi", phone="nexus5", tool="ping",
+                        emulated_rtt=0.03, count=3, seed=5)
+
+
+@pytest.mark.perf_smoke
+def test_smoke_idle_wifi_events():
+    """An idle WiFi phone costs its state changes, not a timer train.
+
+    The SDIO watchdog is one demotion deadline on its tick grid
+    (``repro.phone.driver.SdioBus``), so 10 idle seconds fire the
+    counts pinned above.  The count is deterministic: any periodic
+    timer added to the idle path fails this gate without any timing.
+    """
+    from repro.testbed.topology import Testbed
+
+    testbed = Testbed(seed=1)
+    testbed.add_phone("nexus5")
+    testbed.settle()
+    fired = testbed.sim.events_fired
+    testbed.run(10.0)
+    assert testbed.sim.events_fired - fired == _IDLE_WIFI_EVENTS
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("observed", [False, True],
+                         ids=["plain", "observed"])
+def test_smoke_ping_cell_counted_cost(observed):
+    """One small WiFi ping cell does exactly the work pinned above.
+
+    Python calls and executed lines, counted with ``tests/callcount.py``
+    after a warm-up run of the same cell, so imports and first-use
+    caches are outside the count.  A cost added to the cell path (an
+    event per watchdog tick, a per-beacon recomputation) changes the
+    counts deterministically, where a wall-clock rate could not tell it
+    from host noise.
+    """
+    from repro.testbed.campaign import run_cell
+
+    spec = _ping_cell()
+    run_cell(spec, collect_metrics=observed)
+    cost = count_calls(run_cell, spec, collect_metrics=observed)
+    assert (cost.calls, sum(cost.lines.values())) \
+        == _PING_CELL_COST[observed]
+
+
 #: The I/O one journaled cell does, for the checkpoint and store gates
 #: below: hash the spec once and write one flushed JSONL line to the
 #: already open file — no open, no fsync, no directory scan.

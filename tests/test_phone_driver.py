@@ -1,12 +1,15 @@
 """Tests for the SDIO bus sleep state machine and WNIC driver (§3.2.1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.addresses import ip
 from repro.net.packet import IcmpEcho, Packet
 from repro.phone.chipset import BCM4339, ChipsetProfile, WCN3660
 from repro.phone.driver import BUS_ASLEEP, BUS_AWAKE, SdioBus, WnicDriver
 from repro.phone.latency import DelayDistribution
+from repro.sim.scheduler import Simulator
 
 
 def make_packet():
@@ -78,6 +81,190 @@ class TestSdioBus:
         bus = SdioBus(sim, WCN3660, sim.rng.stream("b"))
         sim.run(until=0.04)
         assert bus.asleep
+
+
+class _WatchdogTrainBus:
+    """The reference model: the dhd watchdog as a ``schedule_periodic``
+    train, one tick every ``watchdog_period``, counting ``idlecount``.
+
+    :class:`SdioBus` simulates only the demotion tick of this model;
+    the oracle tests below drive both with the same inputs.
+    """
+
+    def __init__(self, sim, chipset, rng, sleep_enabled=True):
+        self.sim = sim
+        self.chipset = chipset
+        self.rng = rng
+        self.sleep_enabled = sleep_enabled
+        self.state = BUS_AWAKE
+        self.on_transition = None
+        self.idlecount = 0
+        self._activity_since_tick = True
+        self.sleep_count = 0
+        self.wake_count = 0
+        sim.schedule_periodic(chipset.watchdog_period, self._watchdog_tick,
+                              label="watchdog:reference")
+
+    def mark_activity(self):
+        self._activity_since_tick = True
+        self.idlecount = 0
+
+    def set_sleep_enabled(self, enabled):
+        self.sleep_enabled = enabled
+        if not enabled and self.state == BUS_ASLEEP:
+            self._transition(BUS_AWAKE)
+
+    def _transition(self, new_state):
+        old = self.state
+        self.state = new_state
+        if self.on_transition is not None and old != new_state:
+            self.on_transition(old, new_state)
+
+    def wake_delay(self):
+        self.mark_activity()
+        if self.state == BUS_AWAKE:
+            return 0.0
+        self._transition(BUS_AWAKE)
+        self.wake_count += 1
+        return self.chipset.wake_delay.draw(self.rng)
+
+    def _watchdog_tick(self):
+        if self._activity_since_tick:
+            self._activity_since_tick = False
+            self.idlecount = 0
+            return
+        self.idlecount += 1
+        if (self.idlecount >= self.chipset.idletime and self.sleep_enabled
+                and self.state == BUS_AWAKE):
+            self._transition(BUS_ASLEEP)
+            self.sleep_count += 1
+
+
+def _drive_both(chipset, anchor, sleep_enabled, actions, until):
+    """Run the deadline bus and the reference train side by side.
+
+    ``actions`` is ``[(time, kind)]``, kind one of ``activity``,
+    ``wake``, ``enable`` and ``disable``; each is applied to both buses.
+    The actions are scheduled before the buses exist, so an action at
+    a tick instant fires before that tick in both models.  Returns each
+    model's ``(transitions, sleep_count, wake_count)``.
+    """
+    sim = Simulator(seed=3)
+    sim.run(until=anchor)
+    buses = []
+
+    def act(kind):
+        for bus in buses:
+            if kind == "activity":
+                bus.mark_activity()
+            elif kind == "wake":
+                bus.wake_delay()
+            else:
+                bus.set_sleep_enabled(kind == "enable")
+
+    for time, kind in actions:
+        sim.at(time, act, kind)
+    buses.append(SdioBus(sim, chipset, sim.rng.stream("new"),
+                         sleep_enabled=sleep_enabled))
+    buses.append(_WatchdogTrainBus(sim, chipset, sim.rng.stream("ref"),
+                                   sleep_enabled=sleep_enabled))
+    logs = []
+    for bus in buses:
+        log = []
+        bus.on_transition = (
+            lambda old, new, log=log: log.append((sim.now, old, new)))
+        logs.append(log)
+    sim.run(until=until)
+    return [(log, bus.sleep_count, bus.wake_count)
+            for log, bus in zip(logs, buses)]
+
+
+def _tick(anchor, chipset, k):
+    """Watchdog tick ``k``'s instant, with the train's arithmetic."""
+    return anchor + k * chipset.watchdog_period
+
+
+_ACTION_KINDS = ("activity", "wake", "enable", "disable")
+
+
+@st.composite
+def _action_plans(draw):
+    chipset = draw(st.sampled_from([BCM4339, WCN3660]))
+    anchor = draw(st.sampled_from([0.0, 0.0137, 1.25]))
+    actions = []
+    for _ in range(draw(st.integers(0, 25))):
+        if draw(st.booleans()):
+            # Exactly on a tick instant: the tie rule's case.
+            time = _tick(anchor, chipset, draw(st.integers(1, 60)))
+        else:
+            time = anchor + draw(st.floats(0.0, 0.4, allow_nan=False))
+        actions.append((time, draw(st.sampled_from(_ACTION_KINDS))))
+    return chipset, anchor, draw(st.booleans()), actions
+
+
+class TestDeadlineMatchesWatchdogTrain:
+    """The demotion deadline against the periodic-train reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_action_plans())
+    def test_same_transitions_as_train(self, plan):
+        chipset, anchor, sleep_enabled, actions = plan
+        new, reference = _drive_both(chipset, anchor, sleep_enabled,
+                                     actions, until=anchor + 0.8)
+        assert new == reference
+
+    @pytest.mark.parametrize("chipset", [BCM4339, WCN3660],
+                             ids=["bcm4339", "wcn3660"])
+    def test_activity_on_a_tick_counts_before_it(self, chipset):
+        # Tick 3 clears the activity it coincides with, so the bus
+        # demotes idletime ticks later, at tick 3 + 5.
+        new, reference = _drive_both(
+            chipset, 0.0, True, [(_tick(0.0, chipset, 3), "activity")],
+            until=0.5)
+        assert new == reference
+        assert new[0] == [(_tick(0.0, chipset, 8), BUS_AWAKE, BUS_ASLEEP)]
+
+    @pytest.mark.parametrize("chipset", [BCM4339, WCN3660],
+                             ids=["bcm4339", "wcn3660"])
+    def test_activity_on_the_deadline_tick_rearms(self, chipset):
+        # The first deadline is tick 1 + 5; activity at that instant
+        # moves it to tick 11.
+        new, reference = _drive_both(
+            chipset, 0.0, True, [(_tick(0.0, chipset, 6), "activity")],
+            until=0.5)
+        assert new == reference
+        assert new[0] == [(_tick(0.0, chipset, 11), BUS_AWAKE,
+                              BUS_ASLEEP)]
+
+    def test_enable_on_a_tick_demotes_at_that_tick(self):
+        # Idle since tick 1 with sleep off; enabling exactly at tick 20
+        # lets tick 20 itself demote.
+        new, reference = _drive_both(
+            BCM4339, 0.0, False, [(_tick(0.0, BCM4339, 20), "enable")],
+            until=0.5)
+        assert new == reference
+        assert new[0] == [(_tick(0.0, BCM4339, 20), BUS_AWAKE,
+                              BUS_ASLEEP)]
+
+    def test_wake_on_a_tick_then_sleeps_again(self):
+        at = _tick(0.0, BCM4339, 30)
+        new, reference = _drive_both(BCM4339, 0.0, True, [(at, "wake")],
+                                     until=0.5)
+        assert new == reference
+        assert new == ([(_tick(0.0, BCM4339, 6), BUS_AWAKE, BUS_ASLEEP),
+                           (at, BUS_ASLEEP, BUS_AWAKE),
+                           (_tick(0.0, BCM4339, 35), BUS_AWAKE, BUS_ASLEEP)],
+                          2, 1)
+
+    def test_idle_bus_fires_one_event(self):
+        # No periodic train: an idle bus costs its one demotion.
+        sim = Simulator(seed=1)
+        bus = SdioBus(sim, BCM4339, sim.rng.stream("b"))
+        assert sim.pending() == 1
+        sim.run(until=10.0)
+        assert bus.sleep_count == 1
+        assert sim.events_fired == 1
+        assert sim.pending() == 0
 
 
 class TestDriverPaths:

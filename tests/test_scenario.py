@@ -116,6 +116,11 @@ class TestValidation:
         ("env_params", {"rtt_jitter": True}),
         ("env_params", {"phy": 1}),
         ("tool_params", {"probe_method": 3}),
+        ("env_params", {"beacon_interval_tu": 0}),
+        ("env_params", {"sniffer_count": -1}),
+        ("env_params", {"sniffer_count": 4}),
+        ("env_params", {"sniffer_loss": 2.0}),
+        ("env_params", {"sniffer_loss": -0.1}),
     ])
     def test_bad_field_values(self, field, value):
         with pytest.raises(ScenarioError):

@@ -20,6 +20,21 @@ class TestTopology:
         assert testbed.server is not None
         assert testbed.load_sink is not None
 
+    @pytest.mark.parametrize("params, name", [
+        ({"beacon_interval_tu": 0}, "beacon_interval_tu"),
+        ({"sniffer_count": -1}, "sniffer_count"),
+        ({"sniffer_count": 4}, "sniffer_count"),
+        ({"sniffer_loss": 1.5}, "sniffer_loss"),
+        ({"sniffer_loss": float("nan")}, "sniffer_loss"),
+    ])
+    def test_out_of_range_params_rejected(self, params, name):
+        with pytest.raises(ValueError, match=name):
+            Testbed(seed=1, **params)
+
+    def test_range_edges_accepted(self):
+        assert Testbed(seed=1, sniffer_count=0, sniffer_loss=1.0,
+                       beacon_interval_tu=1).sniffers == []
+
     def test_phone_attaches_and_pings_server(self):
         testbed = Testbed(seed=1, emulated_rtt=0.02)
         phone = testbed.add_phone("nexus5")
