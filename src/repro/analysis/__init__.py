@@ -1,7 +1,7 @@
 """Statistics and report rendering for the reproduced experiments.
 
-* :mod:`repro.analysis.analytic` — closed-form PSM/TWT/predictive-sleep
-  delay and throughput predictors the simulator is cross-validated
+* :mod:`repro.analysis.analytic` — closed-form PSM delay and
+  saturation-throughput predictors the simulator is cross-validated
   against (``docs/ANALYTIC.md``),
 * :mod:`repro.analysis.stats` — means with 95% confidence intervals
   (the format of the paper's Tables 2 and 5) and summary statistics,
@@ -18,14 +18,9 @@
 from repro.analysis.analytic import (
     AnalyticError,
     predict_for_profile,
-    predictive_delay_bound,
-    predictive_wake_bound,
     psm_mean_beacon_wait,
     psm_mean_delay,
     saturation_throughput,
-    twt_drift_bound,
-    twt_mean_delay,
-    twt_wake_error_bound,
 )
 from repro.analysis.boxstats import BoxStats
 from repro.analysis.cdf import Cdf
@@ -62,14 +57,9 @@ __all__ = [
     "Table",
     "mean_ci",
     "predict_for_profile",
-    "predictive_delay_bound",
-    "predictive_wake_bound",
     "psm_mean_beacon_wait",
     "psm_mean_delay",
     "render_boxplot_row",
     "render_cdf",
     "saturation_throughput",
-    "twt_drift_bound",
-    "twt_mean_delay",
-    "twt_wake_error_bound",
 ]

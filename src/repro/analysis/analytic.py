@@ -11,14 +11,6 @@ analytical successors of the paper's measured mechanisms:
   TIM it listens to.  With listen interval ``L`` the station hears
   every ``(L+1)``-th beacon, so a probe arriving at a uniformly random
   phase waits ``(L+1) * BI / 2`` on average.
-* **TWT with clock drift** (Bankov et al.'s 802.11ax target-wake-time
-  analysis): a station waking on a negotiated service-period schedule
-  accumulates clock error at the drift rate between beacon resyncs;
-  the wake-window error is linear in the time since the last resync.
-* **Predictive sleep** (EAPS-style edge-assisted wake prediction): the
-  station wakes at the predicted next downlink arrival, capped by a
-  fallback timeout — the timeout is a hard upper bound on how stale a
-  buffered frame can get.
 
 ``tests/test_analytic_validation.py`` holds the simulator to these
 predictions within declared error envelopes; the per-metric envelopes
@@ -32,10 +24,6 @@ import math
 #: Inter-arrival process assumptions for the doze-probability term.
 ARRIVALS_POISSON = "poisson"
 ARRIVALS_PERIODIC = "periodic"
-
-#: Fraction of the guard interval at which the TWT machine proactively
-#: resyncs its clock (see :class:`repro.wifi.twt.TwtConfig`).
-TWT_RESYNC_FRACTION = 0.5
 
 
 class AnalyticError(ValueError):
@@ -151,111 +139,6 @@ def saturation_throughput(payload_bytes, data_rate_bps, per_frame_overhead):
     _require_positive("per_frame_overhead", per_frame_overhead)
     payload_bits = payload_bytes * 8.0
     return payload_bits / (payload_bits / data_rate_bps + per_frame_overhead)
-
-
-def duty_cycled_throughput(saturation, awake_fraction):
-    """Throughput of a station awake only a fraction of the time.
-
-    The sleep-aggressiveness knob: ``awake_fraction`` in ``[0, 1]``.
-    Non-increasing as the station sleeps more — the second monotonicity
-    property the harness pins.
-    """
-    _require_non_negative("saturation", saturation)
-    _require_non_negative("awake_fraction", awake_fraction)
-    return saturation * min(1.0, awake_fraction)
-
-
-# -- TWT with bounded clock drift -----------------------------------------
-
-
-def twt_mean_delay(sp_interval, base_rtt=0.0):
-    """Mean downlink delay of a TWT station: half a service-period gap.
-
-    Frames arriving at a uniformly random phase of the SP schedule are
-    buffered until the next service period, ``sp_interval / 2`` away on
-    average.
-    """
-    _require_positive("sp_interval", sp_interval)
-    _require_non_negative("base_rtt", base_rtt)
-    return base_rtt + sp_interval / 2.0
-
-
-def twt_effective_throughput(saturation, sp_duration, sp_interval):
-    """Throughput of a TWT station confined to its service periods."""
-    _require_positive("sp_duration", sp_duration)
-    _require_positive("sp_interval", sp_interval)
-    return duty_cycled_throughput(saturation,
-                                  sp_duration / sp_interval)
-
-
-def twt_drift_bound(drift_rate, elapsed):
-    """Worst-case clock error after ``elapsed`` seconds without resync.
-
-    Bankov et al.'s linear drift model: a local clock running at
-    ``(1 + drift_rate)`` times true rate is off by
-    ``|drift_rate| * elapsed`` when the schedule next fires.
-    """
-    _require_non_negative("elapsed", elapsed)
-    if isinstance(drift_rate, bool) or \
-            not isinstance(drift_rate, (int, float)) \
-            or not math.isfinite(drift_rate):
-        raise AnalyticError(f"drift_rate must be a finite number, "
-                            f"got {drift_rate!r}")
-    return abs(drift_rate) * elapsed
-
-
-def twt_resync_interval(drift_rate, guard):
-    """Longest the clock may free-run before the error fills the guard."""
-    _require_positive("guard", guard)
-    if drift_rate == 0:
-        return math.inf
-    return guard / abs(drift_rate)
-
-
-def twt_wake_error_bound(drift_rate, guard, sp_interval, beacon_interval,
-                         resync_fraction=TWT_RESYNC_FRACTION):
-    """Declared bound on |actual - planned| wake time under the resync
-    policy of :class:`repro.wifi.twt.TwtStation`.
-
-    The machine resyncs on a beacon once the projected error exceeds
-    ``resync_fraction * guard``; after a resync the clock free-runs at
-    most one service-period gap plus one beacon interval before the
-    next wake, so every non-missed wake satisfies::
-
-        |error| <= resync_fraction * guard
-                   + |drift_rate| * (sp_interval + beacon_interval)
-    """
-    _require_positive("sp_interval", sp_interval)
-    _require_positive("beacon_interval", beacon_interval)
-    _require_positive("guard", guard)
-    _require_non_negative("resync_fraction", resync_fraction)
-    return (resync_fraction * guard
-            + twt_drift_bound(drift_rate, sp_interval + beacon_interval))
-
-
-# -- predictive sleep ------------------------------------------------------
-
-
-def predictive_wake_bound(fallback_timeout):
-    """Hard cap on doze length: the machine never sleeps past this."""
-    return _require_positive("fallback_timeout", fallback_timeout)
-
-
-def predictive_delay_bound(mispredict_rate, fallback_timeout,
-                           base_rtt=0.0):
-    """Upper bound on mean downlink delay under predictive sleep.
-
-    A correct prediction wakes the station just before the frame (no
-    buffering wait); a mispredict is bounded by the fallback timeout.
-    """
-    _require_non_negative("base_rtt", base_rtt)
-    _require_positive("fallback_timeout", fallback_timeout)
-    if isinstance(mispredict_rate, bool) \
-            or not isinstance(mispredict_rate, (int, float)) \
-            or not 0.0 <= mispredict_rate <= 1.0:
-        raise AnalyticError(f"mispredict_rate must be in [0, 1], "
-                            f"got {mispredict_rate!r}")
-    return base_rtt + mispredict_rate * fallback_timeout
 
 
 # -- spec-level convenience ------------------------------------------------

@@ -37,16 +37,6 @@ PSM_TRANSITIONS_TOTAL = "psm_transitions_total"
 AP_PS_FRAMES_BUFFERED_TOTAL = "ap_ps_frames_buffered_total"
 AP_PS_BUFFER_DROPS_TOTAL = "ap_ps_buffer_drops_total"
 
-# -- TWT / predictive power save ------------------------------------------
-# Counters for the two experimental sleep schedulers
-# (:mod:`repro.wifi.twt`, :mod:`repro.wifi.predictive`).
-
-TWT_WAKES_TOTAL = "twt_wakes_total"
-TWT_RESYNCS_TOTAL = "twt_resyncs_total"
-TWT_MISSED_SPS_TOTAL = "twt_missed_sps_total"
-PREDICTIVE_WAKES_TOTAL = "predictive_wakes_total"
-PREDICTIVE_MISPREDICTS_TOTAL = "predictive_mispredicts_total"
-
 # -- measurement core -----------------------------------------------------
 
 PROBE_DU_SECONDS = "probe_du_seconds"
@@ -87,8 +77,6 @@ SPAN_PSM_BUFFERED = "psm.buffered"
 SPAN_WLAN_AIRTIME = "wlan.airtime"
 SPAN_WIRE_NETEM = "wire.netem"
 SPAN_MEASUREMENT_PROBE = "measurement.probe"
-SPAN_TWT_SERVICE_PERIOD = "twt.service_period"
-SPAN_PREDICTIVE_LISTEN = "predictive.listen"
 
 #: Every metric name the model may register (span-derived histogram
 #: names like ``psm_doze_seconds`` are generated by
@@ -108,11 +96,6 @@ METRIC_NAMES = frozenset({
     PSM_TRANSITIONS_TOTAL,
     AP_PS_FRAMES_BUFFERED_TOTAL,
     AP_PS_BUFFER_DROPS_TOTAL,
-    TWT_WAKES_TOTAL,
-    TWT_RESYNCS_TOTAL,
-    TWT_MISSED_SPS_TOTAL,
-    PREDICTIVE_WAKES_TOTAL,
-    PREDICTIVE_MISPREDICTS_TOTAL,
     PROBE_DU_SECONDS,
     PROBE_DN_SECONDS,
     PROBE_INFLATION_SECONDS,
@@ -145,6 +128,4 @@ SPAN_NAMES = frozenset({
     SPAN_WLAN_AIRTIME,
     SPAN_WIRE_NETEM,
     SPAN_MEASUREMENT_PROBE,
-    SPAN_TWT_SERVICE_PERIOD,
-    SPAN_PREDICTIVE_LISTEN,
 })

@@ -30,7 +30,7 @@ class Phone:
 
     def __init__(self, sim, profile, channel, ap, ip_addr, mac,
                  rng=None, name=None, bus_sleep=True, psm_enabled=True,
-                 runtime="native", sta_factory=None):
+                 runtime="native"):
         self.sim = sim
         self.profile = profile
         self.ip_addr = ip_addr
@@ -47,12 +47,8 @@ class Phone:
             listen_interval=profile.listen_interval_actual,
             listen_interval_assoc=profile.listen_interval_assoc,
         )
-        # ``sta_factory`` swaps the MAC power-save machine (TWT,
-        # predictive sleep, ...) while keeping the rest of the pipeline.
-        if sta_factory is None:
-            sta_factory = Station
-        self.sta = sta_factory(sim, channel, mac, psm=psm, rng=self.rng,
-                               name=f"{self.name}.sta")
+        self.sta = Station(sim, channel, mac, psm=psm, rng=self.rng,
+                           name=f"{self.name}.sta")
 
         kernel_tx, kernel_rx = profile.kernel_costs()
         self.kernel = KernelLayer(sim, self.rng, kernel_tx, kernel_rx,

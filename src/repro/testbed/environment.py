@@ -22,6 +22,8 @@ requesting cross traffic on a cellular cell is a validation error, not a
 silent no-op.  See ``docs/ARCHITECTURE.md``.
 """
 
+import sys
+
 from repro.net.addresses import MacAddress, ip
 from repro.net.arp import ArpTable
 from repro.net.host import Host
@@ -47,27 +49,17 @@ CAP_PSM = "psm"
 CAP_SNIFFERS = "sniffers"
 #: An RRC state machine (promotions/demotions) sits below the kernel.
 CAP_RRC = "rrc"
-#: Stations sleep on a negotiated TWT service-period schedule.
-CAP_TWT = "twt"
-#: Stations wake on predicted downlink arrivals (EAPS-style).
-CAP_PREDICTIVE_SLEEP = "predictive-sleep"
 
 #: Every capability tag an environment may declare.  Registration
 #: rejects anything outside this set — a typoed tag would otherwise
 #: silently disable the scenario knob it was meant to enable.
 KNOWN_CAPABILITIES = frozenset({
     CAP_CROSS_TRAFFIC, CAP_BUS_SLEEP, CAP_PSM, CAP_SNIFFERS, CAP_RRC,
-    CAP_TWT, CAP_PREDICTIVE_SLEEP,
 })
 
 WIFI_CAPABILITIES = frozenset(
     {CAP_CROSS_TRAFFIC, CAP_BUS_SLEEP, CAP_PSM, CAP_SNIFFERS})
 CELLULAR_CAPABILITIES = frozenset({CAP_RRC})
-TWT_CAPABILITIES = frozenset(
-    {CAP_CROSS_TRAFFIC, CAP_BUS_SLEEP, CAP_SNIFFERS, CAP_TWT})
-PREDICTIVE_SLEEP_CAPABILITIES = frozenset(
-    {CAP_CROSS_TRAFFIC, CAP_BUS_SLEEP, CAP_SNIFFERS,
-     CAP_PREDICTIVE_SLEEP})
 
 
 class WiredCore:
@@ -197,33 +189,22 @@ class Environment:
 
 
 def keyword_params(target, supplied=()):
-    """``{name: default}`` of the parameters ``target`` takes by keyword,
-    minus ``supplied`` (a parameter with no default maps to
-    ``inspect.Parameter.empty``).
+    """``{name: default}`` of the parameters ``target`` (a function, or
+    a class's ``__init__``) takes by keyword, minus ``supplied`` (a
+    parameter with no default maps to ``inspect.Parameter.empty``).
 
     This is what a params dict may carry when a builder forwards it
-    into ``target`` after filling the ``supplied`` names itself.  A
-    class whose ``__init__`` takes ``**kwargs`` passes them on to its
-    base class, so the base's names count too.
+    into ``target`` after filling the ``supplied`` names itself.
     """
     # Imported here: only specs that carry params need it, and importing
     # it with this module adds about 1 MB to every campaign process.
     import inspect
 
-    if isinstance(target, type):
-        functions = [vars(cls)["__init__"] for cls in target.__mro__
-                     if "__init__" in vars(cls)]
-    else:
-        functions = [target]
-    defaults = {}
-    for function in functions:
-        params = inspect.signature(function).parameters.values()
-        for param in params:
-            if param.kind in (param.POSITIONAL_OR_KEYWORD,
-                              param.KEYWORD_ONLY):
-                defaults.setdefault(param.name, param.default)
-        if not any(param.kind is param.VAR_KEYWORD for param in params):
-            break
+    function = target.__init__ if isinstance(target, type) else target
+    defaults = {param.name: param.default
+                for param in inspect.signature(function).parameters.values()
+                if param.kind in (param.POSITIONAL_OR_KEYWORD,
+                                  param.KEYWORD_ONLY)}
     for name in ("self", *supplied):
         defaults.pop(name, None)
     return defaults
@@ -331,38 +312,37 @@ _RRC_OVERRIDABLE = ("t1", "t2", "fach_threshold", "dch_rate_bps",
                     "fach_rate_bps")
 
 
-def _testbed():
+def _wifi_testbed():
+    # Imported at call time: topology imports this module.
     from repro.testbed.topology import Testbed
 
     return Testbed
 
 
-def _twt_testbed():
-    from repro.testbed.powersave import TwtTestbed
-
-    return TwtTestbed
-
-
-def _predictive_sleep_testbed():
-    from repro.testbed.powersave import PredictiveSleepTestbed
-
-    return PredictiveSleepTestbed
+def _build_wifi(seed=0, emulated_rtt=0.0, **env_params):
+    """Build the WiFi :class:`~repro.testbed.topology.Testbed`."""
+    return _wifi_testbed()(seed=seed, emulated_rtt=emulated_rtt, **env_params)
 
 
-def _testbed_builder(testbed_class):
-    """``build(seed=, emulated_rtt=, **env_params)`` for the class
-    ``testbed_class()`` returns; ``build.params`` names the keys that
-    class takes, and ``build.check(**env_params)`` runs its range checks
-    without building anything."""
-    def build(seed=0, emulated_rtt=0.0, **env_params):
-        return testbed_class()(seed=seed, emulated_rtt=emulated_rtt,
-                               **env_params)
+_build_wifi.params = lambda: keyword_params(_wifi_testbed(),
+                                            ("seed", "emulated_rtt"))
+_build_wifi.check = lambda **env_params: _wifi_testbed().check_params(
+    **env_params)
 
-    build.params = lambda: keyword_params(testbed_class(),
-                                          ("seed", "emulated_rtt"))
-    build.check = lambda **env_params: testbed_class().check_params(
-        **env_params)
-    return build
+
+def _check_rrc_params(t1=0.0, t2=0.0, fach_threshold=0, dch_rate_bps=1.0,
+                      fach_rate_bps=1.0):
+    """Reject out-of-range RRC overrides before anything is built."""
+    for name, value in (("t1", t1), ("t2", t2)):
+        if not 0.0 <= value <= sys.float_info.max:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    for name, value in (("dch_rate_bps", dch_rate_bps),
+                        ("fach_rate_bps", fach_rate_bps)):
+        if not 0.0 < value <= sys.float_info.max:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if not fach_threshold >= 0:
+        raise ValueError(
+            f"fach_threshold must be >= 0, got {fach_threshold!r}")
 
 
 def _cellular_builder(rrc_preset):
@@ -386,28 +366,15 @@ def _cellular_builder(rrc_preset):
         return {field: defaults[field] for field in _RRC_OVERRIDABLE}
 
     build.params = params
+    build.check = _check_rrc_params
     return build
 
 
 register_environment(
-    "wifi", _testbed_builder(_testbed),
+    "wifi", _build_wifi,
     description="Figure 2 WLAN: DCF channel, AP with adaptive PSM, "
                 "SDIO bus-sleep phones, three monitor-mode sniffers",
     capabilities=WIFI_CAPABILITIES,
-)
-register_environment(
-    "wifi-twt", _testbed_builder(_twt_testbed),
-    description="The WLAN with TWT-scheduled phones: service-period "
-                "wakes on a drifting local clock, beacon resyncs, "
-                "missed-SP recovery (802.11ax-flavoured)",
-    capabilities=TWT_CAPABILITIES,
-)
-register_environment(
-    "wifi-predictive-sleep", _testbed_builder(_predictive_sleep_testbed),
-    description="The WLAN with predictive-sleep phones: EAPS-style "
-                "EWMA wake prediction, mispredict penalty path, "
-                "hard fallback-timeout wake cap",
-    capabilities=PREDICTIVE_SLEEP_CAPABILITIES,
 )
 register_environment(
     "cellular-3g", _cellular_builder("umts_3g"),

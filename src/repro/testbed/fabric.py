@@ -119,21 +119,15 @@ def default_worker_count():
     return os.cpu_count() or 1
 
 
-def pool_context(start_method=None):
+def pool_context():
     """The preferred multiprocessing context, or ``None`` if unusable.
 
     ``fork`` when the platform offers it (cheapest, and fork workers
     inherit chaos-test monkeypatching), otherwise the platform default;
-    an explicitly requested method that the platform lacks yields
-    ``None`` so callers fall back to in-process execution.
+    ``None`` makes callers fall back to in-process execution.
     """
     try:
-        methods = multiprocessing.get_all_start_methods()
-        if start_method is not None:
-            if start_method not in methods:
-                return None
-            return multiprocessing.get_context(start_method)
-        if "fork" in methods:
+        if "fork" in multiprocessing.get_all_start_methods():
             return multiprocessing.get_context("fork")
         return multiprocessing.get_context()
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
@@ -223,14 +217,13 @@ class MultiprocessTransport(ShardTransport):
     the pool cannot be created at all, every task runs in-process.
     """
 
-    def __init__(self, workers=None, start_method=None):
+    def __init__(self, workers=None):
         self.workers = workers
-        self.start_method = start_method
 
     def dispatch(self, tasks):
         if not tasks:
             return
-        context = pool_context(self.start_method)
+        context = pool_context()
         workers = self.workers or default_worker_count()
         workers = max(1, min(workers, len(tasks)))
         if context is None:

@@ -60,6 +60,9 @@ class Testbed(Environment):
     beacon_interval_tu:
         AP beacon interval in Time Units, at least 1 (default 100 TU =
         102.4 ms).
+    rtt_jitter / path_loss:
+        Jitter (at least 0 s) and loss probability (0 to 1) of the
+        server's emulated-RTT egress.
     """
 
     key = "wifi"
@@ -78,7 +81,8 @@ class Testbed(Environment):
 
         self.check_params(sniffer_count=sniffer_count,
                           sniffer_loss=sniffer_loss,
-                          beacon_interval_tu=beacon_interval_tu)
+                          beacon_interval_tu=beacon_interval_tu,
+                          rtt_jitter=rtt_jitter, path_loss=path_loss)
         self.sim = Simulator(seed=seed)
         self._rtt_jitter = rtt_jitter
         self._path_loss = path_loss
@@ -118,7 +122,7 @@ class Testbed(Environment):
 
     @staticmethod
     def check_params(sniffer_count=3, sniffer_loss=0.0, beacon_interval_tu=100,
-                     **_other):
+                     rtt_jitter=0.0, path_loss=0.0, **_other):
         """Reject out-of-range testbed parameters before anything is built.
 
         Raises ``ValueError`` naming the parameter; other keyword
@@ -134,6 +138,11 @@ class Testbed(Environment):
         if not 0.0 <= sniffer_loss <= 1.0:
             raise ValueError(
                 f"sniffer_loss must be within [0, 1], got {sniffer_loss!r}")
+        if not rtt_jitter >= 0.0:
+            raise ValueError(f"rtt_jitter must be >= 0, got {rtt_jitter!r}")
+        if not 0.0 <= path_loss <= 1.0:
+            raise ValueError(
+                f"path_loss must be within [0, 1], got {path_loss!r}")
 
     # -- wired-core conveniences ----------------------------------------------
 

@@ -13,20 +13,12 @@ import pytest
 from repro.analysis.analytic import (
     ARRIVALS_PERIODIC,
     AnalyticError,
-    duty_cycled_throughput,
     predict_for_profile,
-    predictive_delay_bound,
-    predictive_wake_bound,
     psm_doze_probability,
     psm_listen_period,
     psm_mean_beacon_wait,
     psm_mean_delay,
     saturation_throughput,
-    twt_drift_bound,
-    twt_effective_throughput,
-    twt_mean_delay,
-    twt_resync_interval,
-    twt_wake_error_bound,
 )
 
 BI = 0.1024  # the testbed's 100 TU beacon interval
@@ -95,72 +87,11 @@ class TestThroughputEdgeCases:
         assert saturation_throughput(1500, 54e6, 300e-6) == \
             pytest.approx(22.978e6, rel=1e-3)
 
-    def test_duty_cycle_clamps_at_one(self):
-        assert duty_cycled_throughput(20e6, 1.5) == 20e6
-        assert duty_cycled_throughput(20e6, 0.25) == 5e6
-        assert duty_cycled_throughput(20e6, 0.0) == 0.0
-
-    def test_twt_effective_throughput(self):
-        # 20 ms SPs every 500 ms: 4% duty cycle.
-        assert twt_effective_throughput(25e6, 0.02, 0.5) == \
-            pytest.approx(1e6)
-
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(AnalyticError):
             saturation_throughput(0, 54e6, 300e-6)
         with pytest.raises(AnalyticError):
             saturation_throughput(1500, 54e6, 0.0)
-        with pytest.raises(AnalyticError):
-            twt_effective_throughput(25e6, 0.0, 0.5)
-
-
-class TestTwtModel:
-    def test_mean_delay_half_sp_interval(self):
-        assert twt_mean_delay(0.5) == pytest.approx(0.25)
-        assert twt_mean_delay(0.5, base_rtt=0.03) == pytest.approx(0.28)
-
-    def test_drift_bound_linear(self):
-        # 20 ppm for 100 s = 2 ms, sign-independent.
-        assert twt_drift_bound(20e-6, 100.0) == pytest.approx(2e-3)
-        assert twt_drift_bound(-20e-6, 100.0) == pytest.approx(2e-3)
-        assert twt_drift_bound(20e-6, 0.0) == 0.0
-
-    def test_resync_interval_hand_value(self):
-        # guard 2 ms at 20 ppm: 100 s of free-running.
-        assert twt_resync_interval(20e-6, 2e-3) == pytest.approx(100.0)
-        assert twt_resync_interval(0.0, 2e-3) == math.inf
-
-    def test_wake_error_bound_hand_value(self):
-        # fraction 0.5, guard 2 ms, drift 100 ppm, SP 0.4 s, BI 0.1024:
-        #   bound = 1 ms + 100e-6 * 0.5024 = 1.05024 ms
-        assert twt_wake_error_bound(100e-6, 2e-3, 0.4, BI) == \
-            pytest.approx(1.05024e-3)
-
-    def test_drift_bound_rejects_non_finite(self):
-        with pytest.raises(AnalyticError):
-            twt_drift_bound(float("nan"), 1.0)
-        with pytest.raises(AnalyticError):
-            twt_drift_bound(float("inf"), 1.0)
-
-
-class TestPredictiveModel:
-    def test_wake_bound_is_the_fallback_timeout(self):
-        assert predictive_wake_bound(0.4) == 0.4
-        with pytest.raises(AnalyticError):
-            predictive_wake_bound(0.0)
-
-    def test_delay_bound_hand_values(self):
-        # Perfect predictor: just the base RTT.  Coin-flip predictor
-        # with 400 ms fallback: base + 200 ms.
-        assert predictive_delay_bound(0.0, 0.4, base_rtt=0.03) == \
-            pytest.approx(0.03)
-        assert predictive_delay_bound(0.5, 0.4, base_rtt=0.03) == \
-            pytest.approx(0.23)
-
-    def test_mispredict_rate_domain(self):
-        for bad in (-0.1, 1.5, True, "half"):
-            with pytest.raises(AnalyticError):
-                predictive_delay_bound(bad, 0.4)
 
 
 class TestProfilePredictions:

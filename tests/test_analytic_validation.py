@@ -8,13 +8,8 @@ Holds the simulator to the closed-form predictions of
   within ``PSM_MEAN_ENVELOPE`` relative error of the Agrawal-model
   prediction ``(L + 1) * BI / 2``, and the per-probe inflation must
   respect the model's hard ``(L + 1) * BI`` ceiling.
-* **TWT wake error**: across several drift rates, every simulated wake
-  error stays under :func:`~repro.analysis.analytic.twt_wake_error_bound`
-  (the bound *is* the envelope), and the TWT environment's downlink
-  inflation matches the half-service-period model.
 * **Model monotonicity** (hypothesis properties): delay non-decreasing
-  in the listen interval, throughput non-increasing in sleep
-  aggressiveness, drift error bound non-decreasing in the drift rate.
+  in the listen interval and non-increasing in the offered load.
 
 Probes fire on an **absolute** time grid (unlike ``ping2``, whose next
 round starts relative to the previous reply and therefore phase-locks
@@ -31,11 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.analytic import (
-    duty_cycled_throughput,
     psm_mean_beacon_wait,
     psm_mean_delay,
-    twt_mean_delay,
-    twt_wake_error_bound,
 )
 from repro.testbed.environment import build_environment
 
@@ -44,9 +36,6 @@ BI = 0.1024
 #: Declared relative-error envelope on the PSM mean beacon wait
 #: (docs/ANALYTIC.md: low-discrepancy phase sampling at n=30 probes).
 PSM_MEAN_ENVELOPE = 0.25
-
-#: Declared relative envelope on the TWT mean downlink inflation.
-TWT_MEAN_ENVELOPE = 0.30
 
 #: Slack added to per-probe ceilings: wired RTT, airtime, and SDIO
 #: promotion variability on top of the power-save wait term.
@@ -66,16 +55,15 @@ SPACINGS = tuple((n + PHI) * BI for n in (6, 7, 9))
 LISTEN_INTERVALS = (0, 1, 2)
 
 
-def run_cold_probes(env_key, spacing, listen_interval=0,
-                    psm_enabled=True, count=COUNT, **env_params):
+def run_cold_probes(spacing, listen_interval=0, psm_enabled=True,
+                    count=COUNT):
     """Fire ``count`` server-side pings at an absolute ``spacing`` grid.
 
     Every probe finds the phone fully idle (spacing >> Tip), so each
-    RTT carries the full power-save inflation.  Returns
-    ``(sorted_rtts, phone)``.
+    RTT carries the full power-save inflation.  Returns the sorted RTTs.
     """
-    env = build_environment(env_key, seed=9, emulated_rtt=0.020,
-                            sniffer_count=0, **env_params)
+    env = build_environment("wifi", seed=9, emulated_rtt=0.020,
+                            sniffer_count=0)
     phone = env.attach_phone("nexus5", psm_enabled=psm_enabled)
     phone.sta.psm.listen_interval = listen_interval
     phone.sta.psm.timeout_jitter = 0.0
@@ -103,7 +91,7 @@ def run_cold_probes(env_key, spacing, listen_interval=0,
     env.sim.run(until=start + count * spacing + 2.0)
     handle.close()
     assert len(rtts) == count, f"lost {count - len(rtts)} probes"
-    return sorted(rtts), phone
+    return sorted(rtts)
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +101,7 @@ def cam_baseline():
     Bus sleep stays enabled, so SDIO promotion appears in both the
     baseline and the power-save cells and cancels in the difference.
     """
-    rtts, _phone = run_cold_probes("wifi", SPACINGS[1],
-                                   psm_enabled=False)
+    rtts = run_cold_probes(SPACINGS[1], psm_enabled=False)
     return statistics.fmean(rtts)
 
 
@@ -123,7 +110,7 @@ class TestPsmMeanDelayGrid:
     @pytest.mark.parametrize("spacing", SPACINGS)
     def test_mean_inflation_matches_model(self, listen_interval, spacing,
                                           cam_baseline):
-        rtts, _phone = run_cold_probes("wifi", spacing, listen_interval)
+        rtts = run_cold_probes(spacing, listen_interval)
         mean_wait = statistics.fmean(rtts) - cam_baseline
         predicted = psm_mean_beacon_wait(BI, listen_interval)
         assert mean_wait == pytest.approx(predicted,
@@ -134,15 +121,14 @@ class TestPsmMeanDelayGrid:
             self, listen_interval, cam_baseline):
         # No single beacon wait can exceed one listen period: the p100
         # of the inflation is bounded by (L + 1) * BI plus slack.
-        rtts, _phone = run_cold_probes("wifi", SPACINGS[0],
-                                       listen_interval)
+        rtts = run_cold_probes(SPACINGS[0], listen_interval)
         ceiling = (listen_interval + 1) * BI + CEILING_SLACK
         assert rtts[-1] - cam_baseline <= ceiling
 
     def test_busy_phone_never_waits_for_beacons(self, cam_baseline):
         # Probe spacing below Tip keeps the station in CAM: the doze
         # probability term is 0 and the beacon wait disappears.
-        rtts, _phone = run_cold_probes("wifi", 0.15)
+        rtts = run_cold_probes(0.15)
         mean_wait = statistics.fmean(rtts) - cam_baseline
         assert mean_wait < BI / 4
 
@@ -151,64 +137,13 @@ class TestPsmMeanDelayGrid:
         # The full psm_mean_delay chain (periodic arrivals, load below
         # the Tip threshold -> P(doze)=1) against the simulated mean.
         spacing = SPACINGS[2]
-        rtts, _phone = run_cold_probes("wifi", spacing,
-                                       listen_interval=1)
+        rtts = run_cold_probes(spacing, listen_interval=1)
         predicted_wait = psm_mean_delay(
             1.0 / spacing, BI, 0.205, listen_interval=1,
             arrivals="periodic")
         mean_wait = statistics.fmean(rtts) - cam_baseline
         assert mean_wait == pytest.approx(predicted_wait,
                                           rel=PSM_MEAN_ENVELOPE)
-
-
-class TestTwtValidation:
-    DRIFTS = (50e-6, 500e-6, 2000e-6)
-
-    @pytest.mark.parametrize("drift", DRIFTS)
-    def test_wake_error_within_drift_model_bound(self, drift):
-        rtts, phone = run_cold_probes(
-            "wifi-twt", SPACINGS[0], count=12, sp_interval=0.4,
-            sp_duration=0.02, twt_guard=2e-3, drift_rate=drift)
-        bound = twt_wake_error_bound(drift, 2e-3, 0.4, BI)
-        wakes = [w for w in phone.sta.wake_log if not w.missed]
-        assert len(wakes) >= 10
-        for wake in wakes:
-            assert abs(wake.error) <= bound + 1e-12
-
-    def test_mean_inflation_matches_half_sp_model(self, cam_baseline):
-        # Downlink probes buffered until the next service period wait
-        # sp_interval / 2 on average (spacing incommensurate with the
-        # SP grid).
-        sp_interval = 0.35
-        rtts, _phone = run_cold_probes("wifi-twt", SPACINGS[0],
-                                       sp_interval=sp_interval,
-                                       sp_duration=0.02)
-        mean_extra = statistics.fmean(rtts) - cam_baseline
-        predicted = twt_mean_delay(sp_interval)
-        assert mean_extra == pytest.approx(predicted,
-                                           rel=TWT_MEAN_ENVELOPE)
-
-    def test_per_probe_wait_respects_sp_interval_ceiling(self,
-                                                         cam_baseline):
-        sp_interval = 0.35
-        rtts, _phone = run_cold_probes("wifi-twt", SPACINGS[0],
-                                       sp_interval=sp_interval,
-                                       sp_duration=0.02)
-        # One SP gap, plus a beacon interval for resync detours.
-        ceiling = sp_interval + BI + CEILING_SLACK
-        assert rtts[-1] - cam_baseline <= ceiling
-
-
-class TestPredictiveValidation:
-    def test_fallback_bounds_worst_case_inflation(self, cam_baseline):
-        fallback = 0.3
-        rtts, _phone = run_cold_probes("wifi-predictive-sleep",
-                                       SPACINGS[0],
-                                       fallback_timeout=fallback)
-        # Every inflation is capped by the fallback timeout plus
-        # slack; so is the mean, a fortiori.
-        assert rtts[-1] - cam_baseline <= fallback + CEILING_SLACK
-        assert statistics.fmean(rtts) - cam_baseline <= fallback
 
 
 class TestModelMonotonicity:
@@ -225,31 +160,6 @@ class TestModelMonotonicity:
                             listen_interval=listen_a)
         hi = psm_mean_delay(load, beacon, 0.205,
                             listen_interval=listen_a + step)
-        assert hi >= lo
-
-    @given(
-        saturation=st.floats(1e3, 1e9),
-        awake_a=st.floats(0.0, 1.0),
-        awake_b=st.floats(0.0, 1.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_throughput_non_increasing_in_sleep_aggressiveness(
-            self, saturation, awake_a, awake_b):
-        # More sleep = smaller awake fraction = no more throughput.
-        more_awake, less_awake = max(awake_a, awake_b), \
-            min(awake_a, awake_b)
-        assert duty_cycled_throughput(saturation, less_awake) <= \
-            duty_cycled_throughput(saturation, more_awake)
-
-    @given(
-        drift_a=st.floats(0.0, 1e-2),
-        extra=st.floats(0.0, 1e-2),
-        sp=st.floats(0.05, 2.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_twt_bound_non_decreasing_in_drift(self, drift_a, extra, sp):
-        lo = twt_wake_error_bound(drift_a, 2e-3, sp, BI)
-        hi = twt_wake_error_bound(drift_a + extra, 2e-3, sp, BI)
         assert hi >= lo
 
     @given(

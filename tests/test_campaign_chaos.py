@@ -227,7 +227,7 @@ class TestWorkerDeath:
         from repro.testbed.resilience import FaultPolicy
         runner = FabricRunner(
             campaign, workers=2,
-            transport=MultiprocessTransport(workers=2, start_method="fork"))
+            transport=MultiprocessTransport(workers=2))
         runner.run(fault_policy=FaultPolicy(retries=0),
                    collect_metrics=True)
         assert len(campaign.results) + len(campaign.quarantine) == 12
@@ -253,7 +253,7 @@ class TestWorkerDeath:
         campaign = make_campaign()
         runner = FabricRunner(
             campaign, workers=2,
-            transport=MultiprocessTransport(workers=2, start_method="fork"))
+            transport=MultiprocessTransport(workers=2))
         seen = []
         runner.run(progress=lambda spec: seen.append(spec.seed),
                    fault_policy=FaultPolicy())
@@ -320,8 +320,7 @@ class TestShardDeath:
         campaign = make_campaign()
         runner = FabricRunner(
             campaign, shard_count=4,
-            transport=MultiprocessTransport(workers=2,
-                                            start_method="fork"))
+            transport=MultiprocessTransport(workers=2))
         runner.run(collect_metrics=True)
         assert runner.plan.shard_count == 4
         assert campaign.quarantine == []
@@ -343,8 +342,7 @@ class TestShardDeath:
         campaign = make_campaign()
         runner = FabricRunner(
             campaign, shard_count=4,
-            transport=MultiprocessTransport(workers=2,
-                                            start_method="fork"))
+            transport=MultiprocessTransport(workers=2))
         seen = []
         runner.run(progress=lambda spec: seen.append(spec.seed))
         assert sorted(seen) == sorted(reference["seeds"])

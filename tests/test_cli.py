@@ -327,6 +327,28 @@ BAD_SPEC_FILES = {
     "sniffer_loss_above_one": (b'{"env":"wifi","tool":"ping","count":2,'
                                b'"env_params":{"sniffer_loss":2.0}}',
                                "sniffer_loss must be within [0, 1]"),
+    "negative_rtt_jitter": (b'{"env":"wifi","tool":"ping","count":2,'
+                            b'"env_params":{"rtt_jitter":-1.0}}',
+                            "rtt_jitter must be >= 0"),
+    "path_loss_above_one": (b'{"env":"wifi","tool":"ping","count":2,'
+                            b'"env_params":{"path_loss":2.0}}',
+                            "path_loss must be within [0, 1]"),
+    "negative_path_loss": (b'{"env":"wifi","tool":"ping","count":2,'
+                           b'"env_params":{"path_loss":-0.1}}',
+                           "path_loss must be within [0, 1]"),
+    "negative_rrc_t1": (b'{"env":"cellular-3g","tool":"ping","count":2,'
+                        b'"env_params":{"t1":-1.0}}',
+                        "t1 must be finite and >= 0"),
+    "zero_dch_rate": (b'{"env":"cellular-3g","tool":"ping","count":2,'
+                      b'"env_params":{"dch_rate_bps":0}}',
+                      "dch_rate_bps must be finite and > 0"),
+    "negative_fach_threshold": (b'{"env":"cellular-3g","tool":"ping",'
+                                b'"count":2,'
+                                b'"env_params":{"fach_threshold":-5}}',
+                                "fach_threshold must be >= 0"),
+    "unknown_env": (b'{"env":"ethernet","tool":"ping","count":2}',
+                    "unknown environment 'ethernet'; known: "
+                    "['cellular-3g', 'cellular-lte', 'wifi']"),
 }
 
 #: Command lines that exit 2 with a one-line error before any cell runs.

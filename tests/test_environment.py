@@ -7,9 +7,7 @@ from repro.testbed.environment import (
     CELLULAR_CAPABILITIES,
     ENVIRONMENTS,
     KNOWN_CAPABILITIES,
-    PREDICTIVE_SLEEP_CAPABILITIES,
     SERVER_IP,
-    TWT_CAPABILITIES,
     WIFI_CAPABILITIES,
     Environment,
     build_environment,
@@ -22,8 +20,7 @@ from repro.testbed.environment import (
 class TestRegistry:
     def test_default_keys(self):
         assert environment_keys() == ["cellular-3g", "cellular-lte",
-                                      "wifi", "wifi-predictive-sleep",
-                                      "wifi-twt"]
+                                      "wifi"]
 
     def test_unknown_key_error_names_known(self):
         with pytest.raises(KeyError, match="wifi"):
@@ -72,8 +69,13 @@ class TestRegistry:
     def test_known_capability_vocabulary_pinned(self):
         assert KNOWN_CAPABILITIES == frozenset({
             "cross-traffic", "bus-sleep", "psm", "sniffers", "rrc",
-            "twt", "predictive-sleep",
         })
+
+    def test_known_capabilities_are_the_declared_union(self):
+        # A tag no registered environment declares is dead vocabulary.
+        declared = frozenset().union(
+            *(entry.capabilities for entry in ENVIRONMENTS.values()))
+        assert KNOWN_CAPABILITIES == declared
 
     def test_full_registry_tag_sets_pinned(self):
         # Every default environment's declared capabilities, exactly.
@@ -82,11 +84,6 @@ class TestRegistry:
         assert declared == {
             "wifi": frozenset({"cross-traffic", "bus-sleep", "psm",
                                "sniffers"}),
-            "wifi-twt": frozenset({"cross-traffic", "bus-sleep",
-                                   "sniffers", "twt"}),
-            "wifi-predictive-sleep": frozenset(
-                {"cross-traffic", "bus-sleep", "sniffers",
-                 "predictive-sleep"}),
             "cellular-3g": frozenset({"rrc"}),
             "cellular-lte": frozenset({"rrc"}),
         }
@@ -95,9 +92,7 @@ class TestRegistry:
 
 
 class TestProtocol:
-    @pytest.mark.parametrize("key", ["wifi", "wifi-twt",
-                                     "wifi-predictive-sleep",
-                                     "cellular-3g", "cellular-lte"])
+    @pytest.mark.parametrize("key", ["wifi", "cellular-3g", "cellular-lte"])
     def test_build_and_protocol_surface(self, key):
         env = build_environment(key, seed=0, emulated_rtt=0.02)
         assert isinstance(env, Environment)
@@ -131,31 +126,6 @@ class TestProtocol:
     def test_env_params_forwarded_wifi(self):
         env = build_environment("wifi", seed=0, sniffer_count=1)
         assert len(env.sniffers) == 1
-
-    def test_env_params_forwarded_powersave(self):
-        twt = build_environment("wifi-twt", seed=0, sp_interval=0.25,
-                                drift_rate=100e-6, sniffer_count=0)
-        assert twt.twt.sp_interval == 0.25
-        assert twt.twt.drift_rate == 100e-6
-        pred = build_environment("wifi-predictive-sleep", seed=0,
-                                 fallback_timeout=0.3, sniffer_count=0)
-        assert pred.predictor.fallback_timeout == 0.3
-
-    def test_powersave_phones_get_custom_stations(self):
-        from repro.wifi.predictive import PredictiveSleepStation
-        from repro.wifi.twt import TwtStation
-
-        twt_env = build_environment("wifi-twt", seed=0, sniffer_count=0)
-        assert isinstance(twt_env.attach_phone("nexus5").sta, TwtStation)
-        pred_env = build_environment("wifi-predictive-sleep", seed=0,
-                                     sniffer_count=0)
-        assert isinstance(pred_env.attach_phone("nexus5").sta,
-                          PredictiveSleepStation)
-
-    def test_powersave_class_capabilities_match_registry(self):
-        assert ENVIRONMENTS["wifi-twt"].capabilities == TWT_CAPABILITIES
-        assert ENVIRONMENTS["wifi-predictive-sleep"].capabilities == \
-            PREDICTIVE_SLEEP_CAPABILITIES
 
     def test_env_params_override_rrc_preset(self):
         env = build_environment("cellular-3g", seed=0, t1=2.5)

@@ -288,10 +288,10 @@ class TestAcceptanceMatrix:
         assert stats.get("campaign.shards_planned", 0) == 0
 
 
-# A grid mixing the classic PSM environment with both power-save
-# machines (TWT service periods, EAPS-style predictive sleep): the
-# fabric guarantees must hold for custom-station environments too.
-MIXED_GRID = dict(envs=("wifi", "wifi-twt", "wifi-predictive-sleep"),
+# A grid over every registered environment: WiFi PSM and both RRC
+# presets.  ``cellular-3g``, with its seconds-scale promotions, is in
+# no other acceptance matrix.
+MIXED_GRID = dict(envs=("wifi", "cellular-3g", "cellular-lte"),
                   phones=("nexus5",),
                   rtts=tuple(0.01 + 0.01 * i for i in range(8)),
                   tools=("acutemon", "ping"), count=2, base_seed=31)
@@ -299,7 +299,7 @@ MIXED_GRID = dict(envs=("wifi", "wifi-twt", "wifi-predictive-sleep"),
 
 @pytest.fixture(scope="module")
 def accept_mixed():
-    """Serial reference for the mixed power-save grid."""
+    """Serial reference for the three-environment grid."""
     campaign = Campaign(**MIXED_GRID)
     campaign.run(workers=1, collect_metrics=True)
     assert len(campaign.results) == 48
@@ -315,10 +315,10 @@ def accept_mixed():
     }
 
 
-class TestMixedPowersaveAcceptance:
-    """The acceptance matrix over a grid that includes TWT and
-    predictive-sleep cells: every execution mode must be bit-identical
-    to the serial reference, merged metrics included."""
+class TestThreeEnvironmentAcceptance:
+    """The acceptance matrix over a grid that includes WiFi, 3G and LTE
+    cells: every execution mode must be bit-identical to the serial
+    reference, merged metrics included."""
 
     def test_parallel_four_workers(self, accept_mixed):
         campaign = Campaign(**MIXED_GRID)

@@ -108,14 +108,17 @@ class TestSharding:
 
 
 class TestFallbacksAndProgress:
-    def test_unavailable_start_method_falls_back_to_serial(self):
+    def test_unavailable_start_method_falls_back_to_serial(
+            self, monkeypatch):
         campaign = small_grid(phones=("nexus5",), rtts=(0.02,),
                               tools=("ping",))
         reference = small_grid(phones=("nexus5",), rtts=(0.02,),
                                tools=("ping",))
         reference.run()
-        transport = MultiprocessTransport(
-            workers=4, start_method="not-a-start-method")
+        # No usable start method: the pool context is None.
+        monkeypatch.setattr("repro.testbed.fabric.pool_context",
+                            lambda: None)
+        transport = MultiprocessTransport(workers=4)
         runner = FabricRunner(campaign, workers=4, transport=transport)
         results = runner.run()
         assert len(results) == 1

@@ -640,7 +640,7 @@ _IDLE_WIFI_EVENTS = 392
 #: ``(Python calls, line events)`` of one 3-probe nexus5 WiFi ping cell
 #: (30 ms, seed 5) through ``run_cell``, plain and observed.
 #: Before the watchdog deadline: (4,345, 26,160) and (5,850, 34,265).
-_PING_CELL_COST = {False: (3_089, 18_013), True: (4_576, 25_791)}
+_PING_CELL_COST = {False: (3_089, 18_012), True: (4_576, 25_790)}
 
 
 def _ping_cell():

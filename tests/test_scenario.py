@@ -121,10 +121,26 @@ class TestValidation:
         ("env_params", {"sniffer_count": 4}),
         ("env_params", {"sniffer_loss": 2.0}),
         ("env_params", {"sniffer_loss": -0.1}),
+        ("env_params", {"rtt_jitter": -1.0}),
+        ("env_params", {"path_loss": 2.0}),
+        ("env_params", {"path_loss": -0.1}),
     ])
     def test_bad_field_values(self, field, value):
         with pytest.raises(ScenarioError):
             ScenarioSpec(**{field: value})
+
+    @pytest.mark.parametrize("env,params", [
+        ("cellular-3g", {"t1": -1.0}),
+        ("cellular-lte", {"t2": -0.5}),
+        ("cellular-3g", {"t1": 10 ** 400}),
+        ("cellular-3g", {"dch_rate_bps": 0}),
+        ("cellular-lte", {"fach_rate_bps": -1.0}),
+        ("cellular-3g", {"fach_threshold": -5}),
+    ], ids=["t1-negative", "t2-negative", "t1-huge-int", "dch-rate-zero",
+            "fach-rate-negative", "fach-threshold-negative"])
+    def test_bad_rrc_params(self, env, params):
+        with pytest.raises(ScenarioError, match="env_params"):
+            ScenarioSpec(env=env, env_params=params)
 
     def test_cross_traffic_needs_capability(self):
         ScenarioSpec(env="wifi", cross_traffic=True)  # fine
@@ -270,8 +286,8 @@ class TestFingerprint:
             == spec.fingerprint()
 
     def test_params_key_order_does_not_matter(self):
-        first = ScenarioSpec(env_params={"rtt_jitter": 1, "path_loss": 2})
-        second = ScenarioSpec(env_params={"path_loss": 2, "rtt_jitter": 1})
+        first = ScenarioSpec(env_params={"rtt_jitter": 1, "path_loss": 0.5})
+        second = ScenarioSpec(env_params={"path_loss": 0.5, "rtt_jitter": 1})
         assert first.fingerprint() == second.fingerprint()
 
     def test_canonical_json_is_sorted_and_compact(self):
