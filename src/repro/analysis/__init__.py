@@ -24,7 +24,6 @@ from repro.analysis.analytic import (
 )
 from repro.analysis.boxstats import BoxStats
 from repro.analysis.cdf import Cdf
-from repro.analysis.compare import dominates, ks_statistic, ks_test, median_shift
 from repro.analysis.decompose import (
     DecompositionReport,
     SliceDecomposition,
@@ -49,10 +48,6 @@ __all__ = [
     "decompose_snapshot",
     "render_report",
     "write_report",
-    "dominates",
-    "ks_statistic",
-    "ks_test",
-    "median_shift",
     "SummaryStats",
     "Table",
     "mean_ci",

@@ -326,14 +326,17 @@ def cmd_scenario(args):
     print(f"running {spec.describe()} (seed {spec.seed})")
     result = run_scenario(spec)
     rtts = result.user_rtts
-    stats = SummaryStats(rtts)
     lost = len(result.samples) - len(rtts)
     print(f"  probes: {len(result.samples)} ({lost} lost)")
-    print(f"  user RTT: median {stats.median * 1e3:.2f}ms "
-          f"mean {stats.mean * 1e3:.2f}ms "
-          f"[{stats.minimum * 1e3:.2f}, {stats.maximum * 1e3:.2f}]")
-    print(f"  error vs emulated: "
-          f"{(stats.median - spec.emulated_rtt) * 1e3:+.2f}ms")
+    if rtts:
+        stats = SummaryStats(rtts)
+        print(f"  user RTT: median {stats.median * 1e3:.2f}ms "
+              f"mean {stats.mean * 1e3:.2f}ms "
+              f"[{stats.minimum * 1e3:.2f}, {stats.maximum * 1e3:.2f}]")
+        print(f"  error vs emulated: "
+              f"{(stats.median - spec.emulated_rtt) * 1e3:+.2f}ms")
+    else:
+        print("  user RTT: none (every probe was lost)")
     if spec.observe:
         sim = result.testbed.sim
         print(f"  observed: {sim.events_fired} events fired, "

@@ -16,7 +16,6 @@
 """
 
 from repro.core.acutemon import AcuteMon, AcuteMonConfig
-from repro.core.calibrated import OverheadCalibrator
 from repro.core.calibration import TimerCalibrator
 from repro.core.measurement import ProbeCollector, ProbeRecord
 from repro.core.overhead import OverheadSet, decompose
@@ -25,7 +24,6 @@ from repro.core.warmup import WarmupPlan, WarmupPolicy
 __all__ = [
     "AcuteMon",
     "AcuteMonConfig",
-    "OverheadCalibrator",
     "OverheadSet",
     "ProbeCollector",
     "ProbeRecord",

@@ -13,7 +13,7 @@ responses).  The :class:`ProbeCollector` assembles, per probe:
 from which the layered RTTs fall out as plain arithmetic:
 
 * ``du = tiu - tou`` (user/app level),
-* ``dk = tik - tok`` (kernel level, what tcpdump reports),
+* ``dk = tik - tok`` (kernel level, what a bpf capture reports),
 * ``dv = tiv - tov`` (driver level, the rebuilt-kernel instrumentation),
 * ``dn = tin - ton`` (network level, what the sniffers see).
 """
@@ -75,7 +75,7 @@ class ProbeRecord:
 
     @property
     def dk(self):
-        """Kernel-level RTT (tcpdump vantage point)."""
+        """Kernel-level RTT (bpf capture vantage point)."""
         return self._span("kernel")
 
     @property
@@ -124,7 +124,7 @@ class ProbeCollector:
     """Allocates probe ids and assembles :class:`ProbeRecord` ledgers.
 
     Attach one collector per phone; it taps the phone's kernel layer,
-    exactly where the paper ran ``tcpdump``.
+    exactly where the paper ran its bpf capture.
     """
 
     def __init__(self, phone):

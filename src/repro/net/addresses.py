@@ -2,7 +2,7 @@
 
 IPv4 addresses reuse :class:`ipaddress.IPv4Address` from the standard
 library; :func:`ip` is a terse constructor.  MAC addresses get a small
-value class with the formatting and byte-conversion the pcap writer needs.
+value class with string formatting and parsing.
 """
 
 import ipaddress
@@ -25,10 +25,6 @@ class MacAddress:
             value = value.value
         elif isinstance(value, str):
             value = int(value.replace(":", "").replace("-", ""), 16)
-        elif isinstance(value, bytes):
-            if len(value) != 6:
-                raise ValueError(f"MAC bytes must have length 6, got {len(value)}")
-            value = int.from_bytes(value, "big")
         if not 0 <= value <= self.BROADCAST_VALUE:
             raise ValueError(f"MAC value out of range: {value!r}")
         self.value = value
@@ -52,10 +48,6 @@ class MacAddress:
     @property
     def is_broadcast(self):
         return self.value == self.BROADCAST_VALUE
-
-    def to_bytes(self):
-        """Big-endian 6-byte encoding."""
-        return self.value.to_bytes(6, "big")
 
     def __eq__(self, other):
         if isinstance(other, MacAddress):

@@ -1,7 +1,7 @@
 """The Internet checksum (RFC 1071).
 
 Used for IPv4 headers, ICMP messages, and the UDP/TCP pseudo-header
-checksums emitted into pcap captures.
+checksums that :mod:`repro.net.wire` emits.
 
 The checksum is computed with a machine-order ``array('H')`` fold rather
 than ``struct.iter_unpack``: RFC 1071 §2(B) notes the one's-complement

@@ -3,8 +3,7 @@
 :class:`EthernetInterface` is the L2 attachment point used by hosts,
 switches, routers, and the AP's wired port.  It owns a drop-tail egress
 queue and serialises frames onto its :class:`~repro.net.link.Link` one at
-a time.  Taps (callbacks) observe frames in both directions — this is how
-``tcpdump``-style wired captures are implemented.
+a time.  Taps (callbacks) observe frames in both directions.
 """
 
 ETHERNET_OVERHEAD = 38  # preamble + SFD + header + FCS + minimum IFG, bytes

@@ -4,8 +4,7 @@ A :class:`Packet` is an IPv4 datagram: source/destination address, TTL,
 and a transport payload (:class:`IcmpEcho`, :class:`IcmpTimeExceeded`,
 :class:`UdpDatagram` or :class:`TcpSegment`).  Payload *bytes* are not
 carried around — only sizes — but every packet can be rendered to real
-wire bytes by :mod:`repro.net.wire` (checksums and all) when a sniffer
-writes a capture.
+wire bytes by :mod:`repro.net.wire` (checksums and all).
 
 Two bookkeeping fields support the measurement methodology of the paper's
 Figure 1:

@@ -1,18 +1,16 @@
 """Rendering simulation packets to real wire bytes (and back).
 
-Sniffers in the testbed write genuine pcap files; the analysis pipeline
-re-derives network-level RTTs by parsing them, exactly as the paper's
-authors post-processed their captures.  That round trip requires real
-encodings: this module produces RFC-conformant IPv4/ICMP/UDP/TCP bytes
-with valid checksums, and parses them back into
-:class:`~repro.net.packet.Packet` objects.
+This module produces RFC-conformant IPv4/ICMP/UDP/TCP bytes with valid
+checksums, and parses them back into :class:`~repro.net.packet.Packet`
+objects.  No simulated cell encodes its packets: the simulation carries
+sizes only.  The codec is the wire-throughput workload of
+``benchmarks/test_bench_simulator_perf.py``.
 
 Payload bytes are deterministic filler (the byte count is what matters to
 the simulation), except that probe ids are embedded in the first payload
 bytes of UDP/ICMP probes so captures remain matchable.
 
-Performance notes: every simulated packet that crosses a sniffer is
-encoded (and later decoded) here, so the encoders lean on three caches —
+Performance notes: the encoders lean on three caches —
 precompiled :class:`struct.Struct` instances, memoised filler payloads
 (an experiment uses a handful of payload sizes), and fully-encoded IPv4
 headers keyed by the header fields (checksum included, since the IPv4

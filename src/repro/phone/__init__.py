@@ -4,7 +4,7 @@ The phone is a layered pipeline matching the paper's Figure 1::
 
     measurement app (user space; native C or Dalvik runtime)
         |  tou / tiu
-    kernel (socket layer; bpf/tcpdump tap)
+    kernel (socket layer; bpf capture tap)
         |  tok / tik
     WNIC driver (dpc + rxframe threads; SDIO bus sleep state machine)
         |  tov / tiv  (dvsend / dvrecv instrumentation)
@@ -20,7 +20,6 @@ from repro.phone.driver import SdioBus, WnicDriver
 from repro.phone.energy import EnergyMeter, PowerProfile
 from repro.phone.latency import DelayDistribution
 from repro.phone.phone import Phone
-from repro.phone.tcpdump import PhoneTcpdump, kernel_rtts_from_pcap
 from repro.phone.profiles import (
     GALAXY_GRAND,
     HTC_ONE,
@@ -36,9 +35,7 @@ __all__ = [
     "ChipsetProfile",
     "DelayDistribution",
     "EnergyMeter",
-    "PhoneTcpdump",
     "PowerProfile",
-    "kernel_rtts_from_pcap",
     "GALAXY_GRAND",
     "HTC_ONE",
     "NEXUS_4",

@@ -1,7 +1,6 @@
-"""The phone's kernel layer: socket path costs and the tcpdump tap.
+"""The phone's kernel layer: socket path costs and the capture tap.
 
-The paper records kernel timestamps "with bpf and libpcap" (tcpdump on a
-rooted shell).  :class:`KernelLayer` reproduces that vantage point: every
+The paper records kernel timestamps with bpf on a rooted shell.  :class:`KernelLayer` reproduces that vantage point: every
 packet is stamped and offered to registered taps
 
 * on TX at ``dev_queue_xmit`` time — after the socket-layer cost, right
@@ -30,7 +29,7 @@ class KernelLayer:
 
     def add_tap(self, callback):
         """Register ``callback(packet, direction)`` (direction 'tx'/'rx');
-        the equivalent of running tcpdump on the phone."""
+        the equivalent of a bpf capture on the phone."""
         self._taps.append(callback)
 
     # -- TX: stack -> driver -------------------------------------------

@@ -1,40 +1,25 @@
-"""Wireless sniffers and capture analysis.
+"""Wireless sniffers and multi-sniffer merging.
 
 The paper's testbed places three wire-synchronised sniffers next to the
 AP to estimate the on-air timestamps ``ton``/``tin`` (the ground truth
 ``dn``).  This package provides:
 
-* :mod:`repro.sniffer.pcap` — a real pcap file writer/reader,
 * :mod:`repro.sniffer.sniffer` — a channel monitor that records every
-  transmission (optionally with capture loss) and can dump
-  linktype-105 (802.11) captures,
+  successful transmission, optionally with capture loss,
 * :mod:`repro.sniffer.merge` — multi-sniffer merging, which recovers a
   complete view from individually lossy captures (why the paper used
-  three sniffers),
-* :mod:`repro.sniffer.rtt` — network-level RTT extraction from capture
-  records or pcap files.
+  three sniffers).
+
+The simulator stamps ``ton``/``tin`` on every packet itself, so
+:attr:`~repro.core.measurement.ProbeRecord.dn` needs no capture; the
+captures feed the passive ``Tip`` inference of Table 4.
 """
 
-from repro.sniffer.merge import align_clocks, estimate_offsets, merge_records
-from repro.sniffer.pcap import (
-    LINKTYPE_IEEE802_11,
-    LINKTYPE_RAW,
-    PcapReader,
-    PcapWriter,
-)
-from repro.sniffer.rtt import network_rtts, network_rtts_from_pcap
+from repro.sniffer.merge import merge_records
 from repro.sniffer.sniffer import FrameRecord, WirelessSniffer
 
 __all__ = [
     "FrameRecord",
-    "LINKTYPE_IEEE802_11",
-    "LINKTYPE_RAW",
-    "PcapReader",
-    "PcapWriter",
     "WirelessSniffer",
-    "align_clocks",
-    "estimate_offsets",
     "merge_records",
-    "network_rtts",
-    "network_rtts_from_pcap",
 ]

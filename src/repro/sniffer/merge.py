@@ -1,83 +1,21 @@
-"""Multi-sniffer merging and clock alignment.
+"""Multi-sniffer merging.
 
 A single monitor-mode capture misses frames; the paper wires three
 sniffers to the same switch (clock-synchronised) and merges their
 captures into one authoritative timeline.  :func:`merge_records`
 reproduces the merge: union the records, deduplicate physical
 transmissions, and return them in time order.
-
-Real capture boxes are *not* naturally synchronised.  The standard fix
-is to align on common broadcast events — beacons carry a source MAC and
-a sequence number, are heard by every sniffer, and arrive ~10/s —
-exactly what :func:`estimate_offsets` / :func:`align_clocks` implement.
 """
-
-from repro.sniffer.sniffer import FrameRecord
-
-
-def estimate_offsets(sniffers, reference=None):
-    """Per-sniffer clock offsets relative to ``reference`` (the first
-    sniffer by default), from matched beacon observations.
-
-    Returns ``{sniffer_name: offset_seconds}`` such that subtracting the
-    offset from that sniffer's timestamps lands them on the reference
-    clock.  Sniffers sharing no beacons with the reference are omitted.
-    """
-    from repro.analysis.stats import percentile
-
-    sniffers = list(sniffers)
-    if reference is None:
-        reference = sniffers[0]
-
-    def beacon_index(sniffer):
-        return {
-            (record.frame.src_mac.value, record.frame.seq): record.time
-            for record in sniffer.records if record.is_beacon
-        }
-
-    reference_beacons = beacon_index(reference)
-    offsets = {getattr(reference, "name", "reference"): 0.0}
-    for sniffer in sniffers:
-        if sniffer is reference:
-            continue
-        deltas = [
-            time - reference_beacons[key]
-            for key, time in beacon_index(sniffer).items()
-            if key in reference_beacons
-        ]
-        if deltas:
-            offsets[sniffer.name] = percentile(deltas, 50)
-    return offsets
-
-
-def align_clocks(sniffers, reference=None):
-    """Return per-sniffer record lists rebased onto the reference clock."""
-    offsets = estimate_offsets(sniffers, reference=reference)
-    aligned = []
-    for sniffer in sniffers:
-        offset = offsets.get(sniffer.name)
-        if offset is None:
-            continue
-        aligned.append([
-            FrameRecord(record.time - offset, record.end_time - offset,
-                        record.frame, record.status, sniffer=record.sniffer)
-            for record in sniffer.records
-        ])
-    return aligned
 
 
 def merge_records(*sniffers):
-    """Merge capture records from several sniffers.
-
-    Accepts :class:`~repro.sniffer.sniffer.WirelessSniffer` objects or
-    plain record lists.  Returns deduplicated records sorted by capture
-    time.
-    """
+    """Merge the capture records of several
+    :class:`~repro.sniffer.sniffer.WirelessSniffer` objects.  Returns
+    deduplicated records sorted by capture time."""
     seen = set()
     merged = []
     for sniffer in sniffers:
-        records = getattr(sniffer, "records", sniffer)
-        for record in records:
+        for record in sniffer.records:
             key = record.dedup_key()
             if key in seen:
                 continue
@@ -85,22 +23,3 @@ def merge_records(*sniffers):
             merged.append(record)
     merged.sort(key=lambda record: (record.time, record.frame.src_mac.value))
     return merged
-
-
-def coverage(merged, *sniffers):
-    """Fraction of the merged timeline each sniffer captured.
-
-    Returns ``{sniffer_name: fraction}`` — a quick health check that the
-    merge actually added value (any fraction < 1.0 means that sniffer
-    alone would have missed frames).
-    """
-    total = len(merged)
-    if total == 0:
-        return {getattr(s, "name", f"sniffer{i}"): 1.0
-                for i, s in enumerate(sniffers)}
-    out = {}
-    for index, sniffer in enumerate(sniffers):
-        records = getattr(sniffer, "records", sniffer)
-        name = getattr(sniffer, "name", f"sniffer{index}")
-        out[name] = len(records) / total
-    return out

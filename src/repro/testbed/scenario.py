@@ -22,9 +22,10 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from collections.abc import Mapping
 
-from repro.core.acutemon import AcuteMon, AcuteMonConfig
+from repro.core.acutemon import PROBE_METHODS, AcuteMon, AcuteMonConfig
 from repro.core.measurement import ProbeCollector
 from repro.phone.profiles import PHONES, PhoneProfile
 from repro.testbed.environment import (
@@ -37,7 +38,7 @@ from repro.testbed.environment import (
 )
 from repro.tools.httping import HttpingTool
 from repro.tools.javaping import JavaPingTool
-from repro.tools.mobiperf import MobiPerfTool
+from repro.tools.mobiperf import METHODS, MobiPerfTool
 from repro.tools.ping import PingTool
 from repro.tools.ping2 import Ping2Tool
 
@@ -86,7 +87,9 @@ def register_tool(key, builder, side="phone", description=""):
     as ``builder.params`` (see
     :func:`~repro.testbed.environment.builder_params`); any other
     ``tool_params`` key, or a value of another type than the key's
-    default, fails :meth:`ScenarioSpec.validate`.
+    default, fails :meth:`ScenarioSpec.validate`.  An optional
+    ``builder.check(**tool_params)`` raises ``ValueError`` for an
+    out-of-range value, which fails it too.
     """
     TOOLS[key] = ToolEntry(key, builder, side, description)
     return builder
@@ -128,6 +131,42 @@ def tool_keys():
     return sorted(TOOLS)
 
 
+def _within(low, high):
+    return lambda value: low <= value <= high
+
+
+_PORT = (_within(1, 0xFFFF), "a port within [1, 65535]")
+#: What one IPv4 datagram carries past a UDP or ICMP header.
+_PAYLOAD = (_within(0, 65507), "within [0, 65507]")
+_POSITIVE = (lambda value: 0.0 < value <= sys.float_info.max,
+             "finite and > 0")
+
+#: ``tool_params`` range rules by key, ``(test, what the value must be)``;
+#: every tool that takes a key shares its rule.
+_TOOL_PARAM_RULES = {
+    "timeout": _POSITIVE, "probe_timeout": _POSITIVE,
+    "dpre": _POSITIVE, "db": _POSITIVE,
+    "probe_gap": (_within(0.0, sys.float_info.max), "finite and >= 0"),
+    "payload_size": _PAYLOAD, "background_payload": _PAYLOAD,
+    "request_size": (_within(1, 0xFFFF), "within [1, 65535]"),
+    "warmup_ttl": (_within(1, 255), "within [1, 255]"),
+    "port": _PORT, "http_port": _PORT, "closed_port": _PORT,
+    "udp_echo_port": _PORT, "warmup_port": _PORT,
+    "method": (METHODS.__contains__, f"one of {list(METHODS)}"),
+    "probe_method": (PROBE_METHODS.__contains__,
+                     f"one of {list(PROBE_METHODS)}"),
+}
+
+
+def _check_tool_params(**tool_params):
+    """Reject out-of-range ``tool_params`` values before anything is
+    built; the keys and their types are already checked."""
+    for key, value in sorted(tool_params.items()):
+        rule = _TOOL_PARAM_RULES.get(key)
+        if rule is not None and not rule[0](value):
+            raise ValueError(f"{key} must be {rule[1]}, got {value!r}")
+
+
 def _phone_tool(tool_cls):
     def build(spec, env, phone, collector):
         return tool_cls(phone, collector, env.server_ip,
@@ -135,6 +174,7 @@ def _phone_tool(tool_cls):
 
     build.params = lambda: keyword_params(
         tool_cls, ("phone", "collector", "target_ip", "interval"))
+    build.check = _check_tool_params
     return build
 
 
@@ -145,6 +185,7 @@ def _build_acutemon(spec, env, phone, collector):
 
 _build_acutemon.params = lambda: keyword_params(AcuteMonConfig,
                                                 ("probe_count",))
+_build_acutemon.check = _check_tool_params
 
 
 def _build_ping2(spec, env, phone, collector):
@@ -154,6 +195,7 @@ def _build_ping2(spec, env, phone, collector):
 
 _build_ping2.params = lambda: keyword_params(
     Ping2Tool, ("server_host", "phone_ip", "interval"))
+_build_ping2.check = _check_tool_params
 
 
 register_tool(
@@ -299,12 +341,15 @@ class ScenarioSpec:
                         f"{name}[{key!r}] must be "
                         f"{' or '.join(t.__name__ for t in types)} for "
                         f"{registry_entry.key!r}, got {value!r}")
-        check = getattr(entry.builder, "check", None)
-        if check is not None and self.env_params:
-            try:
-                check(**self.env_params)
-            except ValueError as exc:
-                raise ScenarioError(f"env_params: {exc}") from None
+        for name, builder in (("env_params", entry.builder),
+                              ("tool_params", TOOLS[self.tool].builder)):
+            check = getattr(builder, "check", None)
+            params = getattr(self, name)
+            if check is not None and params:
+                try:
+                    check(**params)
+                except ValueError as exc:
+                    raise ScenarioError(f"{name}: {exc}") from None
         return self
 
     def _env_entry(self):

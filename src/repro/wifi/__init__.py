@@ -3,8 +3,8 @@
 This package models the wireless half of the paper's Figure 2 testbed:
 
 * :mod:`repro.wifi.phy` — 802.11g timing constants and airtime math,
-* :mod:`repro.wifi.frames` — beacon/data/null/ack frames with real
-  802.11 wire encodings for sniffer captures,
+* :mod:`repro.wifi.frames` — beacon/data/null/PS-Poll frames and their
+  on-air sizes,
 * :mod:`repro.wifi.channel` — a DCF-style shared medium with contention,
   collisions, retries, and monitor (sniffer) taps,
 * :mod:`repro.wifi.sta` — station MAC with the **adaptive power-save
@@ -18,14 +18,13 @@ This package models the wireless half of the paper's Figure 2 testbed:
 
 from repro.wifi.ap import AccessPoint
 from repro.wifi.channel import WifiChannel
-from repro.wifi.frames import AckFrame, BeaconFrame, DataFrame, NullDataFrame
+from repro.wifi.frames import BeaconFrame, DataFrame, NullDataFrame
 from repro.wifi.host import WifiHost
 from repro.wifi.phy import PhyParams
 from repro.wifi.sta import PowerState, Station
 
 __all__ = [
     "AccessPoint",
-    "AckFrame",
     "BeaconFrame",
     "DataFrame",
     "NullDataFrame",

@@ -138,7 +138,7 @@ class AccessPoint:
         self._beacon_seq = (self._beacon_seq + 1) & 0xFFF
         beacon = BeaconFrame(
             self.radio.mac, self.beacon_interval_tu, tim_aids=tim,
-            ssid=self.ssid, timestamp=self.sim.now, seq=self._beacon_seq,
+            ssid=self.ssid, seq=self._beacon_seq,
         )
         self.beacons_sent += 1
         self.radio.enqueue_frame(beacon, priority=True)
@@ -153,10 +153,7 @@ class AccessPoint:
         if record is None:
             return
         self._tx_seq = (self._tx_seq + 1) & 0xFFF
-        frame = DataFrame(
-            mac, self.radio.mac, packet, bssid=self.radio.mac,
-            from_ds=True, seq=self._tx_seq,
-        )
+        frame = DataFrame(mac, self.radio.mac, packet, seq=self._tx_seq)
         if record.asleep:
             self._buffer_frame(record, frame)
         else:

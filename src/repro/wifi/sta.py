@@ -148,10 +148,8 @@ class Station(Radio):
         else:
             pm = bool(pm_override)
         self._tx_seq = (self._tx_seq + 1) & 0xFFF
-        frame = DataFrame(
-            self.ap.mac, self.mac, packet, bssid=self.ap.mac, to_ds=True,
-            pm=pm, seq=self._tx_seq,
-        )
+        frame = DataFrame(self.ap.mac, self.mac, packet, pm=pm,
+                          seq=self._tx_seq)
         return self.enqueue_frame(frame)
 
     # -- channel hooks -----------------------------------------------------

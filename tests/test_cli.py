@@ -281,6 +281,15 @@ class TestCommands:
         # Same spec, same seed: the reported medians agree exactly.
         assert first.splitlines()[-2:] == second.splitlines()[-2:]
 
+    def test_scenario_run_with_every_probe_lost(self, capsys, tmp_path):
+        spec_path = tmp_path / "dark.json"
+        spec_path.write_text('{"env":"wifi","tool":"ping","count":2,'
+                             '"env_params":{"path_loss":1.0}}')
+        assert main(["scenario", "run", "--spec", str(spec_path)]) == 0
+        out = capsys.readouterr().out
+        assert "probes: 2 (2 lost)" in out
+        assert "user RTT: none (every probe was lost)" in out
+
 
 def _run(argv):
     """``repro ARGV`` in-process: (exit code, stdout, stderr)."""
@@ -349,6 +358,19 @@ BAD_SPEC_FILES = {
     "unknown_env": (b'{"env":"ethernet","tool":"ping","count":2}',
                     "unknown environment 'ethernet'; known: "
                     "['cellular-3g', 'cellular-lte', 'wifi']"),
+    "negative_ping_timeout": (b'{"env":"wifi","tool":"ping","count":2,'
+                              b'"tool_params":{"timeout":-1.0}}',
+                              "tool_params: timeout must be finite and > 0"),
+    "zero_ping2_timeout": (b'{"env":"wifi","tool":"ping2","count":2,'
+                           b'"tool_params":{"timeout":0.0}}',
+                           "tool_params: timeout must be finite and > 0"),
+    "negative_acutemon_dpre": (b'{"env":"wifi","tool":"acutemon","count":2,'
+                               b'"tool_params":{"dpre":-1.0}}',
+                               "tool_params: dpre must be finite and > 0"),
+    "unknown_acutemon_method": (b'{"env":"wifi","tool":"acutemon",'
+                                b'"count":2,'
+                                b'"tool_params":{"probe_method":"raw"}}',
+                                "tool_params: probe_method must be one of"),
 }
 
 #: Command lines that exit 2 with a one-line error before any cell runs.

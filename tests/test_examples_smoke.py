@@ -14,7 +14,6 @@ EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 FAST_EXAMPLES = (
     "quickstart.py",
     "diagnose_inflation.py",
-    "pcap_workflow.py",
     "cellular_rrc.py",
     "two_phones.py",
     "calibrate_and_plan.py",

@@ -11,6 +11,7 @@ from repro.core.measurement import ProbeCollector
 from repro.testbed.topology import Testbed
 from repro.tools.httping import HttpingTool
 from repro.tools.ping import PingTool
+from tests.test_sniffer import capture_rtts
 
 
 def build(seed=201, rtt=0.03):
@@ -114,10 +115,7 @@ class TestSnifferFailure:
         testbed.sim.schedule(0.2, crash)
         tool = PingTool(phone, collector, testbed.server_ip, interval=0.05)
         tool.run_sync(10)
-        from repro.sniffer.rtt import completed_rtts, network_rtts
-
-        merged = testbed.merged_capture()
-        rtts = completed_rtts(network_rtts(merged, phone.sta.mac))
+        rtts = capture_rtts(testbed.merged_capture(), phone.sta.mac)
         assert len(rtts) == 10  # B and C covered the gap
 
     def test_all_layers_except_phy_still_present_without_sniffers(self):

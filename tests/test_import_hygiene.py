@@ -1,8 +1,7 @@
 """Import hygiene: the campaign path never loads scipy or numpy.
 
 scipy is an optional heavy dependency imported at the point of use only
-(large-df Student-t quantiles, non-default confidence levels,
-``ks_test`` p-values); numpy is no dependency at all, and a stray
+(large-df Student-t quantiles, non-default confidence levels); numpy is no dependency at all, and a stray
 import would make it one again.  A module-level import of either costs
 every ``repro`` process its import time and resident memory, so this
 test imports the package's entry points, runs a small campaign and

@@ -8,9 +8,7 @@ a package resolves to the submodule that defines it; a package
 ``__init__``'s own re-exports are not followed, so a module that only
 an ``__init__`` imports counts as unreached.
 
-The unreached set is pinned.  A new orphan module fails this test, and
-wiring one of the waiting modules into a result means deleting it from
-:data:`UNREACHED`.
+The unreached set is pinned: a new orphan module fails this test.
 """
 
 import ast
@@ -19,16 +17,9 @@ import pathlib
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 
-#: Modules no result reaches: the command line and four modules
-#: waiting for ROADMAP item 2's specs to wire them in.
-UNREACHED = {
-    "repro.__main__",
-    "repro.cli",
-    "repro.analysis.compare",
-    "repro.core.calibrated",
-    "repro.phone.tcpdump",
-    "repro.sniffer.rtt",
-}
+#: Modules no result reaches: the command line only, which drives the
+#: same modules the results do.
+UNREACHED = {"repro.__main__", "repro.cli"}
 
 
 def _module_name(path):

@@ -32,10 +32,6 @@ class TestMacAddress:
         assert str(mac) == "02:00:00:00:00:2a"
         assert MacAddress(str(mac)) == mac
 
-    def test_bytes_round_trip(self):
-        mac = MacAddress.from_index(1234)
-        assert MacAddress(mac.to_bytes()) == mac
-
     def test_broadcast(self):
         assert MacAddress.broadcast().is_broadcast
         assert not MacAddress.from_index(1).is_broadcast
@@ -46,7 +42,7 @@ class TestMacAddress:
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
-            MacAddress(b"\x00" * 5)
+            MacAddress(1 << 48)
         with pytest.raises(ValueError):
             MacAddress.from_index(1 << 24)
 
@@ -221,11 +217,9 @@ def _sha256(blobs):
 
 
 class TestWireBytesPinned:
-    """The exact bytes ``encode_ipv4`` writes, pinned by SHA-256.
-
-    Captures are re-parsed for the network RTT, so any change to the
-    encoder's output (a checksum, a header field, the filler) is a
-    change to every pcap the sniffers write.
+    """The exact bytes ``encode_ipv4`` writes, pinned by SHA-256, so any
+    change to the encoder's output (a checksum, a header field, the
+    filler) shows here.
     """
 
     def test_perf_smoke_set(self):

@@ -124,6 +124,14 @@ class TestValidation:
         ("env_params", {"rtt_jitter": -1.0}),
         ("env_params", {"path_loss": 2.0}),
         ("env_params", {"path_loss": -0.1}),
+        ("tool_params", {"dpre": -1.0}),
+        ("tool_params", {"db": -5.0}),
+        ("tool_params", {"probe_timeout": 0.0}),
+        ("tool_params", {"probe_gap": -0.1}),
+        ("tool_params", {"probe_method": "raw"}),
+        ("tool_params", {"warmup_ttl": 0}),
+        ("tool_params", {"background_payload": 70000}),
+        ("tool_params", {"http_port": 70000}),
     ])
     def test_bad_field_values(self, field, value):
         with pytest.raises(ScenarioError):
@@ -141,6 +149,31 @@ class TestValidation:
     def test_bad_rrc_params(self, env, params):
         with pytest.raises(ScenarioError, match="env_params"):
             ScenarioSpec(env=env, env_params=params)
+
+    @pytest.mark.parametrize("tool,params", [
+        ("ping", {"timeout": -1.0}),
+        ("ping", {"timeout": 0.0}),
+        ("ping", {"payload_size": -1}),
+        ("ping2", {"timeout": 0.0}),
+        ("httping", {"port": 0}),
+        ("httping", {"request_size": 10 ** 30}),
+        ("javaping", {"timeout": -1.0}),
+        ("mobiperf", {"method": "traceroute"}),
+        ("mobiperf", {"closed_port": 99999}),
+    ], ids=["ping-timeout-negative", "ping-timeout-zero",
+            "ping-payload-negative", "ping2-timeout-zero", "httping-port-zero",
+            "httping-request-huge", "javaping-timeout-negative",
+            "mobiperf-method-unknown", "mobiperf-port-too-high"])
+    def test_bad_tool_params(self, tool, params):
+        with pytest.raises(ScenarioError, match="tool_params"):
+            ScenarioSpec(tool=tool, tool_params=params)
+
+    def test_tool_params_in_range_accepted(self):
+        ScenarioSpec(tool="ping", tool_params={"timeout": 0.5,
+                                               "payload_size": 0})
+        ScenarioSpec(tool="acutemon", tool_params={"dpre": 0.01, "db": 0.02,
+                                                   "probe_gap": 0.0,
+                                                   "probe_method": "udp"})
 
     def test_cross_traffic_needs_capability(self):
         ScenarioSpec(env="wifi", cross_traffic=True)  # fine
@@ -253,7 +286,7 @@ class TestFingerprint:
         ("settle", 0.5),
         ("observe", False),
         ("env_params", {"rtt_jitter": 0.001}),
-        ("tool_params", {"probe_method": "tcp"}),
+        ("tool_params", {"probe_method": "udp"}),
     ]
 
     def test_equal_specs_equal_fingerprints(self):

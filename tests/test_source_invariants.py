@@ -532,7 +532,7 @@ def registry_problems():
 def test_scan_covers_the_package():
     """An empty or misplaced walk must not pass as a clean one."""
     assert PACKAGE.is_dir()
-    assert len(package_scan()) > 90
+    assert len(package_scan()) > 85
 
 
 @pytest.mark.parametrize("rule_id", sorted(RULES))
