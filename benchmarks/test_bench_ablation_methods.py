@@ -12,7 +12,7 @@ question, not an accuracy one.
 import statistics
 
 from repro.analysis.render import Table
-from repro.testbed.experiments import acutemon_experiment
+from repro.testbed.scenario import ScenarioSpec, run_scenario
 
 from paper_reference import save_report
 
@@ -24,10 +24,11 @@ RTT = 0.050
 def run_methods():
     cells = {}
     for index, method in enumerate(METHODS):
-        result = acutemon_experiment(
-            "nexus5", emulated_rtt=RTT, count=PROBES, seed=9980 + index,
-            probe_method=method,
-        )
+        result = run_scenario(ScenarioSpec(
+            phone="nexus5", tool="acutemon", emulated_rtt=RTT,
+            count=PROBES, seed=9980 + index,
+            tool_params={"probe_method": method},
+        ))
         cells[method] = result
     return cells
 
@@ -49,13 +50,13 @@ def test_ablation_probe_methods(benchmark):
         medians[method] = overhead
         table.add_row(method, f"{du * 1e3:.2f}", f"{dn * 1e3:.2f}",
                       f"{overhead * 1e3:.2f}",
-                      result.acutemon.loss_count())
+                      result.tool.loss_count())
     save_report("ablation_methods", table.render())
 
     for method, result in cells.items():
         dn = statistics.median(result.layers["dn"])
         assert abs(dn - RTT) < 3e-3, method
-        assert result.acutemon.loss_count() == 0, method
+        assert result.tool.loss_count() == 0, method
         assert medians[method] < 4e-3, method
     # Method-independence: all overhead medians within ~1.5 ms of each
     # other (HTTP adds the server's application turn-around).

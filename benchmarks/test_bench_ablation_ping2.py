@@ -13,7 +13,7 @@ the bus wake above it, while AcuteMon's error stays flat.
 import statistics
 
 from repro.analysis.render import Table
-from repro.testbed.experiments import acutemon_experiment, ping2_experiment
+from repro.testbed.scenario import ScenarioSpec, run_scenario
 
 from paper_reference import save_report
 
@@ -25,10 +25,10 @@ def run_sweep():
     rows = {}
     for index, rtt_ms in enumerate(RTTS_MS):
         rtt = rtt_ms * 1e-3
-        ping2 = ping2_experiment(
-            "nexus5", emulated_rtt=rtt, count=PROBES, seed=9700 + index)
-        acute = acutemon_experiment(
-            "nexus5", emulated_rtt=rtt, count=PROBES, seed=9700 + index)
+        cell = dict(phone="nexus5", emulated_rtt=rtt, count=PROBES,
+                    seed=9700 + index)
+        ping2 = run_scenario(ScenarioSpec(tool="ping2", **cell))
+        acute = run_scenario(ScenarioSpec(tool="acutemon", **cell))
         rows[rtt_ms] = {
             "ping2_err": statistics.median(ping2.tool.rtts()) - rtt,
             "acute_err": statistics.median(acute.user_rtts) - rtt,

@@ -12,7 +12,7 @@ from repro.analysis.render import Table
 from repro.core.overhead import decompose
 from repro.core.warmup import WarmupPolicy
 from repro.phone.profiles import NEXUS_5
-from repro.testbed.experiments import acutemon_experiment
+from repro.testbed.scenario import ScenarioSpec, run_scenario
 
 from paper_reference import save_report
 
@@ -25,11 +25,12 @@ def run_sweep():
     policy = WarmupPolicy.for_profile(NEXUS_5)
     db_rows = {}
     for index, db_ms in enumerate(DB_SWEEP_MS):
-        result = acutemon_experiment(
-            "nexus5", emulated_rtt=0.030, count=PROBES,
-            seed=9500 + index, db=db_ms * 1e-3,
-            probe_gap=0.150,  # sparse probes: the BT must carry the load
-        )
+        result = run_scenario(ScenarioSpec(
+            phone="nexus5", tool="acutemon", emulated_rtt=0.030,
+            count=PROBES, seed=9500 + index,
+            # sparse probes: the BT must carry the load
+            tool_params={"db": db_ms * 1e-3, "probe_gap": 0.150},
+        ))
         overheads = decompose(result.collector.completed())
         db_rows[db_ms] = {
             "median": overheads.box("total").median,
@@ -40,10 +41,10 @@ def run_sweep():
         }
     dpre_rows = {}
     for index, dpre_ms in enumerate(DPRE_SWEEP_MS):
-        result = acutemon_experiment(
-            "nexus5", emulated_rtt=0.030, count=10,
-            seed=9600 + index, dpre=dpre_ms * 1e-3,
-        )
+        result = run_scenario(ScenarioSpec(
+            phone="nexus5", tool="acutemon", emulated_rtt=0.030, count=10,
+            seed=9600 + index, tool_params={"dpre": dpre_ms * 1e-3},
+        ))
         records = result.collector.completed()
         first = records[0] if records else None
         dpre_rows[dpre_ms] = {

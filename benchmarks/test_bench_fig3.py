@@ -7,7 +7,7 @@ because its ping truncates RTTs above 100 ms to integer milliseconds).
 """
 
 from repro.analysis.render import render_boxplot_row
-from repro.testbed.experiments import ping_experiment
+from repro.testbed.scenario import ScenarioSpec, run_scenario
 
 from paper_reference import save_report
 
@@ -27,10 +27,10 @@ CELLS = [
 def run_fig3():
     cells = {}
     for index, (phone, rtt_ms, label, interval) in enumerate(CELLS):
-        result = ping_experiment(
-            phone, emulated_rtt=rtt_ms * 1e-3, interval=interval,
-            count=PROBES, seed=3000 + index,
-        )
+        result = run_scenario(ScenarioSpec(
+            phone=phone, tool="ping", emulated_rtt=rtt_ms * 1e-3,
+            interval=interval, count=PROBES, seed=3000 + index,
+        ))
         cells[(phone, rtt_ms, label)] = result.overheads
     return cells
 

@@ -10,7 +10,7 @@ rest have very similar results"), four emulated RTTs.  Expected shape:
 import statistics
 
 from repro.analysis.render import render_boxplot_row
-from repro.testbed.experiments import acutemon_experiment
+from repro.testbed.scenario import ScenarioSpec, run_scenario
 
 from paper_reference import PHONE_NAMES, save_report
 
@@ -23,10 +23,10 @@ def run_fig7():
     cells = {}
     for p_index, phone in enumerate(PHONES):
         for r_index, rtt_ms in enumerate(RTTS_MS):
-            result = acutemon_experiment(
-                phone, emulated_rtt=rtt_ms * 1e-3, count=PROBES,
-                seed=7000 + p_index * 10 + r_index,
-            )
+            result = run_scenario(ScenarioSpec(
+                phone=phone, tool="acutemon", emulated_rtt=rtt_ms * 1e-3,
+                count=PROBES, seed=7000 + p_index * 10 + r_index,
+            ))
             cells[(phone, rtt_ms)] = result.overheads
     return cells
 

@@ -11,7 +11,7 @@ traffic, not from AcuteMon's ~50 packets.
 
 from repro.analysis.cdf import Cdf
 from repro.analysis.render import render_cdf
-from repro.testbed.experiments import acutemon_experiment
+from repro.testbed.scenario import ScenarioSpec, run_scenario
 
 from paper_reference import save_report
 
@@ -20,11 +20,12 @@ PROBES = 100
 
 def run_fig9():
     def one(background, cross):
-        result = acutemon_experiment(
-            "nexus5", emulated_rtt=0.030, count=PROBES, seed=9000,
-            cross_traffic=cross, bus_sleep=False,
-            background_enabled=background, warmup_enabled=background,
-        )
+        result = run_scenario(ScenarioSpec(
+            phone="nexus5", tool="acutemon", emulated_rtt=0.030,
+            count=PROBES, seed=9000, cross_traffic=cross, bus_sleep=False,
+            tool_params={"background_enabled": background,
+                         "warmup_enabled": background},
+        ))
         return result.user_rtts
 
     return {

@@ -19,7 +19,7 @@ from repro.net import wire
 from repro.net.addresses import ip
 from repro.net.packet import IcmpEcho, Packet, TcpSegment, UdpDatagram
 from repro.sim.scheduler import Simulator
-from repro.testbed.experiments import ping_experiment
+from repro.testbed.scenario import ScenarioSpec, run_scenario
 
 _CHAIN_EVENTS = 100_000
 _TRAIN_EVENTS = 200_000 + 1_999  # probe train + watchdog (see perf smoke)
@@ -117,8 +117,9 @@ def test_perf_full_ping_experiment(benchmark):
     """End-to-end cost of one small multi-layer ping experiment."""
 
     def run():
-        result = ping_experiment("nexus5", emulated_rtt=0.03,
-                                 interval=0.01, count=20, seed=5)
+        result = run_scenario(ScenarioSpec(
+            phone="nexus5", tool="ping", emulated_rtt=0.03, interval=0.01,
+            count=20, seed=5))
         return len(result.layers["du"])
 
     assert benchmark.pedantic(run, rounds=3, iterations=1) == 20

@@ -13,7 +13,7 @@ wake at 30 ms, two at 60 ms) while the Nexus 4 at 60 ms inflates mostly
 
 from repro.analysis.render import Table, fmt_mean_ci
 from repro.analysis.stats import SummaryStats
-from repro.testbed.experiments import ping_experiment
+from repro.testbed.scenario import ScenarioSpec, run_scenario
 
 from paper_reference import TABLE2, PHONE_NAMES, save_report
 
@@ -29,10 +29,10 @@ CELLS = [
 def run_table2():
     rows = {}
     for index, (phone, rtt_ms, label, interval) in enumerate(CELLS):
-        result = ping_experiment(
-            phone, emulated_rtt=rtt_ms * 1e-3, interval=interval,
-            count=PROBES, seed=1000 + index,
-        )
+        result = run_scenario(ScenarioSpec(
+            phone=phone, tool="ping", emulated_rtt=rtt_ms * 1e-3,
+            interval=interval, count=PROBES, seed=1000 + index,
+        ))
         rows[(phone, rtt_ms, label)] = {
             layer: SummaryStats(result.layers[layer])
             for layer in ("du", "dk", "dn")

@@ -13,7 +13,7 @@ fast) keeps both around or below a millisecond.
 
 from repro.analysis.render import Table
 from repro.analysis.stats import SummaryStats
-from repro.testbed.experiments import ping_experiment
+from repro.testbed.scenario import ScenarioSpec, run_scenario
 
 from paper_reference import TABLE3, save_report
 
@@ -24,11 +24,11 @@ def run_table3():
     rows = {}
     for sleep_enabled in (True, False):
         for label, interval in (("10ms", 0.010), ("1000ms", 1.0)):
-            result = ping_experiment(
-                "nexus5", emulated_rtt=0.060, interval=interval,
-                count=PROBES, seed=3100 + int(sleep_enabled),
-                bus_sleep=sleep_enabled,
-            )
+            result = run_scenario(ScenarioSpec(
+                phone="nexus5", tool="ping", emulated_rtt=0.060,
+                interval=interval, count=PROBES,
+                seed=3100 + int(sleep_enabled), bus_sleep=sleep_enabled,
+            ))
             driver = result.phone.driver
             for kind in ("send", "recv"):
                 rows[(kind, sleep_enabled, label)] = SummaryStats(

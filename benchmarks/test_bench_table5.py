@@ -8,7 +8,7 @@ bus sleeps during the measurement window).
 
 from repro.analysis.render import Table, fmt_mean_ci
 from repro.analysis.stats import SummaryStats
-from repro.testbed.experiments import acutemon_experiment
+from repro.testbed.scenario import ScenarioSpec, run_scenario
 
 from paper_reference import TABLE5, PHONE_NAMES, save_report
 
@@ -21,13 +21,13 @@ def run_table5():
     cells = {}
     for p_index, phone in enumerate(PHONES):
         for r_index, rtt_ms in enumerate(RTTS_MS):
-            result = acutemon_experiment(
-                phone, emulated_rtt=rtt_ms * 1e-3, count=PROBES,
-                seed=5000 + p_index * 10 + r_index,
-            )
+            result = run_scenario(ScenarioSpec(
+                phone=phone, tool="acutemon", emulated_rtt=rtt_ms * 1e-3,
+                count=PROBES, seed=5000 + p_index * 10 + r_index,
+            ))
             cells[(phone, rtt_ms)] = {
                 "dn": SummaryStats(result.layers["dn"]),
-                "losses": result.acutemon.loss_count(),
+                "losses": result.tool.loss_count(),
                 "doze": result.phone.sta.doze_count,
             }
     return cells

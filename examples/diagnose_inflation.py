@@ -15,7 +15,7 @@ Run:  python examples/diagnose_inflation.py
 
 import statistics
 
-from repro import ping_experiment
+from repro import ScenarioSpec, run_scenario
 from repro.analysis.stats import SummaryStats
 
 
@@ -29,20 +29,24 @@ def layer_means(result):
             for layer, values in result.layers.items() if values}
 
 
+def ping(phone, rtt, interval, seed):
+    return run_scenario(ScenarioSpec(phone=phone, tool="ping",
+                                     emulated_rtt=rtt, interval=interval,
+                                     count=60, seed=seed))
+
+
 def main():
     rtt = 0.060  # emulate a 60 ms path, like the paper's tc setup
 
     section("1. Nexus 5, ping every 10 ms (phone never sleeps)")
-    fast = ping_experiment("nexus5", emulated_rtt=rtt, interval=0.010,
-                           count=60, seed=1)
+    fast = ping("nexus5", rtt, interval=0.010, seed=1)
     means = layer_means(fast)
     print(f"   du={means['du']:.2f}  dk={means['dk']:.2f}  "
           f"dv={means['dv']:.2f}  dn={means['dn']:.2f}  (ms)")
     print("   All layers sit just above the emulated 60 ms. Accurate.")
 
     section("2. Nexus 5, ping every 1 s (the default!)")
-    slow = ping_experiment("nexus5", emulated_rtt=rtt, interval=1.0,
-                           count=60, seed=2)
+    slow = ping("nexus5", rtt, interval=1.0, seed=2)
     means = layer_means(slow)
     print(f"   du={means['du']:.2f}  dk={means['dk']:.2f}  "
           f"dv={means['dv']:.2f}  dn={means['dn']:.2f}  (ms)")
@@ -72,8 +76,7 @@ def main():
           "RTT (60 ms) > Tis.")
 
     section("5. And on a Nexus 4 (Tip = 40 ms): PSM hits the *network* RTT")
-    n4 = ping_experiment("nexus4", emulated_rtt=rtt, interval=1.0,
-                         count=60, seed=3)
+    n4 = ping("nexus4", rtt, interval=1.0, seed=3)
     means = layer_means(n4)
     print(f"   du={means['du']:.2f}  dn={means['dn']:.2f}  (ms)")
     sniffer = n4.testbed.sniffers[0]

@@ -32,11 +32,10 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro import acutemon_experiment
+from repro import ScenarioSpec, run_scenario
 from repro.analysis import decompose_campaign, render_report
 from repro.obs import to_prometheus, write_chrome_trace, write_snapshot
 from repro.testbed.campaign import Campaign
-from repro.testbed.experiments import ping_experiment
 
 
 def ms(value):
@@ -45,8 +44,9 @@ def ms(value):
 
 def main():
     print("Running one observed AcuteMon cell (nexus5, 30 ms, 20 probes)")
-    result = acutemon_experiment("nexus5", emulated_rtt=0.030, count=20,
-                                 seed=7, observe=True)
+    result = run_scenario(ScenarioSpec(phone="nexus5", tool="acutemon",
+                                       emulated_rtt=0.030, count=20, seed=7,
+                                       observe=True))
     sim = result.testbed.sim
     snapshot = result.metrics_snapshot()
 
@@ -91,8 +91,9 @@ def main():
           "(open in chrome://tracing)")
 
     print("\nCausal attribution: one 1s-interval ping probe, split exactly")
-    ping = ping_experiment("nexus5", emulated_rtt=0.030, count=5, seed=7,
-                           observe=True)
+    ping = run_scenario(ScenarioSpec(phone="nexus5", tool="ping",
+                                     emulated_rtt=0.030, count=5, seed=7,
+                                     observe=True))
     attribution = ping.attributions[0]
     for component, seconds in attribution.components().items():
         print(f"  {component:16s} {ms(seconds)}")

@@ -8,7 +8,7 @@ prints the user-level RTTs next to the sniffer ground truth.
 Run:  python examples/quickstart.py
 """
 
-from repro import acutemon_experiment
+from repro import ScenarioSpec, run_scenario
 from repro.analysis.render import fmt_mean_ci
 from repro.analysis.stats import SummaryStats
 
@@ -16,8 +16,9 @@ from repro.analysis.stats import SummaryStats
 def main():
     print("Running AcuteMon on a simulated Nexus 5 "
           "(emulated RTT: 30 ms, 100 TCP probes)...")
-    result = acutemon_experiment("nexus5", emulated_rtt=0.030, count=100,
-                                 seed=7)
+    result = run_scenario(ScenarioSpec(phone="nexus5", tool="acutemon",
+                                       emulated_rtt=0.030, count=100,
+                                       seed=7))
 
     du = SummaryStats(result.layers["du"])
     dn = SummaryStats(result.layers["dn"])
@@ -26,8 +27,8 @@ def main():
     print(f"  median overhead du-dn:  "
           f"{result.overheads.box('total').median * 1e3:.2f} ms")
     print(f"  background packets:     "
-          f"{result.acutemon.background_sent} (TTL=1, died at the AP)")
-    print(f"  probes lost:            {result.acutemon.loss_count()}")
+          f"{result.tool.background_sent} (TTL=1, died at the AP)")
+    print(f"  probes lost:            {result.tool.loss_count()}")
 
     box = result.overheads.box("dk_n")
     print(f"  kernel-phy overhead:    median {box.median * 1e3:.2f} ms, "

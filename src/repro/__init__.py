@@ -12,9 +12,12 @@ tool the paper compares against.
 
 Quick start::
 
-    from repro import acutemon_experiment
-    result = acutemon_experiment("nexus5", emulated_rtt=0.03, count=100)
+    from repro import ScenarioSpec, run_scenario
+    spec = ScenarioSpec(phone="nexus5", tool="acutemon",
+                        emulated_rtt=0.03, count=100)
+    result = run_scenario(spec)
     print(result.overheads.box("dk_n"))
+    print(result.tool.loss_count())
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
@@ -28,13 +31,7 @@ from repro.core.warmup import WarmupPolicy
 from repro.obs import MetricsRegistry, enable_observability
 from repro.phone.profiles import PHONES, phone_profile
 from repro.testbed.environment import build_environment, environment_keys
-from repro.testbed.experiments import (
-    acutemon_experiment,
-    ping2_experiment,
-    ping_experiment,
-    tool_comparison,
-    tool_experiment,
-)
+from repro.testbed.experiments import tool_comparison
 from repro.testbed.scenario import ScenarioSpec, run_scenario, tool_keys
 from repro.testbed.topology import Testbed
 
@@ -50,17 +47,13 @@ __all__ = [
     "Testbed",
     "TimerCalibrator",
     "WarmupPolicy",
-    "acutemon_experiment",
     "build_environment",
     "decompose",
     "enable_observability",
     "environment_keys",
     "phone_profile",
-    "ping2_experiment",
-    "ping_experiment",
     "run_scenario",
     "tool_comparison",
-    "tool_experiment",
     "tool_keys",
     "__version__",
 ]

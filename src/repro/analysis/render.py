@@ -44,11 +44,6 @@ class Table:
         return self.render()
 
 
-def fmt_ms(seconds, digits=2):
-    """Format a duration in seconds as milliseconds text."""
-    return f"{seconds * 1e3:.{digits}f}"
-
-
 def fmt_mean_ci(stats, digits=2):
     """'mean±ci' in milliseconds, the format of Tables 2 and 5."""
     return f"{stats.mean * 1e3:.{digits}f}±{stats.ci95 * 1e3:.{digits}f}"

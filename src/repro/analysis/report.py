@@ -1,14 +1,8 @@
 """Markdown report generation for measurement runs.
 
-Assembles experiment output (layered RTT stats, overhead boxes, CDFs)
-into a self-contained markdown document — the shape of EXPERIMENTS.md,
-but regenerated from *your* runs.  Used by downstream pipelines that
-archive nightly measurement campaigns next to their raw JSON.
+Assembles a campaign's cells into a self-contained markdown document —
+the shape of EXPERIMENTS.md, but regenerated from *your* runs.
 """
-
-from repro.analysis.boxstats import BoxStats
-from repro.analysis.cdf import Cdf
-from repro.analysis.stats import SummaryStats
 
 
 class MarkdownReport:
@@ -26,10 +20,6 @@ class MarkdownReport:
             self._blocks.append(text)
         return self
 
-    def add_paragraph(self, text):
-        self._blocks.append(text)
-        return self
-
     def add_table(self, headers, rows):
         lines = [
             "| " + " | ".join(str(cell) for cell in headers) + " |",
@@ -43,66 +33,10 @@ class MarkdownReport:
         self._blocks.append("\n".join(lines))
         return self
 
-    def add_code(self, text, language=""):
-        self._blocks.append(f"```{language}\n{text}\n```")
-        return self
-
-    # -- measurement-aware helpers ------------------------------------------
-
-    def add_rtt_summary(self, label, rtts, true_rtt=None):
-        """One row-style paragraph summarising an RTT sample (seconds)."""
-        stats = SummaryStats(rtts)
-        text = (f"**{label}**: n={stats.n}, "
-                f"median {stats.median * 1e3:.2f} ms, "
-                f"mean {stats.mean * 1e3:.2f} ± {stats.ci95 * 1e3:.2f} ms, "
-                f"range [{stats.minimum * 1e3:.2f}, "
-                f"{stats.maximum * 1e3:.2f}] ms")
-        if true_rtt is not None:
-            text += (f", median error "
-                     f"{abs(stats.median - true_rtt) * 1e3:+.2f} ms "
-                     f"vs {true_rtt * 1e3:.0f} ms")
-        self._blocks.append(text)
-        return self
-
-    def add_overhead_table(self, cells):
-        """``cells`` maps label -> overhead series (seconds)."""
-        rows = []
-        for label, series in cells.items():
-            box = BoxStats(series)
-            rows.append((
-                label,
-                f"{box.median * 1e3:.2f}",
-                f"{box.q1 * 1e3:.2f} / {box.q3 * 1e3:.2f}",
-                f"{box.whisker_low * 1e3:.2f} / {box.whisker_high * 1e3:.2f}",
-                len(box.outliers),
-            ))
-        return self.add_table(
-            ("cell", "median (ms)", "quartiles (ms)", "whiskers (ms)",
-             "outliers"),
-            rows,
-        )
-
-    def add_cdf_table(self, cells, probabilities=(0.1, 0.5, 0.9)):
-        """``cells`` maps label -> RTT samples (seconds)."""
-        headers = ["series"] + [f"p{int(p * 100)} (ms)"
-                                for p in probabilities]
-        rows = []
-        for label, series in cells.items():
-            cdf = Cdf(series)
-            rows.append([label] + [f"{cdf.quantile(p) * 1e3:.2f}"
-                                   for p in probabilities])
-        return self.add_table(headers, rows)
-
     # -- output -------------------------------------------------------------------
 
     def render(self):
         return "\n\n".join([f"# {self.title}"] + self._blocks) + "\n"
-
-    def save(self, path):
-        text = self.render()
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        return path
 
     def __str__(self):
         return self.render()

@@ -65,10 +65,6 @@ class CellularTestbed(Environment):
     def switch(self):
         return self.wired_core.switch
 
-    @property
-    def wired_arp(self):
-        return self.wired_core.arp
-
     # -- phones ---------------------------------------------------------------
 
     def attach_phone(self, profile="nexus5", phone_ip=None, **phone_kwargs):

@@ -18,10 +18,8 @@ from repro.analysis.render import (
 from repro.analysis.stats import SummaryStats
 from repro.phone.profiles import PHONES
 from repro.testbed.environment import environment_keys
-from repro.testbed.experiments import (
-    acutemon_experiment, ping2_experiment, ping_experiment, tool_comparison,
-)
-from repro.testbed.scenario import tool_keys
+from repro.testbed.experiments import tool_comparison
+from repro.testbed.scenario import ScenarioSpec, run_scenario, tool_keys
 
 
 def cmd_table2(args):
@@ -30,9 +28,9 @@ def cmd_table2(args):
     for phone in ("nexus4", "nexus5"):
         for rtt_ms in (30, 60):
             for label, interval in (("10ms", 0.010), ("1s", 1.0)):
-                result = ping_experiment(
-                    phone, emulated_rtt=rtt_ms * 1e-3, interval=interval,
-                    count=args.count, seed=args.seed)
+                result = run_scenario(ScenarioSpec(
+                    phone=phone, tool="ping", emulated_rtt=rtt_ms * 1e-3,
+                    interval=interval, count=args.count, seed=args.seed))
                 stats = {layer: SummaryStats(result.layers[layer])
                          for layer in ("du", "dk", "dn")}
                 table.add_row(phone, f"{rtt_ms}ms", label,
@@ -47,9 +45,10 @@ def cmd_table3(args):
                   title="Driver delays dvsend/dvrecv in ms (Table 3 shape)")
     for enabled in (True, False):
         for label, interval in (("10ms", 0.010), ("1s", 1.0)):
-            result = ping_experiment(
-                "nexus5", emulated_rtt=0.060, interval=interval,
-                count=args.count, seed=args.seed, bus_sleep=enabled)
+            result = run_scenario(ScenarioSpec(
+                phone="nexus5", tool="ping", emulated_rtt=0.060,
+                interval=interval, count=args.count, seed=args.seed,
+                bus_sleep=enabled))
             for kind in ("send", "recv"):
                 stats = SummaryStats(result.phone.driver.samples_of(kind))
                 table.add_row(f"dv{kind}",
@@ -66,9 +65,9 @@ def cmd_table5(args):
     for phone in PHONES:
         cells = []
         for rtt_ms in (20, 50, 85, 135):
-            result = acutemon_experiment(
-                phone, emulated_rtt=rtt_ms * 1e-3, count=args.count,
-                seed=args.seed)
+            result = run_scenario(ScenarioSpec(
+                phone=phone, tool="acutemon", emulated_rtt=rtt_ms * 1e-3,
+                count=args.count, seed=args.seed))
             cells.append(fmt_mean_ci(SummaryStats(result.layers["dn"])))
         table.add_row(phone, *cells)
     print(table)
@@ -77,9 +76,9 @@ def cmd_table5(args):
 def cmd_overheads(args):
     print("AcuteMon overheads per emulated RTT (Figure 7 shape)")
     for rtt_ms in (20, 50, 85, 135):
-        result = acutemon_experiment(
-            args.phone, emulated_rtt=rtt_ms * 1e-3, count=args.count,
-            seed=args.seed)
+        result = run_scenario(ScenarioSpec(
+            phone=args.phone, tool="acutemon", emulated_rtt=rtt_ms * 1e-3,
+            count=args.count, seed=args.seed))
         print(render_boxplot_row(f"{rtt_ms}ms du_k", result.overheads.box("du_k")))
         print(render_boxplot_row(f"{rtt_ms}ms dk_n", result.overheads.box("dk_n")))
 
@@ -99,10 +98,10 @@ def cmd_ping2(args):
     print("ping2 vs AcuteMon median error (ms) across path lengths")
     for rtt_ms in (20, 50, 85, 135):
         rtt = rtt_ms * 1e-3
-        ping2 = ping2_experiment(args.phone, emulated_rtt=rtt,
-                                 count=args.count, seed=args.seed)
-        acute = acutemon_experiment(args.phone, emulated_rtt=rtt,
-                                    count=args.count, seed=args.seed)
+        cell = dict(phone=args.phone, emulated_rtt=rtt, count=args.count,
+                    seed=args.seed)
+        ping2 = run_scenario(ScenarioSpec(tool="ping2", **cell))
+        acute = run_scenario(ScenarioSpec(tool="acutemon", **cell))
         ping2_err = statistics.median(ping2.tool.rtts()) - rtt
         acute_err = statistics.median(acute.user_rtts) - rtt
         print(f"  {rtt_ms:4d}ms: ping2 {ping2_err * 1e3:+6.2f}   "
@@ -253,11 +252,10 @@ def cmd_report(args):
 
 def cmd_obs(args):
     from repro.obs import write_chrome_trace, write_snapshot
-    from repro.testbed.experiments import tool_experiment
 
-    result = tool_experiment(
-        args.tool, args.phone, emulated_rtt=args.rtt * 1e-3,
-        count=args.count, seed=args.seed, observe=True)
+    result = run_scenario(ScenarioSpec(
+        phone=args.phone, tool=args.tool, emulated_rtt=args.rtt * 1e-3,
+        count=args.count, seed=args.seed, observe=True))
     snapshot = result.metrics_snapshot()
     sim = result.testbed.sim
     print(f"observed one {args.tool} cell on {args.phone} @ "
@@ -284,7 +282,7 @@ def cmd_obs(args):
 
 def cmd_scenario(args):
     from repro.testbed.environment import ENVIRONMENTS, environment_keys
-    from repro.testbed.scenario import TOOLS, ScenarioSpec, run_scenario
+    from repro.testbed.scenario import TOOLS
 
     if args.scenario_command == "list":
         envs = Table(["Key", "Capabilities", "Description"],

@@ -261,14 +261,3 @@ class TimerCalibrator:
             listen_interval=int(percentile(samples, 50)),
             details={"listen_samples": samples},
         )
-
-    def full_calibration(self, sniffer_records=None):
-        """Run the active inferences (and passive, given a capture)."""
-        result = self.infer_sdio()
-        result = result.merged_with(self.infer_psm())
-        if sniffer_records is not None:
-            result = result.merged_with(
-                self.infer_psm_from_sniffer(sniffer_records))
-            result = result.merged_with(
-                self.infer_listen_interval(sniffer_records))
-        return result

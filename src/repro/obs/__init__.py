@@ -80,9 +80,10 @@ def enable_observability(sim):
 def finalize_sim_metrics(sim):
     """Push end-of-run scheduler gauges into the registry.
 
-    Call after the simulation settles (experiment runners do this before
-    snapshotting) so totals that live as plain attributes on the
-    simulator appear alongside the instrumented metrics.
+    Call after the simulation settles
+    (``ExperimentResult.metrics_snapshot`` does this before snapshotting)
+    so totals that live as plain attributes on the simulator appear
+    alongside the instrumented metrics.
     """
     if not sim.metrics.enabled:
         return

@@ -149,11 +149,6 @@ class SpanTracker:
     def by_name(self, name):
         return [span for span in self.spans if span.name == name]
 
-    def by_probe(self, probe_id):
-        """Spans attributed (explicitly or by context) to one probe."""
-        return [span for span in self.spans
-                if span.fields.get("probe_id") == probe_id]
-
     def names(self):
         return sorted({span.name for span in self.spans})
 

@@ -312,8 +312,5 @@ class WnicDriver:
         """All recorded dvsend ('send') or dvrecv ('recv') durations."""
         return [s.duration for s in self.samples if s.kind == kind]
 
-    def clear_samples(self):
-        self.samples = []
-
     def __repr__(self):
         return f"<WnicDriver {self.name} chipset={self.chipset.name}>"

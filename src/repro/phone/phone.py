@@ -112,11 +112,5 @@ class Phone:
         """Toggle SDIO bus sleep (the paper's rebuilt-driver experiment)."""
         self.driver.set_bus_sleep(enabled)
 
-    def set_psm_enabled(self, enabled):
-        """Toggle adaptive PSM (forces CAM when disabled)."""
-        self.sta.psm.enabled = enabled
-        if not enabled:
-            self.sta._wake("psm-disabled")
-
     def __repr__(self):
         return f"<Phone {self.name} ({self.profile.chipset.name}) {self.ip_addr}>"

@@ -28,13 +28,9 @@ from repro.sim.units import (
     KIBIBYTE,
     MEBIBYTE,
     TU,
-    bits_to_bytes,
     bytes_to_bits,
-    kbps,
     mbps,
     ms,
-    seconds_to_ms,
-    seconds_to_us,
     tu,
     us,
 )
@@ -52,13 +48,9 @@ __all__ = [
     "KIBIBYTE",
     "MEBIBYTE",
     "TU",
-    "bits_to_bytes",
     "bytes_to_bits",
-    "kbps",
     "mbps",
     "ms",
-    "seconds_to_ms",
-    "seconds_to_us",
     "tu",
     "us",
 ]

@@ -32,31 +32,11 @@ def tu(value):
     return value * TU
 
 
-def seconds_to_ms(value):
-    """Convert seconds to milliseconds."""
-    return value * 1e3
-
-
-def seconds_to_us(value):
-    """Convert seconds to microseconds."""
-    return value * 1e6
-
-
 def mbps(value):
     """Convert megabits/second to bits/second."""
     return value * 1e6
 
 
-def kbps(value):
-    """Convert kilobits/second to bits/second."""
-    return value * 1e3
-
-
 def bytes_to_bits(nbytes):
     """Convert a byte count to bits."""
     return nbytes * 8
-
-
-def bits_to_bytes(nbits):
-    """Convert a bit count to (possibly fractional) bytes."""
-    return nbits / 8

@@ -6,9 +6,10 @@ the AP bridging to the WLAN, three wireless sniffers, an optional
 iPerf-style load generator, and instrumented phones.  The
 :mod:`~repro.testbed.environment` registry adds the cellular
 environments behind the same protocol, and
-:mod:`~repro.testbed.scenario` describes experiment cells declaratively;
-:mod:`repro.testbed.experiments` provides the experiment runners the
-benchmarks are built on.
+:mod:`~repro.testbed.scenario` describes experiment cells declaratively.
+Every cell is a :class:`~repro.testbed.scenario.ScenarioSpec`, and
+:func:`~repro.testbed.scenario.run_scenario` runs it and returns an
+:class:`~repro.testbed.experiments.ExperimentResult`.
 """
 
 from repro.testbed.campaign import Campaign, CellResult
@@ -19,11 +20,7 @@ from repro.testbed.environment import (
     environment_keys,
     register_environment,
 )
-from repro.testbed.experiments import (
-    acutemon_experiment,
-    ping_experiment,
-    tool_comparison,
-)
+from repro.testbed.experiments import tool_comparison
 from repro.testbed.fabric import (
     FabricRunner,
     InProcessTransport,
@@ -69,10 +66,8 @@ __all__ = [
     "ShardTransport",
     "TOOLS",
     "Testbed",
-    "acutemon_experiment",
     "build_environment",
     "environment_keys",
-    "ping_experiment",
     "plan_shards",
     "register_environment",
     "register_tool",

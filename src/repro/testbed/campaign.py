@@ -168,7 +168,7 @@ class Campaign:
 
     @results.setter
     def results(self, value):
-        # Assigning the result list (run(), load(), merged_with(), tests)
+        # Assigning the result list (run(), load(), tests)
         # rebuilds the key index so result_for() stays O(1) and
         # consistent.  First occurrence wins on duplicate keys, matching
         # the linear scan this index replaced.
@@ -311,17 +311,6 @@ class Campaign:
             campaign.quarantine = [CellFailure.from_dict(item)
                                    for item in payload["quarantine"]]
         return campaign
-
-    def merged_with(self, other):
-        """Combine result sets (later cells win on key collision)."""
-        envs = tuple(dict.fromkeys(self.envs + other.envs))
-        merged = Campaign(count=self.count, base_seed=self.base_seed,
-                          envs=envs)
-        by_key = {result.key(): result for result in self.results}
-        for result in other.results:
-            by_key[result.key()] = result
-        merged.results = list(by_key.values())
-        return merged
 
     # -- queries ------------------------------------------------------------------
 

@@ -1,33 +1,35 @@
-"""Experiment runners.
+"""Experiment results.
 
-Each function maps its keyword arguments onto one
-:class:`~repro.testbed.scenario.ScenarioSpec`, executes it, and returns
-an :class:`ExperimentResult` — these are the building blocks of every
-table/figure benchmark and of the integration tests.  The spec layer is
-the single source of truth for cell construction (environment, phone,
-tool, settle ordering); these wrappers only exist for call-site
-ergonomics and historical signatures.
+:class:`ExperimentResult` is what
+:func:`~repro.testbed.scenario.run_scenario` returns for one cell: the
+tool's samples, the per-layer RTTs, the overhead decomposition and, in
+observed cells, the causal delay attribution.  Cells themselves are
+built one way only, as a :class:`~repro.testbed.scenario.ScenarioSpec`;
+:func:`tool_comparison` runs one spec per tool for the §4.3 comparison.
 """
 
-from repro.core.acutemon import AcuteMon
 from repro.core.overhead import decompose
 from repro.obs import attribute_probes, finalize_sim_metrics
 from repro.testbed.scenario import ScenarioSpec, run_scenario
 
 
 class ExperimentResult:
-    """Everything one experiment cell produced."""
+    """Everything one experiment cell produced.
 
-    def __init__(self, testbed, phone, collector, samples):
+    ``tool`` is the tool object that drove the cell (an
+    :class:`~repro.core.acutemon.AcuteMon` for AcuteMon cells) and
+    ``spec`` the :class:`~repro.testbed.scenario.ScenarioSpec` it ran.
+    """
+
+    def __init__(self, testbed, phone, collector, samples, tool, spec):
         self.testbed = testbed
         self.phone = phone
         self.collector = collector
         self.samples = samples
+        self.tool = tool
+        self.spec = spec
         self.layers = collector.layered_rtts()
         self.overheads = decompose(collector.completed())
-        self.tool = None
-        self.spec = None
-        self.acutemon = None
         # Causal delay decomposition (docs/OBSERVABILITY.md): in observed
         # cells, split each probe's RTT into mechanism components from
         # the recorded spans and aggregate them into the metrics
@@ -59,101 +61,21 @@ class ExperimentResult:
         return f"<ExperimentResult probes={len(self.samples)}>"
 
 
-def ping_experiment(phone_key="nexus5", emulated_rtt=30e-3, interval=1.0,
-                    count=100, seed=0, bus_sleep=True, cross_traffic=False,
-                    timeout=1.0, observe=False):
-    """The §3.1 root-cause experiment: multi-layer ping measurement.
-
-    Returns an :class:`ExperimentResult` whose ``layers`` dict holds the
-    du/dk/dv/dn series of Table 2 and whose phone's driver ``samples``
-    hold the dvsend/dvrecv instrumentation of Table 3.
-    """
-    spec = ScenarioSpec(
-        phone=phone_key, tool="ping", emulated_rtt=emulated_rtt,
-        count=count, interval=interval, seed=seed,
-        cross_traffic=cross_traffic, bus_sleep=bus_sleep, observe=observe,
-        tool_params={"timeout": timeout},
-    )
-    env, phone, collector = spec.build()
-    phone.driver.clear_samples()
-    return spec.execute(env, phone, collector)
-
-
-def acutemon_experiment(phone_key="nexus5", emulated_rtt=30e-3, count=100,
-                        seed=0, config=None, cross_traffic=False,
-                        bus_sleep=True, observe=False, **config_kwargs):
-    """One AcuteMon run (§4.2): warm-up + background + K probes.
-
-    ``config_kwargs`` map onto :class:`AcuteMonConfig`; alternatively
-    pass a prebuilt ``config`` object (which then wins outright).
-    """
-    spec = ScenarioSpec(
-        phone=phone_key, tool="acutemon", emulated_rtt=emulated_rtt,
-        count=count, seed=seed, cross_traffic=cross_traffic,
-        bus_sleep=bus_sleep, observe=observe,
-        tool_params=config_kwargs if config is None else {},
-    )
-    if config is None:
-        return run_scenario(spec)
-    env, phone, collector = spec.build()
-    monitor = AcuteMon(phone, collector, env.server_ip, config=config)
-    samples = monitor.run_sync()
-    result = ExperimentResult(env, phone, collector, samples)
-    result.tool = monitor
-    result.acutemon = monitor
-    result.spec = spec
-    return result
-
-
-def tool_experiment(tool_name, phone_key="nexus5", emulated_rtt=30e-3,
-                    count=100, seed=0, cross_traffic=False, interval=1.0,
-                    observe=False, env="wifi", tool_params=None):
-    """Run one registered tool (see :data:`~repro.testbed.scenario.TOOLS`)
-    in a fresh environment.
-
-    Returns an :class:`ExperimentResult`; for non-AcuteMon tools its
-    ``layers`` stay meaningful only where the tool's probes traverse the
-    instrumented stack.  Pass ``observe=True`` to enable the metrics
-    registry and span tracker of the cell's simulator.
-    """
-    spec = ScenarioSpec(
-        env=env, phone=phone_key, tool=tool_name, emulated_rtt=emulated_rtt,
-        count=count, interval=interval, seed=seed,
-        cross_traffic=cross_traffic, observe=observe,
-        tool_params=tool_params,
-    )
-    return run_scenario(spec)
-
-
 def tool_comparison(phone_key="nexus5", emulated_rtt=30e-3, count=100,
                     seed=0, cross_traffic=False, interval=1.0,
                     tools=("acutemon", "httping", "ping", "javaping")):
     """The §4.3 comparison: RTT distributions per tool.
 
     Each tool runs in its own fresh testbed (tools would otherwise keep
-    each other's phone awake).  Returns ``{tool_name: [rtt_seconds]}``.
+    each other's phone awake), seeded ``seed + index * 1000`` by its
+    position in ``tools``.  Returns ``{tool_name: [rtt_seconds]}``.
     """
     results = {}
     for index, tool_name in enumerate(tools):
-        tool_seed = seed + index * 1000
-        result = tool_experiment(
-            tool_name, phone_key, emulated_rtt, count=count, seed=tool_seed,
-            cross_traffic=cross_traffic, interval=interval,
+        spec = ScenarioSpec(
+            phone=phone_key, tool=tool_name, emulated_rtt=emulated_rtt,
+            count=count, interval=interval, seed=seed + index * 1000,
+            cross_traffic=cross_traffic,
         )
-        results[tool_name] = result.user_rtts
+        results[tool_name] = run_scenario(spec).user_rtts
     return results
-
-
-def ping2_experiment(phone_key="nexus5", emulated_rtt=30e-3, count=100,
-                     seed=0, interval=1.0, observe=False):
-    """Sui et al.'s server-side double ping against an idle phone.
-
-    Returns an :class:`ExperimentResult` like every other runner; the
-    :class:`~repro.tools.ping2.Ping2Tool` itself (with its
-    ``first_ping_rtts``) is on ``result.tool``.
-    """
-    spec = ScenarioSpec(
-        phone=phone_key, tool="ping2", emulated_rtt=emulated_rtt,
-        count=count, interval=interval, seed=seed, observe=observe,
-    )
-    return run_scenario(spec)

@@ -504,12 +504,7 @@ class ScenarioSpec:
         entry = tool_entry(self.tool)
         tool = entry.build(self, env, phone, collector)
         samples = tool.run_sync(self.count)
-        result = ExperimentResult(env, phone, collector, samples)
-        result.tool = tool
-        result.spec = self
-        if isinstance(tool, AcuteMon):
-            result.acutemon = tool
-        return result
+        return ExperimentResult(env, phone, collector, samples, tool, self)
 
 
 def run_scenario(spec):

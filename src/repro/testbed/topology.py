@@ -150,10 +150,6 @@ class Testbed(Environment):
     def switch(self):
         return self.wired_core.switch
 
-    @property
-    def wired_arp(self):
-        return self.wired_core.arp
-
     # -- phones ---------------------------------------------------------------
 
     def add_phone(self, profile="nexus5", phone_ip=PHONE_IP, **phone_kwargs):

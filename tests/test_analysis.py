@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.boxstats import BoxStats
 from repro.analysis.cdf import Cdf
 from repro.analysis.render import (
-    Table, fmt_mean_ci, fmt_ms, render_boxplot_row, render_cdf,
+    Table, fmt_mean_ci, render_boxplot_row, render_cdf,
 )
 from repro.analysis import stats as stats_module
 from repro.analysis.stats import (
@@ -213,7 +213,6 @@ class TestRendering:
             table.add_row("only-one")
 
     def test_fmt_helpers(self):
-        assert fmt_ms(0.03316) == "33.16"
         stats = SummaryStats([0.030, 0.032])
         text = fmt_mean_ci(stats)
         assert text.startswith("31.00±")

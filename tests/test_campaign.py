@@ -69,23 +69,3 @@ class TestPersistence:
         assert restored.key() == original.key()
         assert restored.rtts == original.rtts
         assert restored.layers == original.layers
-
-    def test_merge_prefers_latest(self):
-        first = Campaign(count=5)
-        first.results = [CellResult("nexus5", 0.03, "acutemon", False, 0,
-                                    [0.031])]
-        second = Campaign(count=5)
-        second.results = [CellResult("nexus5", 0.03, "acutemon", False, 9,
-                                     [0.032])]
-        merged = first.merged_with(second)
-        assert len(merged) == 1
-        assert merged.results[0].seed == 9
-
-    def test_merge_unions_distinct_cells(self):
-        first = Campaign(count=5)
-        first.results = [CellResult("nexus5", 0.03, "acutemon", False, 0,
-                                    [0.031])]
-        second = Campaign(count=5)
-        second.results = [CellResult("nexus4", 0.03, "acutemon", False, 1,
-                                     [0.032])]
-        assert len(first.merged_with(second)) == 2

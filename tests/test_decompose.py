@@ -42,7 +42,7 @@ from repro.obs.metrics import merge_snapshots
 from repro.obs.names import SPAN_SDIO_PROMOTION, SPAN_WIRE_NETEM
 from repro.obs.spans import SpanTracker
 from repro.testbed.campaign import Campaign, CampaignFileError
-from repro.testbed.experiments import ping_experiment, tool_experiment
+from repro.testbed.scenario import ScenarioSpec, run_scenario
 
 
 def _record(probe_id, send, recv):
@@ -94,7 +94,7 @@ class TestAttributeRecord:
 
 class TestExperimentAttribution:
     def test_ping_attributions_sum_exactly(self):
-        result = ping_experiment(count=8, observe=True)
+        result = run_scenario(ScenarioSpec(tool="ping", count=8, observe=True))
         assert len(result.attributions) == 8
         for attribution in result.attributions:
             assert attribution.residual_ns >= 0
@@ -107,7 +107,8 @@ class TestExperimentAttribution:
                    for a in result.attributions)
 
     def test_httping_attributions_sum_exactly(self):
-        result = tool_experiment("httping", count=6, observe=True)
+        result = run_scenario(ScenarioSpec(
+            tool="httping", count=6, observe=True))
         assert result.attributions
         for attribution in result.attributions:
             assert attribution.residual_ns >= 0
@@ -115,11 +116,12 @@ class TestExperimentAttribution:
                     + attribution.residual_ns) == attribution.total_ns
 
     def test_unobserved_cell_has_no_attributions(self):
-        result = ping_experiment(count=2, observe=False)
+        result = run_scenario(ScenarioSpec(
+            tool="ping", count=2, observe=False))
         assert result.attributions == []
 
     def test_snapshot_series_counts_match(self):
-        result = ping_experiment(count=5, observe=True)
+        result = run_scenario(ScenarioSpec(tool="ping", count=5, observe=True))
         slice_ = decompose_snapshot(result.metrics_snapshot())
         assert slice_.probes == 5
         for stats in slice_.components:

@@ -12,12 +12,8 @@ import pytest
 
 from repro.analysis.cdf import Cdf
 from repro.core.overhead import decompose
-from repro.testbed.experiments import (
-    acutemon_experiment,
-    ping2_experiment,
-    ping_experiment,
-    tool_comparison,
-)
+from repro.testbed.experiments import tool_comparison
+from repro.testbed.scenario import ScenarioSpec, run_scenario
 
 
 def mean_ms(values):
@@ -28,14 +24,16 @@ class TestTable2Shapes:
     """Multi-layer ping RTTs, §3.1."""
 
     def test_nexus5_small_interval_accurate(self):
-        result = ping_experiment("nexus5", emulated_rtt=0.03, interval=0.01,
-                                 count=30, seed=101)
+        result = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus5", emulated_rtt=0.03, interval=0.01,
+            count=30, seed=101))
         assert mean_ms(result.layers["du"]) == pytest.approx(33.4, abs=2.0)
         assert mean_ms(result.layers["dn"]) == pytest.approx(31.2, abs=2.0)
 
     def test_nexus5_1s_interval_inflates_internally(self):
-        result = ping_experiment("nexus5", emulated_rtt=0.03, interval=1.0,
-                                 count=30, seed=102)
+        result = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus5", emulated_rtt=0.03, interval=1.0,
+            count=30, seed=102))
         du = mean_ms(result.layers["du"])
         dn = mean_ms(result.layers["dn"])
         # Paper: du ~43 ms while dn stays ~31 ms — inflation is *internal*.
@@ -45,8 +43,9 @@ class TestTable2Shapes:
     def test_nexus5_60ms_1s_two_wakes(self):
         # RTT (60 ms) > Tis (50 ms): both directions pay the bus wake
         # (paper: du ~82 ms vs dn ~62 ms).
-        result = ping_experiment("nexus5", emulated_rtt=0.06, interval=1.0,
-                                 count=30, seed=103)
+        result = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus5", emulated_rtt=0.06, interval=1.0,
+            count=30, seed=103))
         internal = (mean_ms(result.layers["du"])
                     - mean_ms(result.layers["dn"]))
         assert 13 < internal < 28
@@ -54,24 +53,28 @@ class TestTable2Shapes:
     def test_nexus4_60ms_1s_inflates_in_network(self):
         # Tip (40 ms) < RTT (60 ms): responses hit power-save buffering,
         # so dn itself inflates (paper: dn ~130 ms for emulated 60 ms).
-        result = ping_experiment("nexus4", emulated_rtt=0.06, interval=1.0,
-                                 count=30, seed=104)
+        result = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus4", emulated_rtt=0.06, interval=1.0,
+            count=30, seed=104))
         dn = mean_ms(result.layers["dn"])
         assert dn > 90
 
     def test_nexus4_30ms_partial_psm(self):
         # Emulated 30 ms sits just under the jittery ~40 ms Tip: a fraction
         # of probes get beacon-buffered, inflating the mean dn a little.
-        result = ping_experiment("nexus4", emulated_rtt=0.03, interval=1.0,
-                                 count=60, seed=105)
+        result = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus4", emulated_rtt=0.03, interval=1.0,
+            count=60, seed=105))
         dn = mean_ms(result.layers["dn"])
         assert 32 < dn < 70
 
     def test_nexus4_internal_inflation_smaller_than_nexus5(self):
-        n4 = ping_experiment("nexus4", emulated_rtt=0.03, interval=1.0,
-                             count=30, seed=106)
-        n5 = ping_experiment("nexus5", emulated_rtt=0.03, interval=1.0,
-                             count=30, seed=106)
+        n4 = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus4", emulated_rtt=0.03, interval=1.0,
+            count=30, seed=106))
+        n5 = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus5", emulated_rtt=0.03, interval=1.0,
+            count=30, seed=106))
         internal_n4 = mean_ms(n4.layers["du"]) - mean_ms(n4.layers["dn"])
         internal_n5 = mean_ms(n5.layers["du"]) - mean_ms(n5.layers["dn"])
         # Qualcomm's SMD wake (~2 ms) vs Broadcom's SDIO wake (~10 ms).
@@ -79,8 +82,9 @@ class TestTable2Shapes:
 
     def test_dk_tracks_du(self):
         # tcpdump (dk) sits within ~1 ms of the app-level du (Table 2).
-        result = ping_experiment("nexus5", emulated_rtt=0.03, interval=1.0,
-                                 count=30, seed=107)
+        result = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus5", emulated_rtt=0.03, interval=1.0,
+            count=30, seed=107))
         assert abs(mean_ms(result.layers["du"])
                    - mean_ms(result.layers["dk"])) < 1.0
 
@@ -91,9 +95,9 @@ class TestTable3Shapes:
     def _driver_stats(self, bus_sleep, interval, rtt=0.06):
         # RTT 60 ms > Tis (50 ms) so that the receive path also finds the
         # bus asleep, matching Table 3's dvrecv wake costs.
-        result = ping_experiment("nexus5", emulated_rtt=rtt,
-                                 interval=interval, count=40, seed=111,
-                                 bus_sleep=bus_sleep)
+        result = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus5", emulated_rtt=rtt, interval=interval,
+            count=40, seed=111, bus_sleep=bus_sleep))
         driver = result.phone.driver
         return (statistics.mean(driver.samples_of("send")) * 1e3,
                 statistics.mean(driver.samples_of("recv")) * 1e3)
@@ -127,28 +131,32 @@ class TestAcuteMonShapes:
     @pytest.mark.parametrize("phone_key", ["nexus5", "nexus4", "htc_one",
                                            "xperia_j", "galaxy_grand"])
     def test_dn_accurate_on_every_phone(self, phone_key):
-        result = acutemon_experiment(phone_key, emulated_rtt=0.05, count=25,
-                                     seed=121)
+        result = run_scenario(ScenarioSpec(
+            tool="acutemon", phone=phone_key, emulated_rtt=0.05, count=25,
+            seed=121))
         dn = mean_ms(result.layers["dn"])
         # Table 5: dn within ~3 ms of the emulated value on every phone.
         assert dn == pytest.approx(51, abs=3.0)
 
     def test_median_overhead_within_3ms_regardless_of_rtt(self):
         for rtt in (0.020, 0.085, 0.135):
-            result = acutemon_experiment("nexus5", emulated_rtt=rtt,
-                                         count=25, seed=122)
+            result = run_scenario(ScenarioSpec(
+                tool="acutemon", phone="nexus5", emulated_rtt=rtt, count=25,
+                seed=122))
             overheads = decompose(result.collector.completed())
             assert overheads.box("total").median < 0.0035, rtt
 
     def test_du_k_small_with_native_runtime(self):
-        result = acutemon_experiment("galaxy_grand", emulated_rtt=0.05,
-                                     count=25, seed=123)
+        result = run_scenario(ScenarioSpec(
+            tool="acutemon", phone="galaxy_grand", emulated_rtt=0.05, count=25,
+            seed=123))
         overheads = decompose(result.collector.completed())
         assert overheads.box("du_k").median < 0.001  # paper: < 1 ms
 
     def test_no_psm_activity_during_measurement(self):
-        result = acutemon_experiment("nexus4", emulated_rtt=0.135, count=25,
-                                     seed=124)
+        result = run_scenario(ScenarioSpec(
+            tool="acutemon", phone="nexus4", emulated_rtt=0.135, count=25,
+            seed=124))
         # Compare with Table 2: without AcuteMon this cell inflates by
         # tens of ms; with it dn is clean even though RTT >> Tip.
         assert mean_ms(result.layers["dn"]) == pytest.approx(136, abs=3.5)
@@ -176,10 +184,12 @@ class TestPing2Shapes:
     """The prior-art baseline's crossover (§1)."""
 
     def test_ping2_fine_at_short_rtt_poor_at_long(self):
-        short = ping2_experiment("nexus5", emulated_rtt=0.02,
-                                 count=10, seed=141)
-        long = ping2_experiment("nexus5", emulated_rtt=0.08,
-                                count=10, seed=141)
+        short = run_scenario(ScenarioSpec(
+            tool="ping2", phone="nexus5", emulated_rtt=0.02, count=10,
+            seed=141))
+        long = run_scenario(ScenarioSpec(
+            tool="ping2", phone="nexus5", emulated_rtt=0.08, count=10,
+            seed=141))
         short_err = statistics.median(short.tool.rtts()) - 0.02
         long_err = statistics.median(long.tool.rtts()) - 0.08
         assert short_err < 0.006
@@ -187,10 +197,12 @@ class TestPing2Shapes:
 
     def test_acutemon_stays_accurate_where_ping2_fails(self):
         rtt = 0.08
-        ping2 = ping2_experiment("nexus5", emulated_rtt=rtt,
-                                 count=10, seed=142)
-        acute = acutemon_experiment("nexus5", emulated_rtt=rtt, count=10,
-                                    seed=142)
+        ping2 = run_scenario(ScenarioSpec(
+            tool="ping2", phone="nexus5", emulated_rtt=rtt, count=10,
+            seed=142))
+        acute = run_scenario(ScenarioSpec(
+            tool="acutemon", phone="nexus5", emulated_rtt=rtt, count=10,
+            seed=142))
         ping2_err = statistics.median(ping2.tool.rtts()) - rtt
         acute_err = statistics.median(acute.user_rtts) - rtt
         assert acute_err < ping2_err

@@ -7,11 +7,7 @@ import pytest
 
 from repro.obs import enable_observability, to_chrome_trace, to_prometheus
 from repro.sim.scheduler import Simulator
-from repro.testbed.experiments import (
-    acutemon_experiment,
-    ping2_experiment,
-    ping_experiment,
-)
+from repro.testbed.scenario import ScenarioSpec, run_scenario
 
 
 class TestSchedulerInstrumentation:
@@ -78,7 +74,8 @@ class TestSdioInstrumentation:
     def result(self):
         # 1s probe interval >> the idle window, so the bus sleeps and
         # every probe pays a promotion (the paper's Table 3 regime).
-        return ping_experiment(count=5, interval=1.0, seed=1, observe=True)
+        return run_scenario(ScenarioSpec(
+            tool="ping", count=5, interval=1.0, seed=1, observe=True))
 
     def test_promotion_spans_and_histogram(self, result):
         sim = result.testbed.sim
@@ -113,7 +110,8 @@ class TestSdioInstrumentation:
 class TestPsmInstrumentation:
     @pytest.fixture(scope="class")
     def acute(self):
-        return acutemon_experiment(count=10, seed=3, observe=True)
+        return run_scenario(ScenarioSpec(
+            tool="acutemon", count=10, seed=3, observe=True))
 
     def test_transitions_counted_per_state(self, acute):
         sim = acute.testbed.sim
@@ -140,7 +138,8 @@ class TestPsmInstrumentation:
         assert all(s.duration > 0 for s in dozes)
 
     def test_ap_buffering_counted_and_spanned(self):
-        result = ping2_experiment(count=6, seed=2, observe=True)
+        result = run_scenario(ScenarioSpec(
+            tool="ping2", count=6, seed=2, observe=True))
         sim = result.testbed.sim
         buffered = sim.metrics.get("ap_ps_frames_buffered_total",
                                    labels={"ap": "ap"})
@@ -154,21 +153,22 @@ class TestPsmInstrumentation:
 class TestAcuteMonInstrumentation:
     @pytest.fixture(scope="class")
     def acute(self):
-        return acutemon_experiment(count=10, seed=3, observe=True)
+        return run_scenario(ScenarioSpec(
+            tool="acutemon", count=10, seed=3, observe=True))
 
     def test_warmup_and_background_counters(self, acute):
         sim = acute.testbed.sim
         assert sim.metrics.counter("acutemon_warmup_packets_total").value \
-            == acute.acutemon.warmups_sent == 1
+            == acute.tool.warmups_sent == 1
         assert sim.metrics.counter(
             "acutemon_background_packets_total").value \
-            == acute.acutemon.background_sent > 0
+            == acute.tool.background_sent > 0
 
     def test_probe_spans_match_results(self, acute):
         spans = [s for s in acute.testbed.sim.spans
                  if s.name == "measurement.probe"]
-        assert len(spans) == len(acute.acutemon.results) == 10
-        for span, outcome in zip(spans, acute.acutemon.results):
+        assert len(spans) == len(acute.tool.results) == 10
+        for span, outcome in zip(spans, acute.tool.results):
             assert span.fields["outcome"] == "ok"
             assert span.duration == pytest.approx(outcome.rtt)
 
@@ -185,7 +185,8 @@ class TestAcceptanceExports:
 
     @pytest.fixture(scope="class")
     def cell(self):
-        return acutemon_experiment(count=10, seed=3, observe=True)
+        return run_scenario(ScenarioSpec(
+            tool="acutemon", count=10, seed=3, observe=True))
 
     def test_prometheus_has_required_histograms(self, cell):
         text = to_prometheus(cell.metrics_snapshot())
@@ -207,6 +208,6 @@ class TestAcceptanceExports:
         assert any(e["name"] == "sdio.promotion" for e in complete)
 
     def test_enabling_observability_never_changes_results(self, cell):
-        plain = acutemon_experiment(count=10, seed=3)
+        plain = run_scenario(ScenarioSpec(tool="acutemon", count=10, seed=3))
         assert plain.user_rtts == cell.user_rtts
         assert plain.layers == cell.layers

@@ -299,7 +299,8 @@ class TestResultIndex:
         second = Campaign(count=3)
         second.results = [CellResult("nexus4", 0.03, "ping", False, 1,
                                      [0.032])]
-        merged = first.merged_with(second)
+        merged = Campaign(count=3)
+        merged.results = first.results + second.results
         assert merged.result_for("nexus4", 0.03, "ping").seed == 1
         assert merged.result_for("nexus5", 0.03, "ping").seed == 0
 

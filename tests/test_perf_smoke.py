@@ -639,8 +639,10 @@ def test_smoke_analytic_predict_rate():
 _IDLE_WIFI_EVENTS = 392
 #: ``(Python calls, line events)`` of one 3-probe nexus5 WiFi ping cell
 #: (30 ms, seed 5) through ``run_cell``, plain and observed.
-#: Before the watchdog deadline: (4,345, 26,160) and (5,850, 34,265).
-_PING_CELL_COST = {False: (3_057, 17_416), True: (4_544, 25_203)}
+#: Before the watchdog deadline: (4,345, 26,160) and (5,850, 34,265);
+#: before ``ExperimentResult`` took ``tool`` and ``spec`` as arguments,
+#: 5 more lines each (``ScenarioSpec.execute`` 4, its ``__init__`` 1).
+_PING_CELL_COST = {False: (3_057, 17_411), True: (4_544, 25_198)}
 
 
 def _ping_cell():

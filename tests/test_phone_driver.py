@@ -336,13 +336,6 @@ class TestDriverPaths:
         sim.run(until=0.1)
         assert tx_packet.stamps["driver_done"] <= rx_packet.stamps["driver_done"]
 
-    def test_clear_samples(self, sim):
-        driver, _, _ = make_driver(sim)
-        driver.start_xmit(make_packet())
-        sim.run(until=0.1)
-        driver.clear_samples()
-        assert driver.samples == []
-
     def test_packet_counters(self, sim):
         driver, _, _ = make_driver(sim)
         driver.start_xmit(make_packet())

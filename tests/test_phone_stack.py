@@ -129,15 +129,6 @@ class TestPhonePipeline:
         testbed.run(1.0)
         assert phone.driver.bus.state == "ASLEEP"
 
-    def test_set_psm_enabled_toggle(self, bed):
-        testbed, phone = bed
-        testbed.run(1.0)
-        assert phone.sta.power_state == "DOZE"
-        phone.set_psm_enabled(False)
-        assert phone.sta.power_state == "AWAKE"
-        testbed.run(1.0)
-        assert phone.sta.power_state == "AWAKE"
-
     def test_phone_ignores_foreign_packets(self, bed):
         testbed, phone = bed
         before = phone.stack.packets_received

@@ -16,38 +16,15 @@ class TestMarkdownReport:
         report = MarkdownReport("Demo")
         report.add_section("Setup", "one phone")
         report.add_table(("a", "b"), [(1, 2), (3, 4)])
-        report.add_code("pytest benchmarks/", language="bash")
         text = report.render()
         assert text.startswith("# Demo")
         assert "## Setup" in text
         assert "| a | b |" in text
-        assert "```bash" in text
 
     def test_table_row_width_checked(self):
         report = MarkdownReport("Demo")
         with pytest.raises(ValueError):
             report.add_table(("a", "b"), [(1,)])
-
-    def test_rtt_summary_with_truth(self):
-        report = MarkdownReport("Demo")
-        report.add_rtt_summary("acutemon", [0.0305, 0.0308, 0.0306],
-                               true_rtt=0.030)
-        text = report.render()
-        assert "median 30.6" in text.replace("0 ms", "0")
-        assert "median error" in text
-
-    def test_overhead_and_cdf_tables(self):
-        report = MarkdownReport("Demo")
-        report.add_overhead_table({"20ms": [0.002, 0.0025, 0.003]})
-        report.add_cdf_table({"ping": [0.043, 0.044, 0.045]})
-        text = report.render()
-        assert "quartiles" in text
-        assert "p50 (ms)" in text
-
-    def test_save(self, tmp_path):
-        path = tmp_path / "report.md"
-        MarkdownReport("Demo").add_paragraph("hello").save(path)
-        assert path.read_text().startswith("# Demo")
 
     def test_campaign_report(self):
         from repro.testbed.campaign import Campaign

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.phone.profiles import PHONES
 from repro.testbed.scenario import (
     TOOLS,
     ScenarioError,
@@ -369,8 +370,7 @@ class TestExecution:
     def test_acutemon_is_first_class(self):
         spec = ScenarioSpec(tool="acutemon", count=4, seed=5)
         result = run_scenario(spec)
-        assert result.acutemon is result.tool
-        assert result.acutemon.config.probe_count == 4
+        assert result.tool.config.probe_count == 4
         assert len(result.samples) == 4
 
     def test_tool_params_reach_acutemon_config(self):
@@ -378,8 +378,8 @@ class TestExecution:
                             tool_params={"probe_method": "udp",
                                          "db": 0.01})
         result = run_scenario(spec)
-        assert result.acutemon.config.probe_method == "udp"
-        assert result.acutemon.config.db == 0.01
+        assert result.tool.config.probe_method == "udp"
+        assert result.tool.config.db == 0.01
 
     def test_cellular_scenario_runs(self):
         spec = ScenarioSpec(env="cellular-lte", tool="acutemon", count=3,
@@ -401,10 +401,16 @@ class TestExecution:
         second = run_scenario(spec)
         assert first.user_rtts == second.user_rtts
 
-    def test_matches_tool_experiment(self):
-        from repro.testbed.experiments import tool_experiment
-
-        spec = ScenarioSpec(tool="ping", count=4, interval=0.02, seed=3)
-        direct = run_scenario(spec)
-        wrapped = tool_experiment("ping", count=4, interval=0.02, seed=3)
-        assert direct.user_rtts == wrapped.user_rtts
+    @pytest.mark.parametrize("cross_traffic", [False, True],
+                             ids=["idle", "cross"])
+    @pytest.mark.parametrize("bus_sleep", [True, False],
+                             ids=["sleep", "no_sleep"])
+    @pytest.mark.parametrize("phone_key", sorted(PHONES))
+    def test_build_leaves_no_driver_samples(self, phone_key, bus_sleep,
+                                            cross_traffic):
+        # Table 3 summarises every driver sample taken after build(), so
+        # one taken while the cell settles would shift dvsend/dvrecv.
+        spec = ScenarioSpec(phone=phone_key, tool="ping",
+                            bus_sleep=bus_sleep, cross_traffic=cross_traffic)
+        _env, phone, _collector = spec.build()
+        assert phone.driver.samples == []

@@ -1,15 +1,11 @@
-"""Tests for the Figure 2 testbed assembly and experiment runners."""
+"""Tests for the Figure 2 testbed assembly and experiment cells."""
 
 import pytest
 
 from repro.core.acutemon import AcuteMon, AcuteMonConfig
 from repro.core.measurement import ProbeCollector
-from repro.testbed.experiments import (
-    acutemon_experiment,
-    ping2_experiment,
-    ping_experiment,
-    tool_comparison,
-)
+from repro.testbed.experiments import tool_comparison
+from repro.testbed.scenario import ScenarioSpec, run_scenario
 from repro.testbed.topology import Testbed
 
 
@@ -98,17 +94,19 @@ class TestTopology:
 
 class TestExperimentRunners:
     def test_ping_experiment_layers(self):
-        result = ping_experiment("nexus5", emulated_rtt=0.03, interval=0.01,
-                                 count=10, seed=3)
+        result = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus5", emulated_rtt=0.03, interval=0.01,
+            count=10, seed=3))
         assert len(result.layers["du"]) == 10
         assert len(result.layers["dn"]) == 10
         assert len(result.overheads) == 10
 
     def test_acutemon_experiment(self):
-        result = acutemon_experiment("nexus5", emulated_rtt=0.03, count=10,
-                                     seed=3)
+        result = run_scenario(ScenarioSpec(
+            tool="acutemon", phone="nexus5", emulated_rtt=0.03, count=10,
+            seed=3))
         assert len(result.user_rtts) == 10
-        assert result.acutemon.background_sent > 0
+        assert result.tool.background_sent > 0
 
     def test_tool_comparison_keys(self):
         results = tool_comparison("nexus5", emulated_rtt=0.03, count=5,
@@ -121,30 +119,35 @@ class TestExperimentRunners:
             tool_comparison(tools=("warpspeed",), count=1)
 
     def test_ping2_experiment(self):
-        result = ping2_experiment("nexus5", emulated_rtt=0.02,
-                                  count=5, seed=3)
+        result = run_scenario(ScenarioSpec(
+            tool="ping2", phone="nexus5", emulated_rtt=0.02, count=5, seed=3))
         assert len(result.tool.rtts()) == 5
         assert len(result.samples) == 5
         assert result.spec.tool == "ping2"
 
     def test_bus_sleep_flag_respected(self):
-        result = ping_experiment("nexus5", emulated_rtt=0.03, interval=1.0,
-                                 count=5, seed=3, bus_sleep=False)
+        result = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus5", emulated_rtt=0.03, interval=1.0,
+            count=5, seed=3, bus_sleep=False))
         assert result.phone.driver.bus.sleep_count == 0
 
     def test_experiments_deterministic(self):
-        first = ping_experiment("nexus5", emulated_rtt=0.03, interval=0.01,
-                                count=10, seed=9)
-        second = ping_experiment("nexus5", emulated_rtt=0.03, interval=0.01,
-                                 count=10, seed=9)
+        first = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus5", emulated_rtt=0.03, interval=0.01,
+            count=10, seed=9))
+        second = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus5", emulated_rtt=0.03, interval=0.01,
+            count=10, seed=9))
         assert first.layers["du"] == second.layers["du"]
         assert first.layers["dn"] == second.layers["dn"]
 
     def test_different_seeds_differ(self):
-        first = ping_experiment("nexus5", emulated_rtt=0.03, interval=0.01,
-                                count=10, seed=9)
-        second = ping_experiment("nexus5", emulated_rtt=0.03, interval=0.01,
-                                 count=10, seed=10)
+        first = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus5", emulated_rtt=0.03, interval=0.01,
+            count=10, seed=9))
+        second = run_scenario(ScenarioSpec(
+            tool="ping", phone="nexus5", emulated_rtt=0.03, interval=0.01,
+            count=10, seed=10))
         assert first.layers["du"] != second.layers["du"]
 
 
