@@ -16,6 +16,7 @@ from repro.analysis.render import Table
 from repro.core.calibration import TimerCalibrator
 from repro.core.measurement import ProbeCollector
 from repro.phone.profiles import phone_profile
+from repro.sniffer.sniffer import WirelessSniffer
 from repro.testbed.topology import Testbed
 
 from paper_reference import TABLE4, PHONE_NAMES, save_report
@@ -23,6 +24,7 @@ from paper_reference import TABLE4, PHONE_NAMES, save_report
 
 def calibrate_phone(phone_key, seed):
     testbed = Testbed(seed=seed, emulated_rtt=0.0)
+    sniffer = WirelessSniffer(testbed.sim, testbed.channel)
     phone = testbed.add_phone(phone_key)
     collector = ProbeCollector(phone)
     testbed.settle(0.5)
@@ -42,7 +44,7 @@ def calibrate_phone(phone_key, seed):
             phone.ip_addr, 4444, None, 32)
     testbed.run(8.0)
 
-    records = testbed.merged_capture()
+    records = sniffer.records
     result = calibrator.infer_psm_from_sniffer(records)
     result = result.merged_with(calibrator.infer_listen_interval(records))
     return result

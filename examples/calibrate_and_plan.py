@@ -27,6 +27,7 @@ from repro.core.calibration import TimerCalibrator
 from repro.core.measurement import ProbeCollector
 from repro.core.overhead import decompose
 from repro.core.warmup import WarmupPolicy
+from repro.sniffer.sniffer import WirelessSniffer
 from repro.testbed.campaign import Campaign
 from repro.testbed.topology import Testbed
 
@@ -40,6 +41,7 @@ def main():
     print(f"Calibrating '{phone_key}' (pretending its timers are unknown)")
 
     testbed = Testbed(seed=13, emulated_rtt=0.0)
+    sniffer = WirelessSniffer(testbed.sim, testbed.channel)
     phone = testbed.add_phone(phone_key)
     collector = ProbeCollector(phone)
     testbed.settle(0.5)
@@ -59,7 +61,7 @@ def main():
                              testbed.server_host.stack.send_udp,
                              phone.ip_addr, 4444, None, 32)
     testbed.run(11.0)
-    capture = testbed.merged_capture()
+    capture = sniffer.records
     psm = calibrator.infer_psm_from_sniffer(capture)
     listen = calibrator.infer_listen_interval(capture)
     print(f"        Tip ≈ {fmt(psm.t_ip)}   "

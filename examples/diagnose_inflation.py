@@ -17,6 +17,7 @@ import statistics
 
 from repro import ScenarioSpec, run_scenario
 from repro.analysis.stats import SummaryStats
+from repro.sniffer.sniffer import WirelessSniffer
 
 
 def section(title):
@@ -29,10 +30,13 @@ def layer_means(result):
             for layer, values in result.layers.items() if values}
 
 
+def ping_spec(phone, rtt, interval, seed):
+    return ScenarioSpec(phone=phone, tool="ping", emulated_rtt=rtt,
+                        interval=interval, count=60, seed=seed)
+
+
 def ping(phone, rtt, interval, seed):
-    return run_scenario(ScenarioSpec(phone=phone, tool="ping",
-                                     emulated_rtt=rtt, interval=interval,
-                                     count=60, seed=seed))
+    return run_scenario(ping_spec(phone, rtt, interval, seed))
 
 
 def main():
@@ -76,10 +80,14 @@ def main():
           "RTT (60 ms) > Tis.")
 
     section("5. And on a Nexus 4 (Tip = 40 ms): PSM hits the *network* RTT")
-    n4 = ping("nexus4", rtt, interval=1.0, seed=3)
+    # The testbed builds no sniffer: attach one to the settled cell, so
+    # it captures the measurement itself.
+    spec = ping_spec("nexus4", rtt, interval=1.0, seed=3)
+    env, phone, collector = spec.build()
+    sniffer = WirelessSniffer(env.sim, env.channel)
+    n4 = spec.execute(env, phone, collector)
     means = layer_means(n4)
     print(f"   du={means['du']:.2f}  dn={means['dn']:.2f}  (ms)")
-    sniffer = n4.testbed.sniffers[0]
     pm_nulls = [r for r in sniffer.null_records() if r.frame.pm]
     beacons_with_tim = [r for r in sniffer.beacon_records()
                         if r.frame.tim_aids]

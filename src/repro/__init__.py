@@ -5,7 +5,7 @@ CoNEXT 2016).
 The package simulates the paper's entire measurement environment — an
 Android phone's layered network stack (with the SDIO bus-sleep state
 machine and 802.11 adaptive PSM that inflate measured RTTs), a DCF WiFi
-channel, the first-hop AP/router, a multi-sniffer testbed — and
+channel, the first-hop AP/router, the Figure 2 testbed — and
 implements **AcuteMon**, the warm-up/background-traffic scheme that
 keeps the phone awake during measurement, along with every baseline
 tool the paper compares against.

@@ -27,8 +27,7 @@ from repro.obs.names import (
     SPAN_MEASUREMENT_PROBE,
 )
 from repro.tools.base import run_until_complete
-
-PROBE_METHODS = ("tcp_syn", "http", "icmp", "udp")
+from repro.tools.params import PROBE_METHODS
 
 
 class AcuteMonConfig:

@@ -4,8 +4,10 @@ Paper §4.3: "The load generator establishes 10 connections to the server,
 and each connection sends out UDP packets at a sending rate of 2.5Mbps",
 enough to congest an 802.11g WLAN whose practical UDP ceiling is
 ~20 Mbps.  :class:`UdpLoadGenerator` reproduces that workload;
-:class:`UdpSink` is the fixed load server that counts what actually got
-through (the paper observed ~10 Mbps goodput under contention).
+:class:`UdpSink` counts what actually got through (the paper observed
+~10 Mbps goodput under contention).  The WiFi testbed binds it on the
+AP's router, because the probes see the load only on the air
+(:mod:`repro.testbed.topology`).
 """
 
 from repro.sim.units import bytes_to_bits

@@ -1,25 +1,20 @@
-"""Wireless sniffers and multi-sniffer merging.
+"""A wireless sniffer on the simulated channel.
 
-The paper's testbed places three wire-synchronised sniffers next to the
-AP to estimate the on-air timestamps ``ton``/``tin`` (the ground truth
-``dn``).  This package provides:
-
-* :mod:`repro.sniffer.sniffer` — a channel monitor that records every
-  successful transmission, optionally with capture loss,
-* :mod:`repro.sniffer.merge` — multi-sniffer merging, which recovers a
-  complete view from individually lossy captures (why the paper used
-  three sniffers).
+The paper's testbed placed three wire-synchronised sniffers next to the
+AP and merged their captures, because a real monitor-mode capture
+misses frames.  A simulated monitor misses none, so one
+:class:`~repro.sniffer.sniffer.WirelessSniffer` sees the whole channel,
+and the testbed builds none by default: code that reads the air
+attaches one to ``testbed.channel``.
 
 The simulator stamps ``ton``/``tin`` on every packet itself, so
 :attr:`~repro.core.measurement.ProbeRecord.dn` needs no capture; the
-captures feed the passive ``Tip`` inference of Table 4.
+capture feeds the passive ``Tip`` inference of Table 4.
 """
 
-from repro.sniffer.merge import merge_records
 from repro.sniffer.sniffer import FrameRecord, WirelessSniffer
 
 __all__ = [
     "FrameRecord",
     "WirelessSniffer",
-    "merge_records",
 ]

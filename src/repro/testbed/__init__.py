@@ -1,9 +1,10 @@
 """The measurement environments and experiment layers.
 
 :class:`~repro.testbed.topology.Testbed` assembles the paper's Figure 2
-WiFi environment: measurement server and load server behind a switch,
-the AP bridging to the WLAN, three wireless sniffers, an optional
-iPerf-style load generator, and instrumented phones.  The
+WiFi environment: the measurement server behind a switch, the AP
+bridging to the WLAN, an optional iPerf-style load generator whose load
+the AP sinks, and instrumented phones.  Code that reads the air
+attaches a :class:`~repro.sniffer.sniffer.WirelessSniffer` itself.  The
 :mod:`~repro.testbed.environment` registry adds the cellular
 environments behind the same protocol, and
 :mod:`~repro.testbed.scenario` describes experiment cells declaratively.

@@ -45,7 +45,7 @@ CAP_CROSS_TRAFFIC = "cross-traffic"
 CAP_BUS_SLEEP = "bus-sleep"
 #: The access network runs 802.11 adaptive PSM.
 CAP_PSM = "psm"
-#: Monitor-mode sniffers observe the access network (dn ground truth).
+#: A monitor-mode sniffer can be attached to the access network.
 CAP_SNIFFERS = "sniffers"
 #: An RRC state machine (promotions/demotions) sits below the kernel.
 CAP_RRC = "rrc"
@@ -373,7 +373,7 @@ def _cellular_builder(rrc_preset):
 register_environment(
     "wifi", _build_wifi,
     description="Figure 2 WLAN: DCF channel, AP with adaptive PSM, "
-                "SDIO bus-sleep phones, three monitor-mode sniffers",
+                "SDIO bus-sleep phones, iPerf load sunk at the AP",
     capabilities=WIFI_CAPABILITIES,
 )
 register_environment(

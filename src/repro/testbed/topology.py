@@ -3,8 +3,8 @@
 Topology (all within one collision domain, as in the paper)::
 
     phone ~~~ WiFi ~~~ AP ---- switch ---- measurement server (netem RTT)
-    loadgen ~~ WiFi ~~/    \\--- load server (UDP sink)
-    sniffer A/B/C ~~ monitor mode on the WiFi channel
+    loadgen ~~ WiFi ~~/
+                     (AP router: UDP sink for the load)
 
 The measurement server adds the emulated RTT on its egress, exactly like
 the paper's ``tc`` configuration ("introducing additional delays on the
@@ -13,7 +13,27 @@ path").  The wired half (switch, server, netem) is assembled by the
 shared :class:`~repro.testbed.environment.WiredCore`, which the cellular
 testbed reuses; :class:`Testbed` implements the
 :class:`~repro.testbed.environment.Environment` protocol and is
-registered under the key ``"wifi"``.
+registered under the key ``"wifi"``.  No sniffer is built: code that
+reads the air attaches a :class:`~repro.sniffer.sniffer.WirelessSniffer`
+to ``testbed.channel`` itself.
+
+The paper's iPerf load (§4.3) ran to a wired server; here it ends at the
+AP's router, whose stack counts it (:attr:`Testbed.load_sink`).  The
+probes see the load only through airtime on the shared channel, and
+this is exact, not an approximation.  The AP takes frames off the air
+one at a time: two receptions end at least a preamble plus SIFS and an
+ACK apart (about 61 us on 802.11g), and the router forwards each after
+the same constant ``forwarding_delay``.  A 1,536-byte load frame (the
+1,470-byte iPerf payload with its UDP, IP and Ethernet overhead) takes
+12.3 us on the 1 Gbps AP-switch link, so it has left the link before the
+next frame enters it, and a probe never queues behind load.  Past the
+AP a wired sink would not be learned by the switch (it never sends), so
+every load frame would be flooded and a copy would also leave through
+the measurement server's port.  Frames reach the switch at the same
+spacing less at most one serialization time, which still exceeds a
+second one, so that port is idle whenever a probe arrives too.
+``tests/test_testbed.py`` pins the inequality against ``PhyParams`` and
+``Link`` and replays the wired load path as an oracle.
 """
 
 from repro.net.addresses import MacAddress, ip
@@ -21,8 +41,6 @@ from repro.net.iperf import UdpLoadGenerator, UdpSink
 from repro.phone.phone import Phone
 from repro.phone.profiles import coerce_profile
 from repro.sim.scheduler import Simulator
-from repro.sniffer.merge import merge_records
-from repro.sniffer.sniffer import WirelessSniffer
 from repro.testbed.environment import (
     SERVER_IP,
     WIFI_CAPABILITIES,
@@ -38,7 +56,6 @@ from repro.wifi.host import WifiHost
 WLAN_NET = "192.168.1.0/24"
 AP_WLAN_IP = ip("192.168.1.1")
 AP_WIRED_IP = ip("10.0.0.1")
-LOAD_SERVER_IP = ip("10.0.0.3")
 PHONE_IP = ip("192.168.1.2")
 LOADGEN_IP = ip("192.168.1.3")
 LOAD_PORT = 5001
@@ -53,10 +70,6 @@ class Testbed(Environment):
         Master seed; every random stream derives from it.
     emulated_rtt:
         Additional RTT injected at the measurement server (seconds).
-    sniffer_count / sniffer_loss:
-        Number of monitor-mode sniffers (0 to 3) and their individual
-        capture-loss probability (0 to 1).  The paper uses three
-        sniffers so that the merged capture is effectively lossless.
     beacon_interval_tu:
         AP beacon interval in Time Units, at least 1 (default 100 TU =
         102.4 ms).
@@ -73,15 +86,12 @@ class Testbed(Environment):
     #: cross-traffic congestion behaves like the paper's §4.3 WLAN.
     PROTECTION_TIME = 120e-6
 
-    def __init__(self, seed=0, emulated_rtt=0.0, sniffer_count=3,
-                 sniffer_loss=0.0, beacon_interval_tu=100,
+    def __init__(self, seed=0, emulated_rtt=0.0, beacon_interval_tu=100,
                  send_time_exceeded=True, phy=None, rtt_jitter=0.0,
                  path_loss=0.0):
         from repro.wifi.phy import PhyParams
 
-        self.check_params(sniffer_count=sniffer_count,
-                          sniffer_loss=sniffer_loss,
-                          beacon_interval_tu=beacon_interval_tu,
+        self.check_params(beacon_interval_tu=beacon_interval_tu,
                           rtt_jitter=rtt_jitter, path_loss=path_loss)
         self.sim = Simulator(seed=seed)
         self._rtt_jitter = rtt_jitter
@@ -104,25 +114,15 @@ class Testbed(Environment):
                 loss=path_loss,
             )
 
-        self.load_server_host = self.wired_core.add_host("load-server",
-                                                         LOAD_SERVER_IP)
-        self.load_sink = UdpSink(self.load_server_host, LOAD_PORT)
-
-        self.sniffers = [
-            WirelessSniffer(
-                self.sim, self.channel, name=f"sniffer-{label}",
-                capture_loss=sniffer_loss,
-            )
-            for label in "ABC"[:sniffer_count]
-        ]
+        self.load_sink = UdpSink(self.ap.router, LOAD_PORT)
 
         self.phones = []
         self.load_generator = None
         self._loadgen_host = None
 
     @staticmethod
-    def check_params(sniffer_count=3, sniffer_loss=0.0, beacon_interval_tu=100,
-                     rtt_jitter=0.0, path_loss=0.0, **_other):
+    def check_params(beacon_interval_tu=100, rtt_jitter=0.0, path_loss=0.0,
+                     **_other):
         """Reject out-of-range testbed parameters before anything is built.
 
         Raises ``ValueError`` naming the parameter; other keyword
@@ -132,12 +132,6 @@ class Testbed(Environment):
         if not beacon_interval_tu >= 1:
             raise ValueError(
                 f"beacon_interval_tu must be >= 1, got {beacon_interval_tu!r}")
-        if not 0 <= sniffer_count <= 3:
-            raise ValueError(
-                f"sniffer_count must be within [0, 3], got {sniffer_count!r}")
-        if not 0.0 <= sniffer_loss <= 1.0:
-            raise ValueError(
-                f"sniffer_loss must be within [0, 1], got {sniffer_loss!r}")
         if not rtt_jitter >= 0.0:
             raise ValueError(f"rtt_jitter must be >= 0, got {rtt_jitter!r}")
         if not 0.0 <= path_loss <= 1.0:
@@ -174,8 +168,8 @@ class Testbed(Environment):
     def start_cross_traffic(self, flows=10, rate_bps=2.5e6):
         """Congest the WLAN with the paper's iPerf workload.
 
-        10 flows x 2.5 Mbps of UDP from a wireless load generator toward
-        the wired load server (§4.3).
+        10 flows x 2.5 Mbps of UDP from a wireless load generator (§4.3),
+        sunk at the AP (see the module docstring).
         """
         if self._loadgen_host is None:
             self._loadgen_host = WifiHost(
@@ -184,7 +178,7 @@ class Testbed(Environment):
                 rng=self.sim.rng.stream("loadgen"),
             )
         self.load_generator = UdpLoadGenerator(
-            self.sim, self._loadgen_host.stack, LOAD_SERVER_IP, LOAD_PORT,
+            self.sim, self._loadgen_host.stack, AP_WLAN_IP, LOAD_PORT,
             flows=flows, rate_bps=rate_bps,
             rng=self.sim.rng.stream("loadgen-pacing"),
         )
@@ -194,12 +188,6 @@ class Testbed(Environment):
     def stop_cross_traffic(self):
         if self.load_generator is not None:
             self.load_generator.stop()
-
-    # -- conveniences ----------------------------------------------------------
-
-    def merged_capture(self):
-        """The deduplicated multi-sniffer view of the channel."""
-        return merge_records(*self.sniffers)
 
     def __repr__(self):
         return (

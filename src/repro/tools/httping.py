@@ -14,6 +14,7 @@ implement.  httping is a native binary, hence runtime 'native'.
 
 from repro.net.servers import HTTP_REQUEST_SIZE
 from repro.tools.base import MeasurementTool, RttSample
+from repro.tools.params import check_tool_params
 
 
 class HttpingTool(MeasurementTool):
@@ -23,6 +24,7 @@ class HttpingTool(MeasurementTool):
 
     def __init__(self, phone, collector, target_ip, port=80, interval=1.0,
                  request_size=HTTP_REQUEST_SIZE, timeout=1.0, name="httping"):
+        check_tool_params(request_size=request_size)
         super().__init__(phone, collector, target_ip, name=name)
         self._timeout_label = f"{self.name}-timeout"
         self._next_label = f"{self.name}-next"

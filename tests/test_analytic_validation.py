@@ -62,8 +62,7 @@ def run_cold_probes(spacing, listen_interval=0, psm_enabled=True,
     Every probe finds the phone fully idle (spacing >> Tip), so each
     RTT carries the full power-save inflation.  Returns the sorted RTTs.
     """
-    env = build_environment("wifi", seed=9, emulated_rtt=0.020,
-                            sniffer_count=0)
+    env = build_environment("wifi", seed=9, emulated_rtt=0.020)
     phone = env.attach_phone("nexus5", psm_enabled=psm_enabled)
     phone.sta.psm.listen_interval = listen_interval
     phone.sta.psm.timeout_jitter = 0.0

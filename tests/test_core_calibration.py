@@ -5,11 +5,13 @@ import pytest
 from repro.core.calibration import CalibrationResult, TimerCalibrator
 from repro.core.measurement import ProbeCollector
 from repro.core.warmup import WarmupPolicy
+from repro.sniffer.sniffer import WirelessSniffer
 from repro.testbed.topology import Testbed
 
 
 def build(phone_key="nexus5", seed=51):
     testbed = Testbed(seed=seed, emulated_rtt=0.0)
+    testbed.sniffer = WirelessSniffer(testbed.sim, testbed.channel)
     phone = testbed.add_phone(phone_key)
     collector = ProbeCollector(phone)
     testbed.settle(0.5)
@@ -80,7 +82,7 @@ class TestPsmInference:
                 i * 1.0, phone.stack.send_echo_request,
                 testbed.server_ip, 2, i)
         testbed.run(7.0)
-        records = testbed.merged_capture()
+        records = testbed.sniffer.records
         result = calibrator.infer_psm_from_sniffer(records)
         assert result.t_ip is not None
         assert result.t_ip == pytest.approx(0.205, abs=0.035)
@@ -94,7 +96,7 @@ class TestPsmInference:
                 1.5 * i + 1.0, testbed.server_host.stack.send_udp,
                 phone.ip_addr, 4444, None, 32)
         testbed.run(7.0)
-        records = testbed.merged_capture()
+        records = testbed.sniffer.records
         result = calibrator.infer_listen_interval(records)
         assert result.listen_interval == 0
 

@@ -124,8 +124,8 @@ class TestProtocol:
             env.start_cross_traffic()
 
     def test_env_params_forwarded_wifi(self):
-        env = build_environment("wifi", seed=0, sniffer_count=1)
-        assert len(env.sniffers) == 1
+        env = build_environment("wifi", seed=0, beacon_interval_tu=50)
+        assert env.ap.beacon_interval_tu == 50
 
     def test_env_params_override_rrc_preset(self):
         env = build_environment("cellular-3g", seed=0, t1=2.5)

@@ -1,7 +1,7 @@
 """Failure injection: tools must degrade gracefully, never hang or lie.
 
-Servers die mid-measurement, paths black out, sniffers stop capturing —
-the measurement layer has to surface losses and keep going.
+Servers die mid-measurement, paths black out, no sniffer watches the
+air — the measurement layer has to surface losses and keep going.
 """
 
 import pytest
@@ -11,7 +11,6 @@ from repro.core.measurement import ProbeCollector
 from repro.testbed.topology import Testbed
 from repro.tools.httping import HttpingTool
 from repro.tools.ping import PingTool
-from tests.test_sniffer import capture_rtts
 
 
 def build(seed=201, rtt=0.03):
@@ -102,32 +101,14 @@ class TestPathBlackout:
 
 
 class TestSnifferFailure:
-    def test_dead_sniffer_recovered_by_merge(self):
-        testbed, phone, collector = build(seed=206)
-        # Sniffer A stops capturing early (monitor keeps running but the
-        # record list is frozen — a crashed capture process).
-        victim = testbed.sniffers[0]
-
-        def crash():
-            victim.capture_loss = 1.0
-            victim.rng = testbed.sim.rng.stream("crashed")
-
-        testbed.sim.schedule(0.2, crash)
-        tool = PingTool(phone, collector, testbed.server_ip, interval=0.05)
-        tool.run_sync(10)
-        rtts = capture_rtts(testbed.merged_capture(), phone.sta.mac)
-        assert len(rtts) == 10  # B and C covered the gap
-
     def test_all_layers_except_phy_still_present_without_sniffers(self):
-        # Even with zero usable captures, du/dk/dv come from the phone.
+        # The testbed builds no sniffer: du/dk/dv come from the phone.
         testbed, phone, collector = build(seed=207)
-        for sniffer in testbed.sniffers:
-            sniffer.capture_loss = 1.0
-            sniffer.rng = testbed.sim.rng.stream(f"dead:{sniffer.name}")
         tool = PingTool(phone, collector, testbed.server_ip, interval=0.05)
         tool.run_sync(5)
         layers = collector.layered_rtts()
         assert len(layers["du"]) == 5
         assert len(layers["dk"]) == 5
-        # (dn still exists via packet stamps — the in-simulation ground
-        # truth is independent of the modelled sniffer hardware.)
+        assert len(layers["dv"]) == 5
+        # dn comes from the packets' PHY stamps, not from a capture.
+        assert len(layers["dn"]) == 5

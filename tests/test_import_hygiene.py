@@ -15,6 +15,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 PROGRAM = """
@@ -55,3 +57,17 @@ def test_campaign_path_loads_neither_scipy_nor_numpy():
     assert outcome["cells"] == 2
     assert outcome["rendered"]
     assert outcome["loaded"] == []
+
+
+@pytest.mark.parametrize("module", ["repro.core.acutemon", "repro.tools.params",
+                                    "repro.tools.httping",
+                                    "repro.testbed.scenario"])
+def test_tool_param_rules_import_first_without_a_cycle(module):
+    """The shared ``tool_params`` rule table sits under ``repro.tools``,
+    which AcuteMon and the scenario layer both import; whichever is
+    imported first, a fresh interpreter must load it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
+                   capture_output=True, timeout=60, check=True)

@@ -172,10 +172,8 @@ UNREACHED_NAMES = {
     "repro.phone.phone:Phone.set_bus_sleep": _TESTED,
     "repro.sim.timers:PeriodicTimer.next_deadline": _TESTED,
     "repro.sniffer.sniffer:WirelessSniffer.beacon_records": _EXAMPLE,
-    "repro.sniffer.sniffer:WirelessSniffer.data_records": _TESTED,
     "repro.sniffer.sniffer:WirelessSniffer.null_records":
         "called by examples/diagnose_inflation.py",
-    "repro.sniffer.sniffer:WirelessSniffer.records_for_probe": _TESTED,
     "repro.testbed.campaign:Campaign.result_for": _EXAMPLE,
     "repro.testbed.environment:Environment.set_emulated_rtt":
         "a member of the environment protocol (docs/ARCHITECTURE.md)",

@@ -641,8 +641,14 @@ _IDLE_WIFI_EVENTS = 392
 #: (30 ms, seed 5) through ``run_cell``, plain and observed.
 #: Before the watchdog deadline: (4,345, 26,160) and (5,850, 34,265);
 #: before ``ExperimentResult`` took ``tool`` and ``spec`` as arguments,
-#: 5 more lines each (``ScenarioSpec.execute`` 4, its ``__init__`` 1).
-_PING_CELL_COST = {False: (3_057, 17_411), True: (4_544, 25_198)}
+#: 5 more lines each (``ScenarioSpec.execute`` 4, its ``__init__`` 1);
+#: while the testbed built three sniffers and a wired load server,
+#: (3,057, 17,411) and (4,544, 25,198).
+_PING_CELL_COST = {False: (2_886, 16_489), True: (4_359, 24_212)}
+#: Events the observed 3-probe nexus5 ping cell with cross traffic
+#: (30 ms, seed 1) fires.  While the load ran on through the AP-switch
+#: link and the switch to a wired sink, the same cell fired 66,295.
+_CROSS_TRAFFIC_CELL_EVENTS = 24_559
 
 
 def _ping_cell():
@@ -669,6 +675,26 @@ def test_smoke_idle_wifi_events():
     fired = testbed.sim.events_fired
     testbed.run(10.0)
     assert testbed.sim.events_fired - fired == _IDLE_WIFI_EVENTS
+
+
+@pytest.mark.perf_smoke
+def test_smoke_cross_traffic_cell_events():
+    """Cross traffic costs what it does on the air, not a wired path.
+
+    The load ends at the AP, so a load packet fires no wired-link,
+    switch or routing event.  The count is deterministic: routing the
+    load past the AP again fails this gate without any timing.
+    """
+    from repro.testbed.campaign import run_cell
+    from repro.testbed.scenario import ScenarioSpec
+
+    spec = ScenarioSpec(env="wifi", phone="nexus5", tool="ping",
+                        emulated_rtt=0.03, count=3, seed=1,
+                        cross_traffic=True)
+    metrics = run_cell(spec, collect_metrics=True).metrics["metrics"]
+    fired = [entry["value"] for entry in metrics
+             if entry["name"] == "scheduler_events_fired"]
+    assert fired == [_CROSS_TRAFFIC_CELL_EVENTS]
 
 
 @pytest.mark.perf_smoke

@@ -111,17 +111,17 @@ class TestValidation:
         ("tool_params", {"timeout": math.inf}),
         ("env_params", {"bogus": 1}),
         ("tool_params", {"bogus": 1}),
-        ("env_params", {"sniffer_count": "a"}),
-        ("env_params", {"sniffer_count": 2.0}),
+        ("env_params", {"beacon_interval_tu": "a"}),
+        ("env_params", {"beacon_interval_tu": 2.0}),
         ("env_params", {"send_time_exceeded": 1}),
         ("env_params", {"rtt_jitter": True}),
         ("env_params", {"phy": 1}),
         ("tool_params", {"probe_method": 3}),
         ("env_params", {"beacon_interval_tu": 0}),
-        ("env_params", {"sniffer_count": -1}),
-        ("env_params", {"sniffer_count": 4}),
-        ("env_params", {"sniffer_loss": 2.0}),
-        ("env_params", {"sniffer_loss": -0.1}),
+        ("env_params", {"sniffer_count": 3}),
+        ("env_params", {"sniffer_loss": 0.0}),
+        ("env_params", {"beacon_interval_tu": -1}),
+        ("env_params", {"rtt_jitter": -1e-9}),
         ("env_params", {"rtt_jitter": -1.0}),
         ("env_params", {"path_loss": 2.0}),
         ("env_params", {"path_loss": -0.1}),

@@ -1,17 +1,17 @@
-"""Tests for the wireless sniffers, the multi-sniffer merge, and the
-on-air cross-check of the simulator's PHY stamps."""
+"""Tests for the wireless sniffer and the on-air cross-check of the
+simulator's PHY stamps."""
 
 import pytest
 
 from repro.core.measurement import ProbeCollector
 from repro.net.packet import TCP_ACK, TcpSegment
-from repro.sniffer.merge import merge_records
+from repro.sniffer.sniffer import WirelessSniffer
 from repro.testbed.topology import Testbed
 from repro.tools.ping import PingTool
 
 
 def capture_rtts(records, station_mac):
-    """``{probe_id: tin - ton}`` read off a merged capture, independently
+    """``{probe_id: tin - ton}`` read off a capture, independently
     of the packets' own ``phy`` stamps: per probe, the first uplink data
     frame gives ``ton`` and the first substantive downlink one (not a
     bare TCP ACK) gives ``tin``."""
@@ -35,9 +35,9 @@ def capture_rtts(records, station_mac):
 class SnifferBed:
     """A tiny testbed with one phone pinging the server."""
 
-    def __init__(self, seed=0, sniffer_loss=0.0, count=5):
-        self.testbed = Testbed(seed=seed, emulated_rtt=0.02,
-                               sniffer_loss=sniffer_loss)
+    def __init__(self, seed=0, count=5):
+        self.testbed = Testbed(seed=seed, emulated_rtt=0.02)
+        self.sniffer = WirelessSniffer(self.testbed.sim, self.testbed.channel)
         self.phone = self.testbed.add_phone("nexus5")
         self.testbed.settle(0.3)
         self.phone.stack.register_ping(8, lambda p: None)
@@ -51,58 +51,39 @@ class SnifferBed:
 
 class TestWirelessSniffer:
     def test_captures_beacons_nulls_and_data(self):
-        bed = SnifferBed()
-        sniffer = bed.testbed.sniffers[0]
+        sniffer = SnifferBed().sniffer
         assert sniffer.beacon_records()
-        assert sniffer.data_records()
-        assert len(sniffer.records_for_probe(1)) >= 2  # request + response
+        assert any(record.is_data for record in sniffer.records)
+        request_and_response = [record for record in sniffer.records
+                                if record.probe_id == 1]
+        assert len(request_and_response) >= 2
 
-    def test_capture_loss_misses_frames(self):
-        lossless = SnifferBed(seed=3, sniffer_loss=0.0)
-        lossy = SnifferBed(seed=3, sniffer_loss=0.3)
-        assert (len(lossy.testbed.sniffers[0].records)
-                < len(lossless.testbed.sniffers[0].records))
-        assert lossy.testbed.sniffers[0].frames_missed > 0
-
-
-class TestMerge:
-    def test_merge_recovers_lost_frames(self):
-        bed = SnifferBed(seed=5, sniffer_loss=0.2)
-        merged = merge_records(*bed.testbed.sniffers)
-        for sniffer in bed.testbed.sniffers:
-            assert len(merged) >= len(sniffer.records)
-        # Merged capture must be strictly better than the worst sniffer.
-        worst = min(len(s.records) for s in bed.testbed.sniffers)
-        assert len(merged) > worst
-
-    def test_merge_deduplicates(self):
-        bed = SnifferBed(seed=5, sniffer_loss=0.0)
-        merged = merge_records(*bed.testbed.sniffers)
-        # Three lossless sniffers see identical traffic: merged == one of them.
-        assert len(merged) == len(bed.testbed.sniffers[0].records)
-
-    def test_merge_time_ordered(self):
-        bed = SnifferBed(seed=5, sniffer_loss=0.1)
-        merged = merge_records(*bed.testbed.sniffers)
-        times = [record.time for record in merged]
+    def test_records_in_capture_time_order(self):
+        records = SnifferBed(seed=5).sniffer.records
+        times = [record.time for record in records]
         assert times == sorted(times)
+
+    def test_testbed_builds_no_sniffer(self):
+        # Nothing taps the channel until a reader attaches a sniffer.
+        assert Testbed(seed=1).channel._monitors == []
 
 
 class TestRttExtraction:
     def test_network_rtts_from_records(self):
         bed = SnifferBed(seed=7, count=5)
-        rtts = capture_rtts(bed.testbed.merged_capture(), bed.phone.sta.mac)
+        rtts = capture_rtts(bed.sniffer.records, bed.phone.sta.mac)
         assert len(rtts) == 5
         for rtt in rtts.values():
             assert 0.019 < rtt < 0.030  # ~emulated 20 ms
 
     def test_rtts_match_packet_stamps(self):
         testbed = Testbed(seed=7, emulated_rtt=0.02)
+        sniffer = WirelessSniffer(testbed.sim, testbed.channel)
         phone = testbed.add_phone("nexus5")
         collector = ProbeCollector(phone)
         testbed.settle(0.3)
         PingTool(phone, collector, testbed.server_ip, interval=0.05).run_sync(3)
-        rtts = capture_rtts(testbed.merged_capture(), phone.sta.mac)
+        rtts = capture_rtts(sniffer.records, phone.sta.mac)
         truth = {record.probe_id: record.dn for record in collector.completed()}
         assert len(truth) == 3
         assert rtts.keys() == truth.keys()

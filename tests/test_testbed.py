@@ -4,32 +4,43 @@ import pytest
 
 from repro.core.acutemon import AcuteMon, AcuteMonConfig
 from repro.core.measurement import ProbeCollector
+from repro.net.addresses import ip
+from repro.net.interface import ETHERNET_OVERHEAD
+from repro.net.iperf import DEFAULT_UDP_PAYLOAD, UdpSink
+from repro.net.link import Link
+from repro.net.packet import IPV4_HEADER_LEN, UDP_HEADER_LEN
+from repro.sniffer.sniffer import WirelessSniffer
+from repro.testbed import scenario
 from repro.testbed.experiments import tool_comparison
 from repro.testbed.scenario import ScenarioSpec, run_scenario
-from repro.testbed.topology import Testbed
+from repro.testbed.topology import AP_WLAN_IP, LOAD_PORT, Testbed
+from repro.wifi.phy import PhyParams
 
 
 class TestTopology:
     def test_components_present(self):
         testbed = Testbed(seed=1)
-        assert len(testbed.sniffers) == 3
         assert testbed.server is not None
-        assert testbed.load_sink is not None
+        # The load ends at the AP's router; the switch has two ports.
+        assert testbed.load_sink.host is testbed.ap.router
+        assert len(testbed.switch.ports) == 2
 
     @pytest.mark.parametrize("params, name", [
         ({"beacon_interval_tu": 0}, "beacon_interval_tu"),
-        ({"sniffer_count": -1}, "sniffer_count"),
-        ({"sniffer_count": 4}, "sniffer_count"),
-        ({"sniffer_loss": 1.5}, "sniffer_loss"),
-        ({"sniffer_loss": float("nan")}, "sniffer_loss"),
+        ({"rtt_jitter": -0.001}, "rtt_jitter"),
+        ({"rtt_jitter": float("nan")}, "rtt_jitter"),
+        ({"path_loss": 1.5}, "path_loss"),
+        ({"path_loss": float("nan")}, "path_loss"),
     ])
     def test_out_of_range_params_rejected(self, params, name):
         with pytest.raises(ValueError, match=name):
             Testbed(seed=1, **params)
 
     def test_range_edges_accepted(self):
-        assert Testbed(seed=1, sniffer_count=0, sniffer_loss=1.0,
-                       beacon_interval_tu=1).sniffers == []
+        testbed = Testbed(seed=1, beacon_interval_tu=1, rtt_jitter=0.0,
+                          path_loss=1.0)
+        assert testbed.ap.beacon_interval_tu == 1
+        assert testbed.netem.loss == 1.0
 
     def test_phone_attaches_and_pings_server(self):
         testbed = Testbed(seed=1, emulated_rtt=0.02)
@@ -82,14 +93,89 @@ class TestTopology:
 
     def test_sniffers_capture_beacons(self):
         testbed = Testbed(seed=1)
+        sniffer = WirelessSniffer(testbed.sim, testbed.channel)
         testbed.run(0.5)
-        assert all(s.beacon_records() for s in testbed.sniffers)
+        assert sniffer.beacon_records()
 
-    def test_merged_capture_deduplicated(self):
-        testbed = Testbed(seed=1, sniffer_loss=0.1)
-        testbed.run(1.0)
-        merged = testbed.merged_capture()
-        assert len(merged) >= max(len(s.records) for s in testbed.sniffers)
+    def test_load_sink_is_the_ap(self):
+        testbed = Testbed(seed=2)
+        testbed.start_cross_traffic()
+        testbed.run(0.5)
+        assert testbed.load_sink.packets_received > 0
+        assert {flow.dst for flow in testbed.load_generator.flows} \
+            == {AP_WLAN_IP}
+        # Nothing of the load crosses the wired side.
+        assert testbed.switch.frames_flooded == 0
+        assert testbed.switch.frames_forwarded == 0
+
+
+#: The wired load sink the load ran to before it ended at the AP.
+_WIRED_SINK_IP = ip("10.0.0.3")
+
+
+class _WiredSinkTestbed(Testbed):
+    """The old load path, kept as an oracle: a ``load-server`` host on the
+    switch, added right after the measurement server, sinks the load."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        host = self.wired_core.add_host("load-server", _WIRED_SINK_IP)
+        self.wired_sink = UdpSink(host, LOAD_PORT)
+
+    def start_cross_traffic(self, **kwargs):
+        generator = super().start_cross_traffic(**kwargs)
+        for flow in generator.flows:
+            flow.dst = _WIRED_SINK_IP
+        return generator
+
+
+def _digest(result):
+    return result.user_rtts, result.layers
+
+
+#: Fig 8-shaped cells (per-tool seeds, phones and RTTs, 1-s default
+#: interval shortened) and Fig 9-shaped ones (bus awake, AcuteMon with
+#: and without its background traffic), all with cross traffic.
+_ORACLE_CELLS = [
+    *(pytest.param(dict(tool=tool, phone=phone, emulated_rtt=rtt, seed=seed,
+                        interval=0.5), id=f"fig8-{tool}-{phone}-s{seed}")
+      for seed, (tool, phone, rtt) in enumerate((
+          ("ping", "nexus5", 0.030), ("httping", "nexus4", 0.120),
+          ("javaping", "xperia_j", 0.020), ("acutemon", "htc_one", 0.085),
+          ("ping", "galaxy_grand", 0.060)), start=1)),
+    *(pytest.param(dict(tool="acutemon", phone="nexus5", emulated_rtt=0.030,
+                        seed=seed, bus_sleep=False,
+                        tool_params={"background_enabled": background,
+                                     "warmup_enabled": background}),
+                   id=f"fig9-bg{int(background)}-s{seed}")
+      for seed, background in ((1, True), (2, False))),
+]
+
+
+class TestLoadPathEndsAtAp:
+    """Ending the load at the AP changes no probe's timing (the
+    argument is in ``repro.testbed.topology``'s docstring)."""
+
+    def test_wired_hop_clears_before_the_next_reception(self):
+        phy = PhyParams()
+        load_frame = (ETHERNET_OVERHEAD + IPV4_HEADER_LEN + UDP_HEADER_LEN
+                      + DEFAULT_UDP_PAYLOAD)
+        hop = Link(sim=None).serialization_time(load_frame)
+        # Two receptions at the AP end at least a preamble plus SIFS and
+        # an ACK apart.  Past the switch a frame's spacing may have
+        # shrunk by one serialization time, so two must fit.
+        assert 2 * hop < phy.preamble + phy.sifs + phy.ack_time()
+
+    @pytest.mark.parametrize("cell", _ORACLE_CELLS)
+    def test_rtts_match_the_wired_sink(self, cell, monkeypatch):
+        spec = ScenarioSpec(count=4, cross_traffic=True, **cell)
+        at_ap = run_scenario(spec)
+        monkeypatch.setattr(scenario, "build_environment",
+                            lambda key, **kwargs: _WiredSinkTestbed(**kwargs))
+        wired = run_scenario(spec)
+        assert wired.testbed.wired_sink.packets_received > 0
+        assert len(at_ap.user_rtts) == spec.count
+        assert _digest(at_ap) == _digest(wired)
 
 
 class TestExperimentRunners:

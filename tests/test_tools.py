@@ -176,6 +176,15 @@ class TestHttpingTool:
         for a, b in zip(sends, sends[1:]):
             assert b - a >= 0.19
 
+    @pytest.mark.parametrize("request_size", [10 ** 30, 0])
+    def test_out_of_range_request_size_rejected_at_construction(
+            self, request_size):
+        # Construct only: a 31-digit request would never finish.
+        testbed, phone, collector = build()
+        with pytest.raises(ValueError, match="request_size"):
+            HttpingTool(phone, collector, testbed.server_ip,
+                        request_size=request_size)
+
 
 class TestJavaPingTool:
     def test_syn_rst_measurement(self):
