@@ -48,8 +48,8 @@ class CellularInterface:
         airtime = (bytes_to_bits(packet.wire_size) / self.rrc.rate_bps()
                    + self.rrc.latency())
         self.rrc.touch()
-        self.sim.schedule(airtime, self.tower.receive_uplink, packet,
-                          label=self._cell_ul_label)
+        self.sim.post(self.sim.now + airtime, self.tower.receive_uplink,
+                      packet, label=self._cell_ul_label)
 
     def receive_downlink(self, packet):
         """Tower delivery toward the phone stack."""
@@ -117,8 +117,8 @@ class CellTower:
         packet.stamp("phy", self.sim.now)
         airtime = (bytes_to_bits(packet.wire_size) / rrc.rate_bps()
                    + rrc.latency())
-        self.sim.schedule(airtime, interface.receive_downlink, packet,
-                          label=self._cell_dl_label)
+        self.sim.post(self.sim.now + airtime, interface.receive_downlink,
+                      packet, label=self._cell_dl_label)
 
     def __repr__(self):
         return f"<CellTower {self.name} phones={len(self._phones)}>"

@@ -52,7 +52,8 @@ class CellularPhone:
 
     def user_send(self, fn):
         t_user = self.sim.now
-        self.sim.schedule(self.app_cost(), fn, label=self._app_send_label)
+        self.sim.post(self.sim.now + self.app_cost(), fn,
+                      label=self._app_send_label)
         return t_user
 
     def user_wrap(self, callback):
@@ -63,8 +64,8 @@ class CellularPhone:
                         arg.stamp("user", self.sim.now)
                 callback(*args)
 
-            self.sim.schedule(self.app_cost(), fire,
-                              label=self._app_recv_label)
+            self.sim.post(self.sim.now + self.app_cost(), fire,
+                          label=self._app_recv_label)
 
         return wrapped
 

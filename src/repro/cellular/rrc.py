@@ -169,8 +169,8 @@ class RrcMachine:
             delay += self.config.promo_idle_dch.draw(self.rng)
         else:
             delay += self.config.promo_fach_dch.draw(self.rng)
-        self.sim.schedule(delay, self._finish_promotion,
-                          label=self._rrc_promo_label)
+        self.sim.post(self.sim.now + delay, self._finish_promotion,
+                      label=self._rrc_promo_label)
 
     def _finish_promotion(self):
         self._promoting = False

@@ -140,8 +140,8 @@ class AcuteMon:
             self._send_warmup()
             if self.config.background_enabled:
                 self._start_background_train()
-            self.sim.schedule(self.config.dpre, self._begin_measurement,
-                              label=self._mt_start_label)
+            self.sim.post(self.sim.now + self.config.dpre,
+                          self._begin_measurement, label=self._mt_start_label)
         else:
             if self.config.background_enabled:
                 self._start_background_train()
@@ -303,8 +303,8 @@ class AcuteMon:
             self.sim.metrics.inc(ACUTEMON_PROBES_TOTAL,
                                  labels={"outcome": "ok"})
         if self.config.probe_gap > 0:
-            self.sim.schedule(self.config.probe_gap, self._next_probe,
-                              label=self._gap_label)
+            self.sim.post(self.sim.now + self.config.probe_gap,
+                          self._next_probe, label=self._gap_label)
         else:
             self.sim.call_soon(self._next_probe, label=self._next_label)
 

@@ -4,6 +4,12 @@
 switches, routers, and the AP's wired port.  It owns a drop-tail egress
 queue and serialises frames onto its :class:`~repro.net.link.Link` one at
 a time.  Taps (callbacks) observe frames in both directions.
+
+The transmitter is a deadline, not an event: ``_free_at`` is when the
+frame on the wire finishes serialising.  A frame sent to an idle port
+with an empty queue goes onto the link at once, with no event of its
+own; a pump event (``eth-tx``) is scheduled at ``_free_at`` only while
+frames wait in the queue, and it re-arms itself while frames remain.
 """
 
 ETHERNET_OVERHEAD = 38  # preamble + SFD + header + FCS + minimum IFG, bytes
@@ -43,7 +49,8 @@ class EthernetInterface:
         self.egress = queue if queue is not None else DropTailQueue()
         self.name = name
         self._eth_tx_label = f"eth-tx:{self.name}"
-        self._transmitting = False
+        self._free_at = 0.0
+        self._pump_pending = False
         self._taps = []
         self.frames_sent = 0
         self.frames_received = 0
@@ -65,23 +72,31 @@ class EthernetInterface:
             raise RuntimeError(f"interface {self.name or self.mac} has no link")
         if not self.egress.enqueue(frame):
             return False
-        self._pump()
+        if not self._pump_pending:
+            if self._sim.now >= self._free_at:
+                self._transmit()
+            else:
+                self._arm_pump()
         return True
 
-    def _pump(self):
-        if self._transmitting or self.egress.is_empty:
-            return
+    def _transmit(self):
+        """Put the queue's head frame on the link now; if more frames
+        wait, pump again when it has been clocked out."""
         frame = self.egress.dequeue()
-        self._transmitting = True
         for tap in self._taps:
             tap(frame, "tx")
-        tx_time = self.link.transmit(self, frame)
+        self._free_at = self._sim.now + self.link.transmit(self, frame)
         self.frames_sent += 1
-        self._sim.schedule(tx_time, self._transmit_done, label=self._eth_tx_label)
+        if not self.egress.is_empty:
+            self._arm_pump()
 
-    def _transmit_done(self):
-        self._transmitting = False
-        self._pump()
+    def _arm_pump(self):
+        self._pump_pending = True
+        self._sim.post(self._free_at, self._pump, label=self._eth_tx_label)
+
+    def _pump(self):
+        self._pump_pending = False
+        self._transmit()
 
     def receive_from_link(self, frame):
         """Link delivery entry point."""

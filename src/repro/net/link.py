@@ -54,12 +54,10 @@ class Link:
         peer = self.peer_of(sender)
         tx_time = self.serialization_time(frame.wire_size)
         if peer is not None:
-            self._sim.schedule(
-                tx_time + self.propagation_delay,
-                peer.receive_from_link,
-                frame,
-                label=self._link_deliver_label,
-            )
+            sim = self._sim
+            sim.post(sim.now + (tx_time + self.propagation_delay),
+                     peer.receive_from_link, frame,
+                     label=self._link_deliver_label)
         return tx_time
 
     def __repr__(self):

@@ -86,4 +86,4 @@ class NetemQdisc:
             # Emulated wired-path delay: one leg of the probe's nRTT.
             sim.spans.record(SPAN_WIRE_NETEM, sim.now, release,
                              netem=self.name, probe_id=packet.probe_id)
-        sim.at(release, forward, packet, label=self._netem_label)
+        sim.post(release, forward, packet, label=self._netem_label)

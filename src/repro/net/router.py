@@ -134,8 +134,8 @@ class Router:
         self.packets_forwarded += 1
         target = next_hop if next_hop is not None else packet.dst
         if self.forwarding_delay:
-            self.sim.schedule(self.forwarding_delay, port.transmit, packet, target,
-                              label=self._route_label)
+            self.sim.post(self.sim.now + self.forwarding_delay, port.transmit,
+                          packet, target, label=self._route_label)
         else:
             port.transmit(packet, target)
 
@@ -154,8 +154,8 @@ class Router:
             source_ip, packet.src, IcmpTimeExceeded(packet),
             meta=dict(packet.meta), created_at=self.sim.now,
         )
-        self.sim.schedule(
-            self.forwarding_delay, self.route_packet, error,
+        self.sim.post(
+            self.sim.now + self.forwarding_delay, self.route_packet, error,
             label=self._ttl_exceeded_label,
         )
 

@@ -37,9 +37,9 @@ class HttpServer:
         conn.on_data = self._on_data
 
     def _on_data(self, conn, nbytes, meta):
-        self.sim.schedule(
-            self.host.stack.response_delay(), self._respond, conn, meta,
-            label="http-respond",
+        self.sim.post(
+            self.sim.now + self.host.stack.response_delay(), self._respond,
+            conn, meta, label="http-respond",
         )
 
     def _respond(self, conn, meta):
@@ -74,8 +74,8 @@ class UdpEchoServer:
         datagram = packet.payload
         delay = self.host.stack.response_delay()
         delay += packet.meta.get("echo_delay", 0.0)
-        self.sim.schedule(delay, self._echo, packet, datagram,
-                          label="udp-echo")
+        self.sim.post(self.sim.now + delay, self._echo, packet, datagram,
+                      label="udp-echo")
 
     def _echo(self, packet, datagram):
         self.datagrams_echoed += 1

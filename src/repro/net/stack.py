@@ -159,8 +159,8 @@ class IpStack:
             self.local_ip, request.src, echo.make_reply(),
             meta=dict(request.meta), created_at=self.sim.now,
         )
-        self.sim.schedule(self.response_delay(), self.send, reply,
-                          label=self._echo_reply_label)
+        self.sim.post(self.sim.now + self.response_delay(), self.send, reply,
+                      label=self._echo_reply_label)
 
     def _deliver_udp(self, packet):
         binding = self._udp_bindings.get(packet.payload.dst_port)

@@ -271,9 +271,9 @@ class WnicDriver:
         cost = (
             self.chipset.tx_cost if kind == "tx" else self.chipset.rx_cost
         ).draw(self.rng)
-        self.sim.schedule(
-            wake + cost, self._dpc_done, kind, packet, entry_time, wake > 0,
-            label=self._dpc_label,
+        self.sim.post(
+            self.sim.now + (wake + cost), self._dpc_done, kind, packet,
+            entry_time, wake > 0, label=self._dpc_label,
         )
 
     def _dpc_done(self, kind, packet, entry_time, wake_paid):
@@ -294,8 +294,8 @@ class WnicDriver:
         else:
             self.packets_rx += 1
             # rxframe thread: dequeue + netif_rx_ni.
-            self.sim.schedule(
-                self.chipset.rxframe_cost.draw(self.rng),
+            self.sim.post(
+                self.sim.now + self.chipset.rxframe_cost.draw(self.rng),
                 self._rxframe_deliver, packet,
                 label=self._rxframe_label,
             )

@@ -36,8 +36,8 @@ class KernelLayer:
 
     def transmit(self, packet):
         self.packets_tx += 1
-        self.sim.schedule(
-            self.tx_cost.draw(self.rng), self._tx_tap, packet,
+        self.sim.post(
+            self.sim.now + self.tx_cost.draw(self.rng), self._tx_tap, packet,
             label=self._kernel_tx_label,
         )
 
@@ -54,7 +54,7 @@ class KernelLayer:
         packet.stamp("kernel", self.sim.now)
         for tap in self._taps:
             tap(packet, "rx")
-        self.sim.schedule(
-            self.rx_cost.draw(self.rng), self.deliver_up, packet,
-            label=self._kernel_rx_label,
+        self.sim.post(
+            self.sim.now + self.rx_cost.draw(self.rng), self.deliver_up,
+            packet, label=self._kernel_rx_label,
         )

@@ -82,7 +82,8 @@ class Phone:
         """App-level send: returns ``tou`` and runs ``fn`` after the
         runtime cost."""
         t_user = self.sim.now
-        self.sim.schedule(self.app_cost(), fn, label=self._app_send_label)
+        self.sim.post(self.sim.now + self.app_cost(), fn,
+                      label=self._app_send_label)
         return t_user
 
     def user_wrap(self, callback):
@@ -95,8 +96,8 @@ class Phone:
                         arg.stamp("user", self.sim.now)
                 callback(*args)
 
-            self.sim.schedule(self.app_cost(), fire,
-                              label=self._app_recv_label)
+            self.sim.post(self.sim.now + self.app_cost(), fire,
+                          label=self._app_recv_label)
 
         return wrapped
 

@@ -5,11 +5,14 @@ An :class:`Event` is a callable bound to a firing time.  Events sort by
 two events scheduled for the same instant fire in scheduling order, which
 keeps runs deterministic without comparing callbacks.
 
-Events are the single hottest allocation in the simulator — every packet
-hop, timer tick, and backoff slot creates one — so the class is slotted,
-keeps an empty-kwargs fast path in :meth:`fire`, and carries the two
-bookkeeping fields (``owner``, ``in_heap``) that let the scheduler keep
-an O(1) live-event count under lazy heap deletion.
+An :class:`Event` exists only where a caller may cancel it: a timeout,
+a DCF round, a timer's deadline, a load flow's next packet.  The
+fire-and-forget majority (every packet hop, DMA completion and frame
+delivery) goes through :meth:`~repro.sim.scheduler.Simulator.post`,
+which pushes a bare ``(fn, args, label)`` entry and builds no object.
+The class is slotted, keeps an empty-kwargs fast path in :meth:`fire`,
+and carries the two bookkeeping fields (``owner``, ``in_heap``) that let
+the scheduler keep an O(1) live-event count under lazy heap deletion.
 """
 
 import itertools

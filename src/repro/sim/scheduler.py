@@ -1,12 +1,20 @@
 """The event scheduler at the heart of the simulator.
 
-The pending-event store is one binary heap of ``(time, seq, event)``
+The pending-event store is one binary heap of ``(time, seq, entry)``
 tuples, so every comparison runs at C speed inside :mod:`heapq`.
 Events fire in exact ``(time, seq)`` order: ``seq`` is drawn from one
 global counter at scheduling time, so two events at the same instant
-fire in the order they were scheduled (FIFO ties).  Cancelled entries
-are discarded lazily when they surface at the head, and a counter of
-them keeps :meth:`Simulator.pending` O(1).
+fire in the order they were scheduled (FIFO ties).
+
+An entry takes one of two shapes.  :meth:`Simulator.schedule` and
+:meth:`Simulator.at` push an :class:`~repro.sim.events.Event`, which
+the caller can cancel; cancelled events are discarded lazily when they
+surface at the head, and a counter of them keeps
+:meth:`Simulator.pending` O(1).  :meth:`Simulator.post` is for the
+call sites that never cancel (a packet hop, a DMA completion, a
+delivery): it pushes a bare ``(fn, args, label)`` tuple, with no object
+to allocate or to check for cancellation.  Both draw ``seq`` at the
+same point, so which one a call site uses never changes the order.
 
 Periodic trains
 ---------------
@@ -23,11 +31,12 @@ in a single inner loop (:meth:`Simulator._fire_train`), bounded by the
 next competing event (the heap head, ties excluded) and
 ``run(until=...)``.
 The batch aborts the moment the callback touches scheduler state
-(schedules, cancels, or stops), so interaction with other events is
-byte-identical to the one-tick-at-a-time path; a fresh ``seq`` is drawn
-per tick at the same point it would be drawn without batching, so the
-deterministic event order is unchanged.  ``events_fired`` is settled
-once per batch and may read stale from inside a batched callback.
+(schedules, posts, cancels, or stops), so interaction with other events
+is byte-identical to the one-tick-at-a-time path; a fresh ``seq`` is
+drawn per tick at the same point it would be drawn without batching, so
+the deterministic event order is unchanged.  ``events_fired`` is
+settled once per batch and may read stale from inside a batched
+callback.
 
 Observed runs
 -------------
@@ -108,7 +117,8 @@ class Simulator:
     Typical use::
 
         sim = Simulator(seed=7)
-        sim.schedule(0.5, handler, arg)
+        timeout = sim.schedule(0.5, handler, arg)   # cancellable
+        sim.post(sim.now + 0.2, deliver, packet)    # fire-and-forget
         sim.schedule_periodic(0.1024, beacon_tick)
         sim.run(until=10.0)
 
@@ -147,8 +157,8 @@ class Simulator:
         if not 0.0 <= delay < _INF:  # also rejects NaN
             raise SimTimeError(
                 f"delay must be non-negative and finite, got {delay!r}")
-        # Inlined _insert_entry(): schedule() is the hottest entry point,
-        # called once per packet hop / timer tick, so it skips a call frame.
+        # Inlined _insert_entry(): schedule() is the hot entry point for
+        # cancellable events (timeouts, rounds), so it skips a call frame.
         event = Event(self._now + delay, fn, args, kwargs, label=label)
         event.owner = self
         event.in_heap = True
@@ -167,6 +177,22 @@ class Simulator:
         event.in_heap = True
         heapq.heappush(self._heap, (time, event.seq, event))
         return event
+
+    def post(self, time, fn, *args, label=""):
+        """Fire ``fn(*args)`` at an absolute (finite) simulated time.
+
+        The fire-and-forget twin of :meth:`at`: nothing is returned, so
+        nothing can be cancelled, and the heap holds a bare
+        ``(fn, args, label)`` tuple instead of an
+        :class:`~repro.sim.events.Event`.  ``seq`` is drawn where
+        :meth:`at` draws it, so the firing order is the same.
+        """
+        if not self._now <= time < _INF:  # also rejects NaN
+            _check_finite("time", time)
+            raise SimTimeError(
+                f"cannot post at {time!r}; clock is already at {self._now!r}"
+            )
+        heapq.heappush(self._heap, (time, next(_SEQ), (fn, args, label)))
 
     def call_soon(self, fn, *args, label="", **kwargs):
         """Schedule ``fn`` for the current instant (after pending same-time events)."""
@@ -232,11 +258,11 @@ class Simulator:
         """Return the firing time of the next live event, or ``None``."""
         heap = self._heap
         while heap:
-            entry = heap[0]
-            if not entry[2].canceled:
-                return entry[0]
+            t, _seq, event = heap[0]
+            if event.__class__ is tuple or not event.canceled:
+                return t
             heapq.heappop(heap)
-            entry[2].in_heap = False
+            event.in_heap = False
             self._canceled_in_heap -= 1
         return None
 
@@ -256,8 +282,12 @@ class Simulator:
             self._run_observed(None, once=True)
         else:
             t, _seq, event = heapq.heappop(self._heap)
-            event.in_heap = False
             self._now = t
+            if event.__class__ is tuple:
+                self.events_fired += 1
+                event[0](*event[1])
+                return True
+            event.in_heap = False
             if event.__class__ is PeriodicEvent:
                 self._fire_train_general(event)
             else:
@@ -422,20 +452,22 @@ class Simulator:
         heappop = heapq.heappop
         # The loop body is a manually fused peek()+step(): one pop per
         # event, no property reads, and train ticks batched by
-        # _fire_train.
+        # _fire_train.  A cancelled head past ``until`` stays parked;
+        # it is counted in _canceled_in_heap either way.
         while heap and not self._stopped:
-            entry = heap[0]
-            event = entry[2]
-            if event.canceled:
-                heappop(heap)
-                event.in_heap = False
-                self._canceled_in_heap -= 1
-                continue
-            t = entry[0]
+            t, _seq, event = heap[0]
             if t > until_:
                 return
             heappop(heap)
+            if event.__class__ is tuple:
+                self._now = t
+                self.events_fired += 1
+                event[0](*event[1])
+                continue
             event.in_heap = False
+            if event.canceled:
+                self._canceled_in_heap -= 1
+                continue
             self._now = t
             if event.__class__ is not PeriodicEvent:
                 self.events_fired += 1
@@ -461,26 +493,29 @@ class Simulator:
         heappop = heapq.heappop
         meters = _Meters(self.metrics)
         while heap and not self._stopped:
-            entry = heap[0]
-            event = entry[2]
-            if event.canceled:
-                heappop(heap)
-                event.in_heap = False
-                self._canceled_in_heap -= 1
-                continue
-            t = entry[0]
+            t, _seq, event = heap[0]
             if t > until_:
                 return
             heappop(heap)
-            event.in_heap = False
+            if event.__class__ is not tuple:
+                event.in_heap = False
+                if event.canceled:
+                    self._canceled_in_heap -= 1
+                    continue
+                meter = meters[event.label]
+            else:
+                meter = meters[event[2]]
             self._now = t
-            meter = meters[event.label]
             # Deliberate wall-clock reads: handler self-time is host-CPU
             # cost, not simulated time, and feeds a volatile-marked
             # counter that deterministic snapshots exclude.
             start = time.perf_counter()  # lint: disable=RL101 (volatile self-time)
             try:
-                if event.__class__ is not PeriodicEvent:
+                if event.__class__ is tuple:
+                    self.events_fired += 1
+                    meter[0].value += 1
+                    event[0](*event[1])
+                elif event.__class__ is not PeriodicEvent:
                     # Counted before the callback, like events_fired,
                     # so the two agree even when it raises.
                     self.events_fired += 1

@@ -7,6 +7,10 @@ of which follow the same "arm, maybe restart, maybe cancel" pattern that
 behaviour such as 802.11 beacon generation.
 """
 
+import math
+
+from repro.sim.errors import SimTimeError
+
 
 class Timer:
     """A one-shot timer that can be (re)started and cancelled.
@@ -14,42 +18,64 @@ class Timer:
     The callback fires once, ``interval`` seconds after the most recent
     :meth:`start`/:meth:`restart`.  Restarting an armed timer moves the
     deadline; cancelling disarms it.
+
+    The deadline is lazy, the way :class:`repro.phone.driver.SdioBus`
+    keeps its demotion tick: a restart to a later deadline (an idle
+    timeout pushed back by traffic) only moves ``_deadline``, and the
+    pending event, when it fires early, re-arms once at the deadline.
+    A restart to an earlier deadline reschedules, and :meth:`cancel`
+    cancels the pending event, so a disarmed timer leaves nothing in
+    the heap for :meth:`~repro.sim.scheduler.Simulator.run` to reach.
     """
 
     def __init__(self, sim, callback, label=""):
         self._sim = sim
         self._callback = callback
         self._event = None
+        self._deadline = None
         self.label = label
 
     @property
     def armed(self):
         """Whether the timer currently has a pending deadline."""
-        return self._event is not None and not self._event.canceled
+        return self._deadline is not None
 
     @property
     def deadline(self):
         """Absolute firing time, or ``None`` when disarmed."""
-        return self._event.time if self.armed else None
+        return self._deadline
 
     def start(self, interval):
         """Arm (or re-arm) the timer to fire ``interval`` seconds from now."""
-        self.cancel()
-        self._event = self._sim.schedule(
-            interval, self._fire, label=self.label or "timer"
-        )
+        if not 0.0 <= interval < math.inf:  # also rejects NaN
+            raise SimTimeError(
+                f"interval must be non-negative and finite, got {interval!r}")
+        self._deadline = deadline = self._sim.now + interval
+        event = self._event
+        if event is not None:
+            if event.time <= deadline:
+                return
+            event.cancel()
+        self._event = self._sim.at(deadline, self._fire,
+                                   label=self.label or "timer")
 
     # ``restart`` reads better at call sites that always re-arm.
     restart = start
 
     def cancel(self):
         """Disarm the timer if armed."""
+        self._deadline = None
         if self._event is not None:
             self._event.cancel()
             self._event = None
 
     def _fire(self):
-        self._event = None
+        deadline = self._deadline
+        if self._sim.now < deadline:
+            self._event = self._sim.at(deadline, self._fire,
+                                       label=self.label or "timer")
+            return
+        self._event = self._deadline = None
         self._callback()
 
 

@@ -89,7 +89,7 @@ class JavaPingTool(MeasurementTool):
 
     def _schedule_next(self, last_start):
         next_at = max(last_start + self.interval, self.sim.now)
-        self.sim.at(next_at, self._send_probe, label=self._next_label)
+        self.sim.post(next_at, self._send_probe, label=self._next_label)
 
     def _cleanup(self):
         if self._timeout_event is not None:

@@ -53,8 +53,8 @@ class PingTool(MeasurementTool):
         self._handle = self.phone.stack.register_ping(
             self.ident, self.phone.user_wrap(self._on_reply))
         for index in range(count):
-            self.sim.schedule(index * self.interval, self._send_one, index,
-                              label=self._send_label)
+            self.sim.post(self.sim.now + index * self.interval,
+                          self._send_one, index, label=self._send_label)
         self._finish_event = self.sim.schedule(
             (count - 1) * self.interval + self.timeout, self._deadline,
             label=self._deadline_label,

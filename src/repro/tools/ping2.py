@@ -111,8 +111,8 @@ class Ping2Tool:
         self._schedule_next_round()
 
     def _schedule_next_round(self):
-        self.sim.schedule(self.interval, self._start_round,
-                          label=self._round_label)
+        self.sim.post(self.sim.now + self.interval, self._start_round,
+                      label=self._round_label)
 
     def _finish(self):
         self.running = False

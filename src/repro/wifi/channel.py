@@ -13,6 +13,14 @@ delivered, and the colliding radios redraw from a doubled window.  This
 reproduces the delay and throughput behaviour of per-slot DCF without
 simulating every idle slot.
 
+A round is an event only where it can be lost.  A beacon (a priority
+frame) that finds the medium idle, with no contender, no pending round
+and no monitor, wins its round whoever joins during DIFS, so it goes on
+the air DIFS from now without one; a contender that joins meanwhile
+defers to its busy window, as it would have after losing the round.
+With a monitor attached every beacon keeps its round, because monitors
+(the energy meter among them) read the receivers' state at ``tx_start``.
+
 Unicast data is followed by SIFS + ACK (modelled as channel busy time).
 A missing receiver (e.g. a station that dozed between queueing and
 delivery) behaves like a lost ACK: the sender retries.
@@ -168,7 +176,17 @@ class WifiChannel:
             return
         priority = isinstance(frame, BeaconFrame)
         backoff = 0 if priority else self.rng.randint(0, self.phy.cw_min)
-        self._contenders[radio] = _Contender(radio, frame, backoff, priority)
+        self._contenders[radio] = contender = _Contender(radio, frame,
+                                                         backoff, priority)
+        if (priority and len(self._contenders) == 1
+                and self._round_event is None and not self._monitors
+                and self.sim.now >= self._busy_until):
+            # A beacon on an idle, uncontended medium wins the round it
+            # would wait DIFS for, whoever joins meanwhile: go on the
+            # air DIFS from now with no round event.  Monitors keep the
+            # round, since they read receivers' state at ``tx_start``.
+            self._transmit(contender, self._difs)
+            return
         self._schedule_round()
 
     def _schedule_round(self):
@@ -216,12 +234,13 @@ class WifiChannel:
         else:
             self._collide(winners)
 
-    def _transmit(self, contender):
+    def _transmit(self, contender, defer=0.0):
+        """Put ``contender``'s frame on the air ``defer`` seconds from now."""
         frame = contender.frame
         radio = contender.radio
         del self._contenders[radio]
         sim = self.sim
-        now = sim.now
+        now = sim.now + defer
         is_data = isinstance(frame, DataFrame)
         size = frame.wire_size
         rate = radio.transmit_rate(frame)
@@ -246,8 +265,8 @@ class WifiChannel:
                                  bytes=size)
         for monitor in self._monitors:
             monitor(frame, tx_start, tx_end, "ok")
-        sim.at(tx_end, self._deliver, contender, tx_start,
-               label=self._deliver_label)
+        sim.post(tx_end, self._deliver, contender, tx_start,
+                 label=self._deliver_label)
 
     def _deliver(self, contender, tx_start):
         frame = contender.frame
@@ -263,12 +282,12 @@ class WifiChannel:
         if receiver is not None and receiver.receiver_active:
             receiver.frame_delivered(frame)
             # ACK consumes SIFS + ACK airtime; sender learns success then.
-            self.sim.at(self._busy_until, self._acked, sender, frame,
-                        label=self._ack_label)
+            self.sim.post(self._busy_until, self._acked, sender, frame,
+                          label=self._ack_label)
         else:
             # No ACK will come: retry after the ACK timeout (~busy window).
-            self.sim.at(self._busy_until, self._failed, contender,
-                        label=self._noack_label)
+            self.sim.post(self._busy_until, self._failed, contender,
+                          label=self._noack_label)
 
     def _acked(self, sender, frame):
         sender.frame_transmitted(frame)

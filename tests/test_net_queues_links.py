@@ -114,6 +114,37 @@ class TestLinkAndInterface:
         per_frame = frame1.wire_size * 8 / 1e6
         assert arrivals[1] - arrivals[0] == pytest.approx(per_frame)
 
+    def test_back_to_back_at_free_time_and_after_idle_gap(self, sim):
+        # Three frames at t=0 (two wait; one is still queued after the
+        # pump sends the other), one sent at the very instant the
+        # transmitter frees, one after an idle gap (no event at all).
+        # Delivery order and times are those of the interface that
+        # scheduled an ``eth-tx`` event per frame.
+        nic_a, nic_b, _, sink_b = self._pair(sim, bandwidth=1e6, prop=1e-3)
+        arrivals = []
+        nic_b.add_tap(lambda f, d: arrivals.append(
+            (sim.now, f.packet.payload.payload_size)))
+
+        def send(size):
+            nic_a.send(EthernetFrame(nic_b.mac, nic_a.mac, make_packet(size)))
+
+        def send_at_free_time():
+            assert nic_a._free_at == sim.now
+            send(200)
+
+        for size in (1000, 500, 400):
+            send(size)
+        sim.at(0.016784, send_at_free_time)
+        sim.at(0.1, send, 300)
+        sim.run()
+        assert arrivals == [(0.009528000000000002, 1000), (0.014056, 500),
+                            (0.017784, 400), (0.019912, 200),
+                            (0.103928, 300)]
+        assert nic_a.frames_sent == 5
+        # Two pumps for the frames that waited, five deliveries and the
+        # two scheduled sends.
+        assert sim.events_fired == 9
+
     def test_full_duplex(self, sim):
         nic_a, nic_b, sink_a, sink_b = self._pair(sim)
         nic_a.send(EthernetFrame(nic_b.mac, nic_a.mac, make_packet()))

@@ -250,16 +250,18 @@ class _ReferenceSimulator(Simulator):
 
 
 #: What one event of the chain workload costs on the disabled path: the
-#: fast loop pops it (14 lines of ``_run_fast``) and fires ``tick``,
+#: fast loop pops it (13 lines of ``_run_fast``) and fires ``tick``,
 #: which schedules its successor (``schedule`` builds an ``Event`` and
 #: pushes it).  No observability call, C call or line is in the loop.
+#: The loop ran 14 lines before it unpacked the head entry in one
+#: statement and checked cancellation after the pop.
 _CHAIN_TICK = f"{__name__}._chain.<locals>.run.<locals>.tick"
 _CHAIN_EVENT_PYTHON_CALLS = {"repro.sim.scheduler.Simulator.schedule": 1,
                              "repro.sim.events.Event.__init__": 1,
                              _CHAIN_TICK: 1}
 _CHAIN_EVENT_C_CALLS = {"next": 1, "_heapq.heappush": 1,
                         "_heapq.heappop": 1}
-_CHAIN_EVENT_LINES = {"repro.sim.scheduler.Simulator._run_fast": 14,
+_CHAIN_EVENT_LINES = {"repro.sim.scheduler.Simulator._run_fast": 13,
                       "repro.sim.scheduler.Simulator.schedule": 6,
                       "repro.sim.events.Event.__init__": 9,
                       _CHAIN_TICK: 3}
@@ -299,8 +301,9 @@ def test_smoke_obs_disabled_overhead():
 #: What one event of the chain workload costs on the observed path: the
 #: disabled path's Python calls, its C calls plus the two
 #: ``perf_counter`` reads of the handler self-time, and 19 lines of
-#: ``_run_observed`` where ``_run_fast`` runs 14 (the bound-meter hit,
-#: the self-time clock, the fired count and the ``once`` check).  No
+#: ``_run_observed`` where ``_run_fast`` runs 13 (the bound-meter hit,
+#: the self-time clock and its ``try``, the entry-shape dispatch, the
+#: fired count and the ``once`` check).  No
 #: registry lookup: the event's counters were bound on its label's
 #: first event.
 _OBSERVED_CHAIN_EVENT_C_CALLS = dict(_CHAIN_EVENT_C_CALLS,
@@ -317,7 +320,7 @@ del _OBSERVED_CHAIN_EVENT_LINES["repro.sim.scheduler.Simulator._run_fast"]
 _OBSERVED_BATCH_EXTRA_C_CALLS = {"time.perf_counter": 4}
 _OBSERVED_BATCH_EXTRA_LINES = {
     "repro.sim.scheduler.Simulator._run_observed": 34,
-    "repro.sim.scheduler.Simulator._run_fast": -22,
+    "repro.sim.scheduler.Simulator._run_fast": -20,
     "repro.sim.scheduler.Simulator._fire_train": 1,
     "repro.sim.scheduler.Simulator._fire_train_general": 1}
 
@@ -382,6 +385,65 @@ def test_smoke_obs_observed_loop_cost():
         assert _signed_difference(observed.lines, disabled.lines) \
             == _OBSERVED_BATCH_EXTRA_LINES, ticks
         assert observed.python[f"{__name__}._noop"] == ticks + 1
+
+
+def _post_chain(observed=False):
+    """The chain workload through ``Simulator.post``: ``run(events)``
+    fires a self-posting callback ``events`` times."""
+
+    def run(events):
+        sim = Simulator(seed=1)
+        if observed:
+            enable_observability(sim)
+        count = [0]
+
+        def tick():
+            count[0] += 1
+            if count[0] < events:
+                sim.post(sim.now + 1e-4, tick)
+
+        sim.post(0.0, tick)
+        sim.run()
+        assert count[0] == events
+
+    return run
+
+
+#: What one event of the post chain costs: ``post`` pushes a bare
+#: ``(fn, args, label)`` entry (2 lines, no ``Event``), the loop pops it
+#: (9 lines of ``_run_fast``, 15 of ``_run_observed``) and fires
+#: ``tick``, which reads the clock and posts its successor.  Observing
+#: adds the two self-time reads.
+_POST_TICK = f"{__name__}._post_chain.<locals>.run.<locals>.tick"
+_POST_EVENT_PYTHON_CALLS = {"repro.sim.scheduler.Simulator.post": 1,
+                            "repro.sim.scheduler.Simulator.now": 1,
+                            _POST_TICK: 1}
+_POST_EVENT_C_CALLS = {False: _CHAIN_EVENT_C_CALLS,
+                       True: _OBSERVED_CHAIN_EVENT_C_CALLS}
+_POST_EVENT_LINES = {
+    observed: {f"repro.sim.scheduler.Simulator.{loop}": lines,
+               "repro.sim.scheduler.Simulator.post": 2,
+               "repro.sim.scheduler.Simulator.now": 1,
+               _POST_TICK: 3}
+    for observed, loop, lines in ((False, "_run_fast", 9),
+                                  (True, "_run_observed", 15))}
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("observed", [False, True],
+                         ids=["plain", "observed"])
+def test_smoke_post_event_cost(observed):
+    """A posted event does exactly the work pinned above.
+
+    The twin of the chain pins for fire-and-forget events, which carry
+    every packet hop: no ``Event`` is built and nothing checks for
+    cancellation, so one line added to ``post`` or to the loop's
+    bare-entry path fails this deterministically.
+    """
+    per_event = calls_per_unit(_post_chain(observed), 1_000, 2_000)
+    assert dict(per_event.python) == _POST_EVENT_PYTHON_CALLS
+    assert dict(per_event.c) == _POST_EVENT_C_CALLS[observed]
+    assert dict(per_event.lines) == _POST_EVENT_LINES[observed]
 
 
 class _NullSketch:
@@ -631,24 +693,31 @@ def test_smoke_analytic_predict_rate():
 
 
 #: Events a settled nexus5 WiFi testbed fires while it idles for 10
-#: simulated seconds (seed 1): 98 beacon intervals of four events each,
-#: the beacon, its DCF round, its delivery and the dozing station's
-#: TBTT wake.  The SDIO bus demoted while the testbed settled and has
-#: no event pending; the 10-ms watchdog train it replaced fired 1,000
-#: more here (1,392).
-_IDLE_WIFI_EVENTS = 392
+#: simulated seconds (seed 1): 98 beacon intervals of three events
+#: each, the beacon, its delivery and the dozing station's TBTT wake.
+#: The SDIO bus demoted while the testbed settled and has no event
+#: pending; the 10-ms watchdog train it replaced fired 1,000 more here
+#: (1,392).  While a beacon on the idle medium still waited for its own
+#: DCF round event, it was four events each (392).
+_IDLE_WIFI_EVENTS = 294
 #: ``(Python calls, line events)`` of one 3-probe nexus5 WiFi ping cell
 #: (30 ms, seed 5) through ``run_cell``, plain and observed.
 #: Before the watchdog deadline: (4,345, 26,160) and (5,850, 34,265);
 #: before ``ExperimentResult`` took ``tool`` and ``spec`` as arguments,
 #: 5 more lines each (``ScenarioSpec.execute`` 4, its ``__init__`` 1);
 #: while the testbed built three sniffers and a wired load server,
-#: (3,057, 17,411) and (4,544, 25,198).
-_PING_CELL_COST = {False: (2_886, 16_489), True: (4_359, 24_212)}
+#: (3,057, 17,411) and (4,544, 25,198); while every hop built an
+#: ``Event``, restarted timers rescheduled, an idle Ethernet port fired
+#: an ``eth-tx`` event per frame and a beacon waited for its own DCF
+#: round, (2,886, 16,489) and (4,359, 24,212).
+_PING_CELL_COST = {False: (2_651, 13_137), True: (4_068, 20_625)}
 #: Events the observed 3-probe nexus5 ping cell with cross traffic
 #: (30 ms, seed 1) fires.  While the load ran on through the AP-switch
-#: link and the switch to a wired sink, the same cell fired 66,295.
-_CROSS_TRAFFIC_CELL_EVENTS = 24_559
+#: link and the switch to a wired sink, the same cell fired 66,295;
+#: with an ``eth-tx`` event per wired frame and a round per beacon,
+#: 24,559.  (A lazy timer's early firing is one event more, where a
+#: restart used to cancel one.)
+_CROSS_TRAFFIC_CELL_EVENTS = 24_549
 
 
 def _ping_cell():

@@ -243,6 +243,12 @@ class TestNonFiniteTimes:
         assert sim.pending() == 0
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_post_rejects_non_finite_time(self, sim, value):
+        with pytest.raises(SimTimeError):
+            sim.post(value, lambda: None)
+        assert sim.pending() == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
     def test_periodic_rejects_non_finite_phase(self, sim, value):
         with pytest.raises(SimTimeError):
             sim.schedule_periodic(0.1, lambda: None, phase=value)
@@ -262,6 +268,74 @@ class TestNonFiniteTimes:
         sim.schedule(0.1, fired.append, "a")
         sim.run()
         assert fired == ["a", "b"]
+
+
+class TestPost:
+    """``post`` is ``at`` without the cancellable ``Event``: the same
+    order, the same checks, the same counters."""
+
+    def test_posts_and_events_share_fifo_ties(self, sim):
+        order = []
+        sim.at(0.1, order.append, "event-1")
+        sim.post(0.1, order.append, "post-1")
+        sim.schedule(0.1, order.append, "event-2")
+        sim.post(0.05, order.append, "early")
+        sim.post(0.1, order.append, "post-2")
+        sim.run()
+        assert order == ["early", "event-1", "post-1", "event-2", "post-2"]
+        assert sim.events_fired == 5
+
+    def test_post_in_the_past_rejected(self, sim):
+        sim.run(until=1.0)
+        with pytest.raises(SimTimeError):
+            sim.post(0.5, lambda: None)
+        assert sim.pending() == 0
+
+    def test_peek_step_and_pending_see_posts(self, sim):
+        fired = []
+        sim.schedule(0.2, fired.append, "event").cancel()
+        sim.post(0.3, fired.append, "post")
+        assert sim.pending() == 1
+        assert sim.peek() == 0.3
+        assert sim.step() is True
+        assert fired == ["post"] and sim.now == 0.3
+        assert sim.step() is False
+
+    def test_observed_run_counts_posts_by_label(self, sim):
+        from repro.obs import enable_observability
+
+        enable_observability(sim)
+        sim.post(0.1, lambda: None, label="hop:a")
+        sim.post(0.2, lambda: None, label="hop:b")
+        sim.schedule(0.3, lambda: None, label="timer")
+        sim.run()
+        fired = sim.metrics.get("scheduler_events_fired_total",
+                                labels={"category": "hop"})
+        assert fired.value == 2
+        assert sim.events_fired == 3
+
+    def test_step_fires_a_post_when_observed(self, sim):
+        from repro.obs import enable_observability
+
+        enable_observability(sim)
+        fired = []
+        sim.post(0.1, fired.append, 1, label="hop")
+        assert sim.step() is True
+        assert fired == [1] and sim.events_fired == 1
+
+    def test_post_from_a_batched_train_keeps_order(self, sim):
+        log = []
+
+        def tick():
+            log.append(("tick", sim.now))
+            if len(log) == 3:
+                sim.post(sim.now + 0.05, lambda: log.append(("post", sim.now)))
+
+        sim.schedule_periodic(0.1, tick, label="train")
+        sim.run(until=0.55)
+        assert [kind for kind, _ in log] == [
+            "tick", "tick", "tick", "post", "tick", "tick"]
+        assert log[3][1] == pytest.approx(0.35)
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.errors import SimTimeError
 from repro.sim.timers import PeriodicTimer, Timer
 
 
@@ -59,6 +60,69 @@ class TestTimer:
         sim.run()
         assert fired == [pytest.approx(0.1), pytest.approx(0.2),
                          pytest.approx(0.3)]
+
+
+class TestLazyDeadline:
+    """A restart to a later deadline moves it without touching the
+    heap; the pending event re-arms once when it fires early."""
+
+    def test_later_restart_keeps_one_event_and_fires_at_last_deadline(
+            self, sim):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(0.25)
+        sim.schedule(0.1, timer.restart, 0.25)
+        sim.schedule(0.2, timer.restart, 0.25)
+        sim.run(until=0.2)
+        assert sim.pending() == 1  # the timer's first event, at 0.25
+        sim.run()
+        assert fired == [0.2 + 0.25]
+        assert sim.events_canceled == 0
+        # The two restarts, then the first event firing early at 0.25
+        # and re-arming once at the deadline, where the callback runs.
+        assert sim.events_fired == 2 + 2
+
+    def test_earlier_restart_reschedules(self, sim):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(1.0)
+        sim.schedule(0.1, timer.restart, 0.2)
+        sim.run()
+        assert fired == [0.1 + 0.2]
+        assert sim.now == 0.1 + 0.2  # the superseded deadline left no event
+        assert sim.events_canceled == 1
+
+    def test_cancel_leaves_nothing_pending(self, sim):
+        timer = Timer(sim, lambda: None)
+        timer.start(0.5)
+        sim.run(until=0.1)
+        timer.restart(2.0)
+        timer.cancel()
+        assert sim.pending() == 0
+        assert sim.run() == 0.1
+
+    def test_armed_and_deadline_read_the_deadline(self, sim):
+        timer = Timer(sim, lambda: None)
+        timer.start(0.5)
+        sim.run(until=0.2)
+        timer.restart(0.5)
+        assert timer.armed
+        assert timer.deadline == 0.2 + 0.5
+        sim.run(until=0.6)  # the early event re-armed, still armed
+        assert timer.armed
+        assert timer.deadline == 0.2 + 0.5
+        sim.run()
+        assert not timer.armed
+        assert timer.deadline is None
+
+    def test_invalid_interval_rejected_and_state_kept(self, sim):
+        timer = Timer(sim, lambda: None)
+        timer.start(0.5)
+        for interval in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(SimTimeError):
+                timer.restart(interval)
+        assert timer.deadline == 0.5
+        assert sim.pending() == 1
 
 
 class TestPeriodicTimer:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.addresses import MacAddress, ip
+from repro.testbed import scenario
 from repro.net.packet import Packet, UdpDatagram
 from repro.wifi.channel import Radio, WifiChannel
 from repro.wifi.frames import BeaconFrame, DataFrame
@@ -230,3 +231,94 @@ class TestRadioQueue:
         kinds = [type(f).__name__ for _, f in b.delivered]
         broadcast_kinds = [type(f).__name__ for _, f in b.delivered]
         assert kinds.index("BeaconFrame") < kinds.index("DataFrame") + 2
+
+
+class TestBeaconFastPath:
+    """A beacon on an idle, uncontended, unmonitored medium goes on the
+    air DIFS from now with no DCF round event; every other medium still
+    resolves it in a round."""
+
+    @staticmethod
+    def _beacon_airtime(channel, beacon):
+        phy = channel.phy
+        return phy.airtime(beacon.wire_size, phy.beacon_rate_bps)
+
+    def test_idle_medium_transmits_without_a_round(self, sim):
+        channel, (ap, sta) = make_cell(sim)
+        beacon = BeaconFrame(ap.mac, 100)
+        ap.enqueue_frame(beacon, priority=True)
+        assert channel.stats.transmissions == 1
+        assert sim.pending() == 1  # its delivery, no round
+        sim.run()
+        assert sta.delivered == [
+            (channel.phy.difs + self._beacon_airtime(channel, beacon), beacon)]
+        assert sim.events_fired == 1
+
+    def test_busy_medium_takes_the_round(self, sim):
+        channel, (ap, sta) = make_cell(sim)
+        sta.enqueue_frame(data_frame(sta, ap, 1470))
+        while not channel.is_busy and sim.step():
+            pass
+        busy_until = channel._busy_until
+        beacon = BeaconFrame(ap.mac, 100)
+        ap.enqueue_frame(beacon, priority=True)
+        assert channel.stats.transmissions == 1  # the data frame only
+        sim.run()
+        beacon_at = [t for t, f in sta.delivered if f is beacon]
+        assert beacon_at == [busy_until + channel.phy.difs
+                             + self._beacon_airtime(channel, beacon)]
+
+    def test_contended_medium_takes_the_round(self, sim):
+        channel, (ap, sta) = make_cell(sim)
+        frame = data_frame(sta, ap)
+        sta.enqueue_frame(frame)  # its round is pending
+        beacon = BeaconFrame(ap.mac, 100)
+        ap.enqueue_frame(beacon, priority=True)
+        assert channel.stats.transmissions == 0
+        sim.run()
+        # The beacon wins the round at DIFS; the data frame follows.
+        assert sta.delivered == [
+            (channel.phy.difs + self._beacon_airtime(channel, beacon), beacon)]
+        assert [f for _, f in ap.delivered] == [frame]
+        assert ap.delivered[0][0] > sta.delivered[0][0]
+
+    def test_monitor_keeps_the_round(self, sim):
+        channel, (ap, sta) = make_cell(sim)
+        starts = []
+        channel.add_monitor(lambda f, ts, te, st: starts.append(sim.now))
+        ap.enqueue_frame(BeaconFrame(ap.mac, 100), priority=True)
+        assert channel.stats.transmissions == 0
+        sim.run()
+        # The monitor heard the beacon at its start, from the round.
+        assert starts == [channel.phy.difs]
+
+
+#: One cell per tool on two phones and two seeds, for the beacon
+#: fast-path oracle below.  The 300-ms path outlasts the phones' PSM
+#: timeouts, so replies wait at the AP for a beacon's TIM.
+_FAST_PATH_CELLS = [
+    pytest.param(tool, phone, seed, id=f"{tool}-{phone}-s{seed}")
+    for tool in sorted(scenario.TOOLS)
+    for phone in ("nexus5", "xperia_j")
+    for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("tool, phone, seed", _FAST_PATH_CELLS)
+def test_beacon_fast_path_matches_the_round(tool, phone, seed, monkeypatch):
+    """A no-op monitor forces every beacon through its DCF round; the
+    probes' RTTs and layers must not notice the difference."""
+    spec = scenario.ScenarioSpec(tool=tool, phone=phone, seed=seed,
+                                 emulated_rtt=0.3, count=3, interval=0.3)
+    fast = scenario.run_scenario(spec)
+    build = scenario.build_environment
+
+    def monitored(key, **kwargs):
+        env = build(key, **kwargs)
+        env.channel.add_monitor(lambda *args: None)
+        return env
+
+    monkeypatch.setattr(scenario, "build_environment", monitored)
+    rounds = scenario.run_scenario(spec)
+    assert rounds.testbed.channel._monitors
+    assert len(fast.user_rtts) == spec.count
+    assert (fast.user_rtts, fast.layers) == (rounds.user_rtts, rounds.layers)
