@@ -19,10 +19,10 @@ same point, so which one a call site uses never changes the order.
 Periodic trains
 ---------------
 
-Most steady-state events are periodic — beacon intervals, a dozing
-station's TBTT wakes, AcuteMon background packets.  (The SDIO watchdog
-is not a train: the bus schedules only its demotion deadline on the
-watchdog's tick grid, see :class:`repro.phone.driver.SdioBus`.)
+Most steady-state events are periodic — beacon intervals and AcuteMon
+background packets.  (Neither the SDIO watchdog nor a dozing station's
+TBTT wakes are trains: each keeps only a deadline on its tick grid, see
+:class:`repro.phone.driver.SdioBus` and :class:`repro.wifi.sta.Station`.)
 :meth:`Simulator.schedule_periodic` arms a
 :class:`~repro.sim.events.PeriodicEvent` — one allocation for the whole
 train; each tick re-stamps ``(time, seq)`` in place.  For an
@@ -37,6 +37,17 @@ drawn per tick at the same point it would be drawn without batching, so
 the deterministic event order is unchanged.  ``events_fired`` is
 settled once per batch and may read stale from inside a batched
 callback.
+
+Work that no event can observe
+------------------------------
+
+:meth:`Simulator.clear_through` tells a callback that nothing else can
+fire up to an instant: it is inside :meth:`Simulator.run`, not stopped,
+the instant is within the run boundary and the heap head is strictly
+later.  A callback may then apply, now, the effects an event at that
+instant would have had, and schedule nothing — which also keeps a train
+batch going.  The access point airs a quiet beacon this way
+(:meth:`repro.wifi.channel.WifiChannel.air_quiet_beacon`).
 
 Observed runs
 -------------
@@ -134,6 +145,7 @@ class Simulator:
         self._canceled_in_heap = 0
         self._running = False
         self._stopped = False
+        self._until = _INF
         self.events_fired = 0
         self.events_canceled = 0
         self.rng = RngRegistry(seed)
@@ -253,6 +265,23 @@ class Simulator:
     def stop(self):
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
+
+    def clear_through(self, t):
+        """Whether no event can fire at or before ``t`` from here on.
+
+        True only inside :meth:`run` (not :meth:`step`), when
+        :meth:`stop` was not called, when ``t`` is within the run's
+        ``until`` and when the heap head is strictly later than ``t``.
+        A cancelled head still blocks, which errs on the safe side; an
+        entry at exactly ``t`` blocks too, because an event scheduled
+        now for ``t`` would fire after it.  While a train batch runs,
+        the firing train's own next tick is not on the heap: its
+        callback must not ask past that tick.
+        """
+        if not self._running or self._stopped or t > self._until:
+            return False
+        heap = self._heap
+        return not heap or heap[0][0] > t
 
     def peek(self):
         """Return the firing time of the next live event, or ``None``."""
@@ -433,6 +462,7 @@ class Simulator:
             raise SchedulerError("Simulator.run() is not re-entrant")
         self._running = True
         self._stopped = False
+        self._until = _INF if until is None else until
         try:
             # Observability dispatch happens once per run(), not once per
             # event, so the disabled path is exactly the fast loop.

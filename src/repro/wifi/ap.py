@@ -21,7 +21,13 @@ from repro.obs.names import (
 )
 from repro.sim.units import tu
 from repro.wifi.channel import Radio
-from repro.wifi.frames import BeaconFrame, DataFrame, NullDataFrame, PsPollFrame
+from repro.wifi.frames import (
+    BeaconFrame,
+    DataFrame,
+    NullDataFrame,
+    PsPollFrame,
+    beacon_wire_size,
+)
 
 #: The TIM of a beacon when no station has frames buffered.
 _NO_TIM = frozenset()
@@ -88,8 +94,10 @@ class AccessPoint:
             "wlan", wlan_ip, wlan_network, transmit=self._wireless_transmit
         )
         self.router.add_port(self.wlan_port)
+        self._quiet_beacon_size = beacon_wire_size(ssid, _NO_TIM)
         # Beacon generation is a scheduler-native periodic train: one
-        # armed event for the whole run, batched on the fast path.
+        # armed event for the whole run, batched on the fast path while
+        # its beacons are quiet (see _beacon_tick).
         self._beacon_train = sim.schedule_periodic(
             tu(beacon_interval_tu), self._beacon_tick,
             label=f"beacon:{name}",
@@ -136,11 +144,16 @@ class AccessPoint:
                                 if other.buffer)
                 break
         self._beacon_seq = (self._beacon_seq + 1) & 0xFFF
+        self.beacons_sent += 1
+        # An empty TIM on a quiet medium is bookkeeping with no frame
+        # and no event, so an idle stretch of ticks stays one batch.
+        if tim is _NO_TIM and self.radio.channel.air_quiet_beacon(
+                self.radio, self._quiet_beacon_size, self.beacon_interval_tu):
+            return
         beacon = BeaconFrame(
             self.radio.mac, self.beacon_interval_tu, tim_aids=tim,
             ssid=self.ssid, seq=self._beacon_seq,
         )
-        self.beacons_sent += 1
         self.radio.enqueue_frame(beacon, priority=True)
 
     # -- downlink ---------------------------------------------------------------

@@ -21,6 +21,17 @@ defers to its busy window, as it would have after losing the round.
 With a monitor attached every beacon keeps its round, because monitors
 (the energy meter among them) read the receivers' state at ``tx_start``.
 
+A quiet beacon is not even an event.  When its TIM is empty, the medium
+is in the same idle state, and the scheduler reports that nothing can
+fire before the beacon ends
+(:meth:`~repro.sim.scheduler.Simulator.clear_through`), the access point
+calls :meth:`WifiChannel.air_quiet_beacon`: no frame, no contender and
+no delivery event.  The channel updates, at once, what the delivery
+would have updated at the beacon's end — the busy window, the stats,
+the frame counters and each listening radio's beacon handling (a
+radio's :meth:`Radio.quiet_beacon_delivered`, asked through
+:meth:`Radio.receiver_active_at` for the end instant).
+
 Unicast data is followed by SIFS + ACK (modelled as channel busy time).
 A missing receiver (e.g. a station that dozed between queueing and
 delivery) behaves like a lost ACK: the sender retries.
@@ -58,6 +69,11 @@ class Radio:
     def receiver_active(self):
         """Whether the radio can currently hear the medium."""
         return True
+
+    def receiver_active_at(self, t):
+        """Whether the radio will hear the medium at ``t``, when no
+        event fires before then (a quiet beacon's end)."""
+        return self.receiver_active
 
     def enqueue_frame(self, frame, priority=False):
         """Queue a frame for transmission; returns False on tail drop."""
@@ -97,6 +113,12 @@ class Radio:
 
     def frame_dropped(self, frame):
         """Our frame exhausted its retry budget."""
+
+    def quiet_beacon_delivered(self, beacon_interval_tu, at):
+        """An empty-TIM beacon ended at ``at`` with no frame built
+        (:meth:`WifiChannel.air_quiet_beacon`); what
+        :meth:`frame_delivered` does with such a beacon."""
+        self.frames_received += 1
 
     def __repr__(self):
         return f"<Radio {self.name}>"
@@ -174,11 +196,8 @@ class WifiChannel:
         frame = radio.next_frame()
         if frame is None:
             return
-        priority = isinstance(frame, BeaconFrame)
-        backoff = 0 if priority else self.rng.randint(0, self.phy.cw_min)
-        self._contenders[radio] = contender = _Contender(radio, frame,
-                                                         backoff, priority)
-        if (priority and len(self._contenders) == 1
+        contender = self._contend(radio, frame)
+        if (contender.priority and len(self._contenders) == 1
                 and self._round_event is None and not self._monitors
                 and self.sim.now >= self._busy_until):
             # A beacon on an idle, uncontended medium wins the round it
@@ -188,6 +207,46 @@ class WifiChannel:
             self._transmit(contender, self._difs)
             return
         self._schedule_round()
+
+    def _contend(self, radio, frame):
+        """Enter ``frame`` into contention at CWmin: a beacon with
+        priority and no backoff, anything else with a random one."""
+        priority = isinstance(frame, BeaconFrame)
+        backoff = 0 if priority else self.rng.randint(0, self.phy.cw_min)
+        self._contenders[radio] = contender = _Contender(radio, frame,
+                                                         backoff, priority)
+        return contender
+
+    def air_quiet_beacon(self, sender, size, beacon_interval_tu):
+        """Air an empty-TIM beacon of ``size`` bytes as bookkeeping.
+
+        Applies only when the medium has no contender, no round, no
+        monitor and no busy window, and the scheduler reports nothing
+        can fire before the beacon ends; returns ``False`` otherwise,
+        and the caller sends a frame.  Else updates now what the frame
+        path (DIFS, then the airtime, then the delivery) would update
+        at the end instant, and returns ``True``.
+        """
+        sim = self.sim
+        now = sim.now
+        if (self._contenders or self._round_event is not None
+                or self._monitors or now < self._busy_until):
+            return False
+        rate = self.phy.beacon_rate_bps
+        air = self._airtimes.get((size, rate))
+        if air is None:
+            air = self._airtimes[size, rate] = self.phy.airtime(size, rate)
+        tx_end = now + self._difs + air
+        if not sim.clear_through(tx_end):
+            return False
+        self._busy_until = tx_end
+        self.stats.transmissions += 1
+        self.stats.busy_time += air
+        for radio in self._radios:
+            if radio is not sender and radio.receiver_active_at(tx_end):
+                radio.quiet_beacon_delivered(beacon_interval_tu, tx_end)
+        sender.frames_sent += 1  # what frame_transmitted counts
+        return True
 
     def _schedule_round(self):
         contenders = self._contenders
@@ -302,11 +361,7 @@ class WifiChannel:
         # frame was still on the air (notify_backlogged during the busy
         # window) — never clobber that contender or its frame is lost.
         if radio not in self._contenders and radio.has_pending():
-            # Fresh frame: fresh backoff at CWmin.
-            frame = radio.next_frame()
-            priority = isinstance(frame, BeaconFrame)
-            backoff = 0 if priority else self.rng.randint(0, self.phy.cw_min)
-            self._contenders[radio] = _Contender(radio, frame, backoff, priority)
+            self._contend(radio, radio.next_frame())
         self._schedule_round()
 
     def _collide(self, winners):
@@ -340,10 +395,7 @@ class WifiChannel:
             self._contenders.pop(radio, None)
             radio.frame_dropped(contender.frame)
             if radio.has_pending():
-                self._contenders[radio] = _Contender(
-                    radio, radio.next_frame(),
-                    self.rng.randint(0, phy.cw_min),
-                )
+                self._contend(radio, radio.next_frame())
             return
         self.stats.retries += 1
         cw = phy.contention_window(contender.retries)

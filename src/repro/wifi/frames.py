@@ -79,6 +79,14 @@ class NullDataFrame(WifiFrame):
         return f"NullDataFrame({self.src_mac}->{self.dst_mac} pm={int(self.pm)})"
 
 
+def beacon_wire_size(ssid, tim_aids):
+    """A beacon's on-air size: header + fixed fields (12) + SSID IE +
+    rates IE (10) + TIM IE (2-byte IE header + count/period/control +
+    bitmap) + FCS."""
+    tim_len = 5 + max(1, (max(tim_aids) // 8 + 1) if tim_aids else 1)
+    return MAC_HEADER_LEN + 12 + (2 + len(ssid)) + 10 + tim_len + FCS_LEN
+
+
 class BeaconFrame(WifiFrame):
     """A beacon: timing reference plus the TIM of buffered stations."""
 
@@ -96,11 +104,7 @@ class BeaconFrame(WifiFrame):
             tim_aids = frozenset(tim_aids)
         self.tim_aids = tim_aids
         self.ssid = ssid
-        # header + fixed fields (12) + SSID IE + rates IE (10) + TIM IE
-        # (2-byte IE header + count/period/control + bitmap).
-        tim_len = 5 + max(1, (max(tim_aids) // 8 + 1) if tim_aids else 1)
-        self.wire_size = (MAC_HEADER_LEN + 12 + (2 + len(ssid)) + 10 + tim_len
-                          + FCS_LEN)
+        self.wire_size = beacon_wire_size(ssid, tim_aids)
 
     def __repr__(self):
         return (

@@ -12,6 +12,11 @@ The state machine:
   paper measured the *actual* listen interval of every phone to be 0,
   i.e. the station wakes for **every** beacon (102.4 ms apart), which
   bounds the PSM-induced inflation at just over one beacon interval.
+  The wake is a deadline, not an event: the station keeps the next
+  wake on its grid (``anchor + k * period``), its receiver is on from
+  that instant until it handles a beacon, and a handled beacon moves
+  the deadline to the first wake after it.  A wake at exactly another
+  event's instant is already in effect for that event.
 * A beacon whose TIM includes the station's AID means the AP holds
   buffered downlink frames: the station wakes, signals PM=0 with a null
   frame, and the AP flushes.
@@ -24,6 +29,8 @@ polling.  ``timeout_jitter`` models that: each re-arm draws
 ``Tip + U(-jitter, +jitter)``.
 """
 
+import math
+
 from repro.obs.names import (
     PSM_TRANSITIONS_TOTAL,
     SPAN_PSM_BEACON_WAIT,
@@ -33,6 +40,8 @@ from repro.sim.timers import Timer
 from repro.sim.units import tu
 from repro.wifi.channel import Radio
 from repro.wifi.frames import BeaconFrame, DataFrame, NullDataFrame, PsPollFrame
+
+_INF = math.inf
 
 
 class PowerState:
@@ -101,10 +110,14 @@ class Station(Radio):
         self.on_packet = None  # callable(packet): upper-layer delivery
         self.on_state_change = None  # callable(old, new, reason)
         self._psm_timer = Timer(sim, self._psm_timeout, label=f"psm:{name}")
-        self._tbtt_wake_label = f"tbtt-wake:{self.name}"
-        self._listening_for_beacon = False
         self._fetching = False  # static mode: mid PS-Poll retrieval
-        self._tbtt_train = None  # periodic wake train while dozing
+        # The TBTT wake deadline while dozing: wake k is at
+        # ``_wake_anchor + k * _wake_period``; ``_next_wake`` is the
+        # pending one (``inf`` when disarmed).
+        self._wake_anchor = 0.0
+        self._wake_period = None
+        self._wake_index = 0
+        self._next_wake = _INF
         self._beacon_interval = None
         self._beacon_wait_start = None
         self._doze_started = None
@@ -130,8 +143,12 @@ class Station(Radio):
 
     @property
     def receiver_active(self):
-        return (self.power_state == PowerState.AWAKE
-                or self._listening_for_beacon or self._fetching)
+        return (self.power_state == PowerState.AWAKE or self._fetching
+                or self.sim.now >= self._next_wake)
+
+    def receiver_active_at(self, t):
+        return (self.power_state == PowerState.AWAKE or self._fetching
+                or t >= self._next_wake)
 
     # -- uplink -----------------------------------------------------------
 
@@ -157,7 +174,8 @@ class Station(Radio):
     def frame_delivered(self, frame):
         super().frame_delivered(frame)
         if isinstance(frame, BeaconFrame):
-            self._handle_beacon(frame)
+            self._handle_beacon(frame.beacon_interval_tu, frame.tim_aids,
+                                self.sim.now)
             return
         if isinstance(frame, DataFrame) and frame.dst_mac == self.mac:
             if self.psm.enabled and self.psm.is_static:
@@ -176,6 +194,10 @@ class Station(Radio):
             self._static_tx_done()
         else:
             self._touch_activity()
+
+    def quiet_beacon_delivered(self, beacon_interval_tu, at):
+        self.frames_received += 1
+        self._handle_beacon(beacon_interval_tu, (), at)
 
     def frame_dropped(self, frame):
         if isinstance(frame, NullDataFrame) and frame.pm:
@@ -245,7 +267,6 @@ class Station(Radio):
 
     def _wake(self, reason):
         self._cancel_beacon_listen()
-        self._listening_for_beacon = False
         self._fetching = False
         self._beacon_wait_start = None
         if self.power_state != PowerState.AWAKE:
@@ -273,69 +294,62 @@ class Station(Radio):
 
     # -- beacon handling -----------------------------------------------------
 
-    def _next_listen_tbtt(self):
-        """The next target beacon time this station listens to.
+    def _next_listen_tbtt(self, at=None):
+        """The next target beacon time this station listens to, after
+        ``at`` (default: now).
 
         Beacon k goes on the air at ``k * interval`` (AP schedule); with
         listen interval L the station listens to beacons whose index is a
         multiple of (L + 1).
         """
+        if at is None:
+            at = self.sim.now
         interval = self._beacon_interval
         stride = self.psm.listen_interval + 1
-        next_index = int(self.sim.now / interval) + 1
+        next_index = int(at / interval) + 1
         while next_index % stride:
             next_index += 1
         return next_index * interval
 
-    def _schedule_beacon_listen(self):
-        """Arm (or keep) the periodic TBTT wake train while dozing.
+    def _schedule_beacon_listen(self, at=None):
+        """Arm (or keep) the TBTT wake deadline while dozing, at ``at``
+        (default: now).
 
-        One :meth:`~repro.sim.scheduler.Simulator.schedule_periodic`
-        train covers every listen cycle of a doze period: tick ``k``
-        wakes the receiver ``beacon_guard`` before the ``k``-th listened
-        beacon.  A train armed on the current grid is kept as-is — this
-        method then only restarts the beacon-wait span clock — and
-        re-armed from scratch when the beacon interval changed.
+        Wake ``k`` turns the receiver on ``beacon_guard`` before the
+        ``k``-th listened beacon.  A deadline armed on the current grid
+        is kept as-is — this method then only restarts the beacon-wait
+        span clock — and re-armed from scratch when the beacon interval
+        changed.
         """
-        self._beacon_wait_start = self.sim.now
+        if at is None:
+            at = self.sim.now
+        self._beacon_wait_start = at
         period = (self.psm.listen_interval + 1) * self._beacon_interval
-        train = self._tbtt_train
-        if train is not None and not train.canceled and train.period == period:
+        if self._next_wake != _INF and self._wake_period == period:
             return
-        self._cancel_beacon_listen()
-        wake_at = self._next_listen_tbtt() - self.psm.beacon_guard
-        wake_at = max(wake_at, self.sim.now)
-        self._tbtt_train = self.sim.schedule_periodic(
-            period, self._begin_beacon_listen, first=wake_at,
-            label=self._tbtt_wake_label,
-        )
+        wake_at = max(self._next_listen_tbtt(at) - self.psm.beacon_guard, at)
+        self._wake_anchor = self._next_wake = wake_at
+        self._wake_period = period
+        self._wake_index = 0
 
     def _cancel_beacon_listen(self):
-        if self._tbtt_train is not None:
-            self._tbtt_train.cancel()
-            self._tbtt_train = None
+        self._next_wake = _INF
 
-    def _begin_beacon_listen(self):
-        self._listening_for_beacon = True
-
-    def _handle_beacon(self, beacon):
-        self._beacon_interval = tu(beacon.beacon_interval_tu)
-        if self.power_state != PowerState.DOZE:
+    def _handle_beacon(self, beacon_interval_tu, tim_aids, at):
+        """A beacon with ``tim_aids`` ended at ``at``."""
+        self._beacon_interval = tu(beacon_interval_tu)
+        if self.power_state != PowerState.DOZE or at < self._next_wake:
             return
-        if not self._listening_for_beacon:
-            return
-        self._listening_for_beacon = False
         if self.sim.spans.enabled and self._beacon_wait_start is not None:
             self.sim.spans.record(
-                SPAN_PSM_BEACON_WAIT, self._beacon_wait_start,
-                self.sim.now,
-                sta=self.name, tim=self.aid in beacon.tim_aids)
+                SPAN_PSM_BEACON_WAIT, self._beacon_wait_start, at,
+                sta=self.name, tim=self.aid in tim_aids)
         self._beacon_wait_start = None
-        if self.aid in beacon.tim_aids:
+        if self.aid in tim_aids:
             if self.psm.is_static:
                 # Legacy PSM: poll for one buffered frame, stay in PS.
                 # No TBTT wakes while fetching; _static_data_received
-                # re-arms the train once the retrieval completes.
+                # re-arms the deadline once the retrieval completes.
                 self._cancel_beacon_listen()
                 self._fetching = True
                 self.ps_polls_sent += 1
@@ -347,7 +361,17 @@ class Station(Radio):
                 self.enqueue_frame(NullDataFrame(self.ap.mac, self.mac,
                                                  pm=False))
         else:
-            self._schedule_beacon_listen()
+            # The next wake is the first on the grid after this beacon.
+            index = self._wake_index
+            anchor = self._wake_anchor
+            period = self._wake_period
+            wake = self._next_wake
+            while wake <= at:
+                index += 1
+                wake = anchor + index * period
+            self._wake_index = index
+            self._next_wake = wake
+            self._schedule_beacon_listen(at)
 
     def __repr__(self):
         return f"<Station {self.name} {self.power_state}>"

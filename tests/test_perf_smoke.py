@@ -693,13 +693,20 @@ def test_smoke_analytic_predict_rate():
 
 
 #: Events a settled nexus5 WiFi testbed fires while it idles for 10
-#: simulated seconds (seed 1): 98 beacon intervals of three events
-#: each, the beacon, its delivery and the dozing station's TBTT wake.
-#: The SDIO bus demoted while the testbed settled and has no event
-#: pending; the 10-ms watchdog train it replaced fired 1,000 more here
-#: (1,392).  While a beacon on the idle medium still waited for its own
-#: DCF round event, it was four events each (392).
-_IDLE_WIFI_EVENTS = 294
+#: simulated seconds (seed 1): one beacon tick per interval, 98, each
+#: aired as bookkeeping with no frame or delivery event, and no TBTT
+#: wake event (the dozing station keeps a wake deadline).  The SDIO bus
+#: demoted while the testbed settled and has no event pending; the
+#: 10-ms watchdog train it replaced fired 1,000 more here (1,392).
+#: While a beacon on the idle medium still waited for its own DCF round
+#: event, it was four events each (392); while it was a frame with a
+#: delivery event and the station woke on a train, three (294).
+_IDLE_WIFI_EVENTS = 98
+#: ``(Python calls, line events)`` of those 10 idle seconds.  While
+#: each beacon was a frame with a delivery event and a TBTT wake train
+#: tick, (3,140, 20,109): about 32 calls and 205 lines a beacon, where
+#: a quiet beacon costs about 9 calls and 75 lines.
+_QUIET_BEACON_COST = (895, 7_332)
 #: ``(Python calls, line events)`` of one 3-probe nexus5 WiFi ping cell
 #: (30 ms, seed 5) through ``run_cell``, plain and observed.
 #: Before the watchdog deadline: (4,345, 26,160) and (5,850, 34,265);
@@ -709,15 +716,18 @@ _IDLE_WIFI_EVENTS = 294
 #: (3,057, 17,411) and (4,544, 25,198); while every hop built an
 #: ``Event``, restarted timers rescheduled, an idle Ethernet port fired
 #: an ``eth-tx`` event per frame and a beacon waited for its own DCF
-#: round, (2,886, 16,489) and (4,359, 24,212).
-_PING_CELL_COST = {False: (2_651, 13_137), True: (4_068, 20_625)}
+#: round, (2,886, 16,489) and (4,359, 24,212); while each quiet beacon
+#: was a frame with a delivery event and a dozing station woke on a
+#: TBTT train, (2,651, 13,137) and (4,068, 20,625).
+_PING_CELL_COST = {False: (2_024, 9_708), True: (3_384, 16_504)}
 #: Events the observed 3-probe nexus5 ping cell with cross traffic
 #: (30 ms, seed 1) fires.  While the load ran on through the AP-switch
 #: link and the switch to a wired sink, the same cell fired 66,295;
 #: with an ``eth-tx`` event per wired frame and a round per beacon,
 #: 24,559.  (A lazy timer's early firing is one event more, where a
-#: restart used to cancel one.)
-_CROSS_TRAFFIC_CELL_EVENTS = 24_549
+#: restart used to cancel one.)  While a quiet beacon was a delivery
+#: event and the phone's TBTT wakes a train, 24,549.
+_CROSS_TRAFFIC_CELL_EVENTS = 24_527
 
 
 def _ping_cell():
@@ -744,6 +754,28 @@ def test_smoke_idle_wifi_events():
     fired = testbed.sim.events_fired
     testbed.run(10.0)
     assert testbed.sim.events_fired - fired == _IDLE_WIFI_EVENTS
+
+
+@pytest.mark.perf_smoke
+def test_smoke_quiet_beacon_cost():
+    """A quiet beacon is bookkeeping: the calls and lines of 10 idle
+    seconds are pinned above.
+
+    Counted with ``tests/callcount.py`` over the same idle run as
+    ``test_smoke_idle_wifi_events``, after the testbed settled.  A
+    beacon that builds a frame, a delivery event or a wake event again,
+    or a per-beacon recomputation, changes the counts deterministically.
+    """
+    from repro.testbed.topology import Testbed
+
+    testbed = Testbed(seed=1)
+    testbed.add_phone("nexus5")
+    testbed.settle()
+    beacons = testbed.ap.beacons_sent
+    cost = count_calls(testbed.run, 10.0)
+    assert testbed.ap.beacons_sent - beacons == 98
+    assert cost.python.get("repro.wifi.frames.BeaconFrame.__init__", 0) == 0
+    assert (cost.calls, sum(cost.lines.values())) == _QUIET_BEACON_COST
 
 
 @pytest.mark.perf_smoke

@@ -338,6 +338,88 @@ class TestPost:
         assert log[3][1] == pytest.approx(0.35)
 
 
+class TestClearThrough:
+    """``clear_through(t)``: inside ``run()``, not stopped, ``t`` within
+    ``until`` and the heap head strictly later than ``t``."""
+
+    @staticmethod
+    def _ask(sim, at, t):
+        answers = []
+        sim.post(at, lambda: answers.append(sim.clear_through(t)))
+        return answers
+
+    def test_true_on_an_empty_heap_inside_run(self, sim):
+        answers = self._ask(sim, 0.1, 0.5)
+        sim.run()
+        assert answers == [True]
+
+    def test_false_outside_run(self, sim):
+        assert not sim.clear_through(0.5)
+
+    def test_false_inside_step(self, sim):
+        answers = self._ask(sim, 0.1, 0.5)
+        assert sim.step() is True
+        assert answers == [False]
+
+    def test_false_inside_an_observed_step(self, sim):
+        from repro.obs import enable_observability
+
+        enable_observability(sim)
+        answers = self._ask(sim, 0.1, 0.5)
+        assert sim.step() is True
+        assert answers == [False]
+
+    @pytest.mark.parametrize("until, expected", [(0.5, True),
+                                                 (0.4999, False)])
+    def test_until_is_inclusive(self, sim, until, expected):
+        answers = self._ask(sim, 0.1, 0.5)
+        sim.run(until=until)
+        assert answers == [expected]
+
+    def test_false_after_stop(self, sim):
+        answers = []
+
+        def stop_then_ask():
+            sim.stop()
+            answers.append(sim.clear_through(0.5))
+
+        sim.post(0.1, stop_then_ask)
+        sim.run()
+        assert answers == [False]
+
+    @pytest.mark.parametrize("t, expected", [(0.3, False),
+                                             (0.2999, True)])
+    def test_head_at_exactly_t_blocks(self, sim, t, expected):
+        answers = self._ask(sim, 0.1, t)
+        sim.post(0.3, lambda: None)
+        sim.run()
+        assert answers == [expected]
+
+    def test_cancelled_head_still_blocks(self, sim):
+        answers = self._ask(sim, 0.1, 0.3)
+        sim.schedule(0.2, lambda: None).cancel()
+        sim.run()
+        assert answers == [False]
+
+    def test_quiet_ticks_stay_one_batch(self, sim):
+        # A train whose callback only reads the query is batched: the
+        # heap head is the barrier it asks about.
+        answers = []
+
+        def tick():
+            answers.append(sim.clear_through(sim.now + 0.05))
+
+        train = sim.schedule_periodic(0.1, tick, label="train")
+        sim.post(0.42, lambda: None)
+        sim.run(until=1.0)
+        # Tick 4 asks past the post at 0.42, tick 10 past ``until``.
+        assert answers == [True, True, True, False, True, True,
+                           True, True, True, False]
+        assert train.ticks == 10 and sim.events_fired == 11
+        # Two whole batches (ticks 1-4, then 5-10) each doubled the hint.
+        assert train.batch_hint == 16
+
+
 class TestDeterminism:
     def test_same_seed_same_stream_draws(self):
         def draws(seed):

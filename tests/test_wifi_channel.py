@@ -233,6 +233,32 @@ class TestRadioQueue:
         assert kinds.index("BeaconFrame") < kinds.index("DataFrame") + 2
 
 
+class TestRetryExhaustion:
+    def test_beacon_behind_a_dropped_frame_keeps_its_priority(self, sim):
+        # An AP-side unicast to a station that is not there exhausts its
+        # retries; the beacon queued behind it contends as a beacon.
+        channel, (ap, sta) = make_cell(sim)
+        absent = RecordingRadio(sim, WifiChannel(sim, name="elsewhere"),
+                                MacAddress.from_index(99))
+        frame = data_frame(ap, absent)
+        ap.enqueue_frame(frame)
+        beacon = BeaconFrame(ap.mac, 100)
+        ap.enqueue_frame(beacon, priority=True)
+        while not ap.dropped and sim.step():
+            pass
+        assert ap.dropped == [frame]
+        assert channel.stats.retries == channel.phy.retry_limit
+        dropped_at = sim.now
+        contender = channel._contenders[ap]
+        assert contender.frame is beacon
+        assert (contender.priority, contender.backoff) == (True, 0)
+        sim.run()
+        airtime = channel.phy.airtime(beacon.wire_size,
+                                      channel.phy.beacon_rate_bps)
+        assert sta.delivered == [
+            (dropped_at + channel.phy.difs + airtime, beacon)]
+
+
 class TestBeaconFastPath:
     """A beacon on an idle, uncontended, unmonitored medium goes on the
     air DIFS from now with no DCF round event; every other medium still
@@ -294,8 +320,8 @@ class TestBeaconFastPath:
 
 
 #: One cell per tool on two phones and two seeds, for the beacon
-#: fast-path oracle below.  The 300-ms path outlasts the phones' PSM
-#: timeouts, so replies wait at the AP for a beacon's TIM.
+#: oracles below.  The 300-ms path outlasts the phones' PSM timeouts,
+#: so replies wait at the AP for a beacon's TIM.
 _FAST_PATH_CELLS = [
     pytest.param(tool, phone, seed, id=f"{tool}-{phone}-s{seed}")
     for tool in sorted(scenario.TOOLS)
@@ -303,13 +329,13 @@ _FAST_PATH_CELLS = [
     for seed in (1, 2)]
 
 
-@pytest.mark.parametrize("tool, phone, seed", _FAST_PATH_CELLS)
-def test_beacon_fast_path_matches_the_round(tool, phone, seed, monkeypatch):
-    """A no-op monitor forces every beacon through its DCF round; the
-    probes' RTTs and layers must not notice the difference."""
-    spec = scenario.ScenarioSpec(tool=tool, phone=phone, seed=seed,
-                                 emulated_rtt=0.3, count=3, interval=0.3)
-    fast = scenario.run_scenario(spec)
+def _quiet_and_framed(spec, monkeypatch):
+    """Run ``spec`` as is, then with a no-op monitor on the channel.
+
+    A monitor sends every beacon as a frame through its DCF round, so
+    the second run takes neither the quiet path nor the round-less one.
+    """
+    quiet = scenario.run_scenario(spec)
     build = scenario.build_environment
 
     def monitored(key, **kwargs):
@@ -317,8 +343,54 @@ def test_beacon_fast_path_matches_the_round(tool, phone, seed, monkeypatch):
         env.channel.add_monitor(lambda *args: None)
         return env
 
-    monkeypatch.setattr(scenario, "build_environment", monitored)
-    rounds = scenario.run_scenario(spec)
-    assert rounds.testbed.channel._monitors
-    assert len(fast.user_rtts) == spec.count
-    assert (fast.user_rtts, fast.layers) == (rounds.user_rtts, rounds.layers)
+    with monkeypatch.context() as patch:
+        patch.setattr(scenario, "build_environment", monitored)
+        framed = scenario.run_scenario(spec)
+    assert framed.testbed.channel._monitors
+    return quiet, framed
+
+
+def _wlan_state(result):
+    """What a beacon's delivery updates: the probes, the phone's power
+    states, the AP's beacon count, the channel's stats and busy window,
+    every radio's frame counters and, observed, every span and every
+    metric but the scheduler's event counts."""
+    env = result.testbed
+    channel = env.channel
+    stats = channel.stats
+    return {
+        "rtts": result.user_rtts,
+        "layers": result.layers,
+        "transitions": result.phone.sta.state_transitions,
+        "beacons_sent": env.ap.beacons_sent,
+        "stats": [getattr(stats, name) for name in stats.__slots__],
+        "busy_until": channel._busy_until,
+        "frames": [(radio.name, radio.frames_sent, radio.frames_received)
+                   for radio in channel._radios],
+        "spans": [(span.name, span.start, span.end, span.fields)
+                  for span in result.spans.spans],
+        "metrics": [entry for entry in result.metrics_snapshot()["metrics"]
+                    if not entry["name"].startswith("scheduler_")],
+    }
+
+
+@pytest.mark.parametrize("tool, phone, seed", _FAST_PATH_CELLS)
+def test_beacon_fast_path_matches_the_round(tool, phone, seed, monkeypatch):
+    """A no-op monitor sends every beacon as a frame through its DCF
+    round.  Plain and observed, nothing a beacon's delivery updates may
+    notice; each ``psm.beacon_wait`` span ends at the beacon's end, not
+    at its tick."""
+    for observe in (False, True):
+        spec = scenario.ScenarioSpec(tool=tool, phone=phone, seed=seed,
+                                     emulated_rtt=0.3, count=3, interval=0.3,
+                                     observe=observe)
+        quiet, framed = _quiet_and_framed(spec, monkeypatch)
+        assert len(quiet.user_rtts) == spec.count
+        state = _wlan_state(quiet)
+        assert state == _wlan_state(framed)
+        # The quiet path was taken, and observed, it recorded waits.
+        assert (quiet.testbed.sim.events_fired
+                < framed.testbed.sim.events_fired)
+        waits = [entry["count"] for entry in state["metrics"]
+                 if entry["name"] == "psm_beacon_wait_seconds"]
+        assert bool(waits and waits[0]) == observe

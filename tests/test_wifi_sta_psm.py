@@ -1,10 +1,22 @@
 """Tests for the station's adaptive power-save state machine (§3.2.2)."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.addresses import ip
+from repro.sim.scheduler import Simulator
 from repro.sim.units import tu
-from repro.wifi.sta import PowerState, PsmConfig
+from repro.wifi.frames import NullDataFrame, PsPollFrame
+from repro.wifi.sta import (
+    MODE_ADAPTIVE,
+    MODE_STATIC,
+    PowerState,
+    PsmConfig,
+    Station,
+)
 from tests.conftest import make_wifi_cell, run_until
 
 
@@ -200,3 +212,180 @@ class TestInstrumentation:
             PsmConfig(timeout=0)
         with pytest.raises(ValueError):
             PsmConfig(timeout=0.1, listen_interval=-1)
+
+
+def test_dozing_station_fires_no_wake_events(sim):
+    _channel, _ap, _server, host = make_psm_host(sim, timeout=0.05)
+    sim.run(until=1.0)
+    assert host.sta.power_state == PowerState.DOZE
+    fired = sim.events_fired
+    sim.run(until=3.0)
+    # One beacon tick per interval (TBTTs 10 to 29) and nothing else.
+    assert sim.events_fired - fired == 20
+
+
+class _TbttTrainStation(Station):
+    """The reference model: a dozing station's TBTT wakes as a
+    ``schedule_periodic`` train whose tick turns the receiver on until
+    a beacon is handled.
+
+    :class:`Station` keeps only the next wake as a deadline on the same
+    grid; the oracle tests below drive both with the same inputs.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self._listening_for_beacon = False
+        self._tbtt_train = None
+        super().__init__(*args, **kwargs)
+
+    @property
+    def receiver_active(self):
+        return (self.power_state == PowerState.AWAKE
+                or self._listening_for_beacon or self._fetching)
+
+    def receiver_active_at(self, t):
+        return self.receiver_active
+
+    def _schedule_beacon_listen(self, at=None):
+        if at is None:
+            at = self.sim.now
+        self._beacon_wait_start = at
+        period = (self.psm.listen_interval + 1) * self._beacon_interval
+        train = self._tbtt_train
+        if train is not None and not train.canceled and train.period == period:
+            return
+        self._cancel_beacon_listen()
+        wake_at = max(self._next_listen_tbtt(at) - self.psm.beacon_guard, at)
+        self._tbtt_train = self.sim.schedule_periodic(
+            period, self._begin_beacon_listen, first=wake_at,
+            label="tbtt-wake:reference")
+
+    def _cancel_beacon_listen(self):
+        self._listening_for_beacon = False
+        if self._tbtt_train is not None:
+            self._tbtt_train.cancel()
+            self._tbtt_train = None
+
+    def _begin_beacon_listen(self):
+        self._listening_for_beacon = True
+
+    def _handle_beacon(self, beacon_interval_tu, tim_aids, at):
+        self._beacon_interval = tu(beacon_interval_tu)
+        if self.power_state != PowerState.DOZE:
+            return
+        if not self._listening_for_beacon:
+            return
+        self._listening_for_beacon = False
+        self._beacon_wait_start = None
+        if self.aid in tim_aids:
+            if self.psm.is_static:
+                self._cancel_beacon_listen()
+                self._fetching = True
+                self.ps_polls_sent += 1
+                self.enqueue_frame(PsPollFrame(self.ap.mac, self.mac, self.aid))
+            else:
+                self._wake("tim")
+                self.null_frames_sent += 1
+                self.enqueue_frame(NullDataFrame(self.ap.mac, self.mac,
+                                                 pm=False))
+        else:
+            self._schedule_beacon_listen(at)
+
+
+def _drive(station_class, psm, actions, until):
+    """Run one WiFi cell whose station is ``station_class``.
+
+    ``actions`` is ``[(time, kind)]``, kind one of ``uplink`` (an echo
+    request to the server), ``downlink`` (a UDP datagram from the
+    server, buffered at the AP while the station dozes) and ``query``
+    (read ``receiver_active``).  The actions are scheduled before the
+    cell exists.  Returns everything either model could disagree on.
+    """
+    sim = Simulator(seed=11)
+    queries = []
+    arrivals = []
+    cell = []
+
+    def act(kind):
+        _channel, _ap, server, (host,) = cell
+        if kind == "uplink":
+            host.stack.send_echo_request(server.ip_addr, 1, len(queries))
+        elif kind == "downlink":
+            server.stack.send_udp(host.ip_addr, 4444, payload_size=32)
+        else:
+            queries.append((sim.now, host.sta.receiver_active))
+
+    for time, kind in actions:
+        sim.at(time, act, kind)
+    with mock.patch("repro.wifi.host.Station", station_class):
+        cell.extend(make_wifi_cell(sim, psm=psm))
+    sta = cell[3][0].sta
+    assert type(sta) is station_class
+    cell[3][0].stack.udp_bind(4444, lambda packet: arrivals.append(sim.now))
+    sim.run(until=until)
+    return (queries, arrivals, sta.state_transitions, sta.frames_received,
+            sta.frames_sent, sta.null_frames_sent, sta.ps_polls_sent)
+
+
+@st.composite
+def _psm_plans(draw):
+    psm = PsmConfig(
+        enabled=True, mode=draw(st.sampled_from([MODE_ADAPTIVE, MODE_STATIC])),
+        timeout=draw(st.sampled_from([0.03, 0.1, 0.25])),
+        listen_interval=draw(st.integers(0, 2)))
+    actions = []
+    for _ in range(draw(st.integers(0, 12))):
+        actions.append((draw(st.floats(0.0, 2.0, allow_nan=False)),
+                        draw(st.sampled_from(["uplink", "downlink"]))))
+    for _ in range(draw(st.integers(1, 30))):
+        actions.append((draw(st.floats(0.0, 2.5, allow_nan=False)), "query"))
+    return psm, actions
+
+
+class TestWakeDeadlineMatchesTrain:
+    """The TBTT wake deadline against the periodic-train reference.
+
+    The tie rule: a wake is in effect from its exact instant, so every
+    event at that instant sees the receiver on.  The train turned it on
+    only for events whose ``seq`` was drawn after the tick's, i.e. not
+    for an event scheduled before the previous tick fired.  A beacon
+    ends DIFS + airtime after its TBTT, ``beacon_guard`` after the wake,
+    so no delivery meets that case; the property's query instants are
+    drawn off the wake grids, and the tests below pin the tie itself.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(_psm_plans())
+    def test_same_receiver_state_at_every_query(self, plan):
+        psm, actions = plan
+        new = _drive(Station, psm, actions, until=2.5)
+        reference = _drive(_TbttTrainStation, psm, actions, until=2.5)
+        assert new == reference
+
+    @staticmethod
+    def _first_doze_wake(k):
+        # Silent from t=0, the station dozes at ~0.1 s (Tip = 0.1), so
+        # its first wake is the guard before TBTT 2 and wake k is k
+        # periods later, with the grid's arithmetic.
+        period = tu(100)
+        return (2 * period - PsmConfig().beacon_guard) + k * period
+
+    @pytest.mark.parametrize("station_class, awake", [
+        (Station, True), (_TbttTrainStation, False)],
+        ids=["deadline", "train"])
+    def test_query_scheduled_early_at_a_wake_instant(self, station_class,
+                                                     awake):
+        wake = self._first_doze_wake(3)
+        psm = PsmConfig(enabled=True, timeout=0.1)
+        queries = _drive(station_class, psm, [(wake, "query")],
+                         until=1.0)[0]
+        assert queries == [(wake, awake)]
+
+    @pytest.mark.parametrize("station_class", [Station, _TbttTrainStation],
+                             ids=["deadline", "train"])
+    def test_both_on_just_after_and_off_just_before(self, station_class):
+        wake = self._first_doze_wake(3)
+        psm = PsmConfig(enabled=True, timeout=0.1)
+        actions = [(wake - 1e-9, "query"), (wake + 1e-9, "query")]
+        queries = _drive(station_class, psm, actions, until=1.0)[0]
+        assert queries == [(wake - 1e-9, False), (wake + 1e-9, True)]
